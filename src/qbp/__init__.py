@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .pauli import PauliOperator, commute, commute_single, multiply, parse, render, weight
+from .pauli import PauliOperator, commute_single
 from .codes import (
     DETECTABLE,
     LOGICAL,
@@ -12,7 +12,6 @@ from .codes import (
     NonCommutingChecksError,
     StabilizerCode,
     bec_threshold_check,
-    build,
     design_rate,
     syndrome_from_string,
     syndrome_to_string,
@@ -43,7 +42,6 @@ from .heuristics import (
     PerturbationEvent,
     collision_targets,
     decode_with_heuristics,
-    find_frustrated_checks,
     freeze_step,
     perturb_step,
 )

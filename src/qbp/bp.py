@@ -185,12 +185,8 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeRes
         raise ValueError(f"syndrome must have {code.m} bits, got shape {syndrome.shape}")
     state = init_messages(code, prior)
     target01 = ((1 - syndrome) // 2).astype(np.uint8)
-    beliefs = state.working_prior.copy()
-    letters = np.argmax(beliefs, axis=1).astype(np.int8)
     since_intervention = 0
-    iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
         check_update(state, code, syndrome)
         beliefs = qubit_update(state, code)
         letters = np.argmax(beliefs, axis=1).astype(np.int8)
@@ -215,7 +211,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeRes
     return DecodeResult(
         correction=PauliOperator.from_letters(letters),
         converged=False,
-        iterations_used=iterations,
+        iterations_used=iteration,
         final_beliefs=beliefs,
     )
 

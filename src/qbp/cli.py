@@ -200,6 +200,8 @@ def _cmd_simulate(parser: _Parser, args) -> int:
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     epsilons = _parse_epsilons(parser, args)
+    if args.max_failures < 0:
+        parser.error("--max-failures must be >= 0 (0 disables the early stop)")
     max_failures = None if args.max_failures == 0 else args.max_failures
     stats = run_simulation(
         code, epsilons, args.trials, config,

@@ -60,7 +60,6 @@ class EdgeArrays:
 
     qubit: np.ndarray       # (E,) qubit index per edge
     check: np.ndarray       # (E,) check index per edge
-    letter: np.ndarray      # (E,) Pauli letter code of the decoration
     check_start: np.ndarray  # (m+1,) segment offsets per check
     sign: np.ndarray        # (E,4) commutation sign of each letter vs the decoration
     anti_index: np.ndarray  # (E,) row offsets into the flat anticommute table
@@ -116,6 +115,13 @@ class StabilizerCode:
             setattr(self, k, v)
         self._cache = {}
 
+    def _cached(self, key: str, build):
+        """Derived structure `key`, built by build() on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
+
     @property
     def k(self) -> int:
         return self.n - self.m
@@ -134,7 +140,7 @@ class StabilizerCode:
         """Vector of commutation signs of the error with every check."""
         if error.n != self.n:
             raise ValueError(f"error acts on {error.n} qubits, expected {self.n}")
-        return np.array([c.commute(error) for c in self.checks], dtype=np.int8)
+        return 1 - 2 * self.syndrome01_of_letters(error.letters()).astype(np.int8)
 
     # -- graph analytics ---------------------------------------------------
 
@@ -144,14 +150,19 @@ class StabilizerCode:
         Every such pair closes a 4-loop in the Tanner graph.
         """
         loops = []
-        supports = [op.support() for op in self.checks]
         for i in range(self.m):
             for j in range(i + 1, self.m):
-                common = supports[i] & supports[j]
-                if common.bit_count() >= 2:
-                    shared = tuple(q for q in range(self.n) if (common >> q) & 1)
+                shared = self.shared_qubits(i, j)
+                if len(shared) >= 2:
                     loops.append((i, j, shared))
         return len(loops), loops
+
+    def shared_qubits(self, i: int, j: int) -> tuple[int, ...]:
+        """Qubits on which both checks i and j act, ascending."""
+        common = self.checks[i].support() & self.checks[j].support()
+        if not common:
+            return ()
+        return tuple(q for q, _ in self.tanner[i] if (common >> q) & 1)
 
     def degree_distribution(self):
         """Edge-perspective degree distributions (lambda, rho) as coefficient lists.
@@ -180,18 +191,10 @@ class StabilizerCode:
     # -- symplectic structure ---------------------------------------------
 
     def _check_rows(self):
-        rows = self._cache.get("rows")
-        if rows is None:
-            rows = [self._symplectic_row(op) for op in self.checks]
-            self._cache["rows"] = rows
-        return rows
+        return self._cached("rows", lambda: [self._symplectic_row(op) for op in self.checks])
 
     def _check_basis(self):
-        basis = self._cache.get("basis")
-        if basis is None:
-            basis = gf2.echelon(self._check_rows())
-            self._cache["basis"] = basis
-        return basis
+        return self._cached("basis", lambda: gf2.echelon(self._check_rows()))
 
     def canonical_generators(self):
         """Pure errors and logical generators completing the checks to a canonical set.
@@ -201,11 +204,7 @@ class StabilizerCode:
         checks and pure errors and pair up canonically.  Computed by symplectic
         Gaussian elimination on the check matrix.
         """
-        got = self._cache.get("canonical")
-        if got is None:
-            got = self._compute_canonical()
-            self._cache["canonical"] = got
-        return got
+        return self._cached("canonical", self._compute_canonical)
 
     @property
     def pure_errors(self):
@@ -232,18 +231,8 @@ class StabilizerCode:
 
         # logical candidates: centralizer of the checks modulo their span
         centralizer = gf2.nullspace(swapped, n2)
-        basis = [(p, r) for p, r in self._check_basis()]
-        cands = []
-        for v in centralizer:
-            red = gf2.reduce_vector(v, basis)
-            if red == 0:
-                continue
-            p = gf2.lowest_bit(red)
-            for i, (p2, r2) in enumerate(basis):
-                if (r2 >> p) & 1:
-                    basis[i] = (p2, r2 ^ red)
-            basis.append((p, red))
-            cands.append(red)
+        basis = list(self._check_basis())
+        cands = [red for red in (gf2.insert(basis, v) for v in centralizer) if red]
         if len(cands) != 2 * self.k:
             raise RuntimeError(f"expected {2 * self.k} logical candidates, got {len(cands)}")
 
@@ -328,9 +317,7 @@ class StabilizerCode:
 
     def residual_class(self, op: PauliOperator) -> str:
         """Classify a residual operator: detectable, stabilizer, or logical."""
-        if op.n != self.n:
-            raise ValueError(f"operator acts on {op.n} qubits, expected {self.n}")
-        if any(c.commute(op) != 1 for c in self.checks):
+        if (self.syndrome(op) < 0).any():
             return DETECTABLE
         if gf2.in_rowspan(self._symplectic_row(op), self._check_basis()):
             return STABILIZER
@@ -340,11 +327,7 @@ class StabilizerCode:
 
     @property
     def edges(self) -> EdgeArrays:
-        ea = self._cache.get("edges")
-        if ea is None:
-            ea = self._build_edges()
-            self._cache["edges"] = ea
-        return ea
+        return self._cached("edges", self._build_edges)
 
     def _build_edges(self) -> EdgeArrays:
         eq, ec, el = [], [], []
@@ -365,7 +348,6 @@ class StabilizerCode:
         return EdgeArrays(
             qubit=qubit,
             check=check,
-            letter=letter,
             check_start=check_start,
             sign=SIGN_TABLE[letter].astype(np.float64),
             anti_index=letter.astype(np.int64) * 4,
@@ -434,11 +416,7 @@ class StabilizerCode:
             raise CodeFormatError(f"{path}: {exc}") from exc
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
-
-
-def build(checks) -> StabilizerCode:
-    return StabilizerCode(checks)
+        return self._cached("fingerprint", lambda: hashlib.sha256(self.to_text().encode()).hexdigest())
 
 
 def design_rate(lam, rho) -> float:

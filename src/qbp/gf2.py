@@ -12,18 +12,26 @@ def lowest_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
+def insert(basis: list[tuple[int, int]], v: int) -> int:
+    """Reduce v against a reduced echelon basis and, if nonzero, add it in place.
+
+    Returns the reduced v, which is 0 exactly when v was already in the span.
+    """
+    v = reduce_vector(v, basis)
+    if v:
+        p = lowest_bit(v)
+        for i, (p2, r2) in enumerate(basis):
+            if (r2 >> p) & 1:
+                basis[i] = (p2, r2 ^ v)
+        basis.append((p, v))
+    return v
+
+
 def echelon(rows) -> list[tuple[int, int]]:
     """Reduced row-echelon basis as (pivot, row) pairs."""
     basis: list[tuple[int, int]] = []
     for r in rows:
-        r = reduce_vector(r, basis)
-        if r == 0:
-            continue
-        p = lowest_bit(r)
-        for i, (p2, r2) in enumerate(basis):
-            if (r2 >> p) & 1:
-                basis[i] = (p2, r2 ^ r)
-        basis.append((p, r))
+        insert(basis, r)
     return basis
 
 
@@ -46,14 +54,8 @@ def first_dependent(rows) -> int | None:
     """Index of the first row lying in the span of the earlier ones."""
     basis: list[tuple[int, int]] = []
     for i, r in enumerate(rows):
-        r = reduce_vector(r, basis)
-        if r == 0:
+        if not insert(basis, r):
             return i
-        p = lowest_bit(r)
-        for j, (p2, r2) in enumerate(basis):
-            if (r2 >> p) & 1:
-                basis[j] = (p2, r2 ^ r)
-        basis.append((p, r))
     return None
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bp
 from .codes import StabilizerCode
-from .pauli import PauliOperator
 
 _FROZEN_PRIOR = np.maximum(np.array([1.0, 0.0, 0.0, 0.0]), bp.EPS_FLOOR)
 
@@ -34,27 +33,17 @@ class PerturbationEvent:
     deltas: tuple[tuple[float, float, float], ...] | None = None  # per qubit, perturb only
 
 
-def find_frustrated_checks(code: StabilizerCode, e_bp: PauliOperator, syndrome: np.ndarray) -> list[int]:
-    """Checks whose syndrome bit disagrees with the proposed correction, ascending."""
-    got = code.syndrome(e_bp)
-    return [int(c) for c in np.flatnonzero(got != np.asarray(syndrome, dtype=np.int8))]
-
-
 def collision_targets(code: StabilizerCode, frustrated) -> tuple[int, int, tuple[int, ...]] | None:
     """First (lexicographic) pair of frustrated checks sharing at least one qubit."""
-    for pair in _colliding_pairs(code, frustrated):
-        return pair
-    return None
+    return next(_colliding_pairs(code, frustrated), None)
 
 
 def _colliding_pairs(code: StabilizerCode, frustrated):
-    supports = [code.checks[c].support() for c in frustrated]
-    for i in range(len(frustrated)):
-        for j in range(i + 1, len(frustrated)):
-            common = supports[i] & supports[j]
-            if common:
-                shared = tuple(q for q in range(code.n) if (common >> q) & 1)
-                yield frustrated[i], frustrated[j], shared
+    for i, c in enumerate(frustrated):
+        for c2 in frustrated[i + 1:]:
+            shared = code.shared_qubits(c, c2)
+            if shared:
+                yield c, c2, shared
 
 
 def _neighbors(code: StabilizerCode, c: int) -> tuple[int, ...]:
@@ -72,25 +61,25 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     groups = [(trigger, tuple(targets))] if targets is not None else [
         (("check", c), _neighbors(code, c)) for c in frustrated
     ]
+    touched = [q for _, qubits in groups for q in qubits]
+    shape = (len(touched), 3)
+    # one draw for all incidences consumes the generator exactly as one
+    # draw per group would, in group order
+    draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
+    deltas = [tuple(row) for row in draws.tolist()]
     events = []
-    factors = None
-    touched = []
+    start = 0
     for trig, qubits in groups:
-        draws = rng.uniform(0.0, delta, size=(len(qubits), 3)) if delta > 0 else np.zeros((len(qubits), 3))
-        events.append(PerturbationEvent(
-            "perturb", iteration, trig, qubits,
-            tuple((float(a), float(b), float(c)) for a, b, c in draws),
-        ))
-        if delta > 0:
-            if factors is None:
-                factors = np.ones((code.n, 3))
-            np.multiply.at(factors, list(qubits), 1.0 + draws)
-            touched.extend(qubits)
-    if factors is not None and touched:
-        idx = np.unique(touched)
+        stop = start + len(qubits)
+        events.append(PerturbationEvent("perturb", iteration, trig, qubits, tuple(deltas[start:stop])))
+        start = stop
+    if delta > 0 and touched:
+        idx, where = np.unique(touched, return_inverse=True)
+        factors = np.ones((len(idx), 3))
+        np.multiply.at(factors, where, 1.0 + draws)
         wp = state.working_prior
         rows = wp[idx]
-        rows[:, 1:] *= factors[idx]
+        rows[:, 1:] *= factors
         rows /= rows.sum(axis=1, keepdims=True)
         np.maximum(rows, bp.EPS_FLOOR, out=rows)
         wp[idx] = rows

@@ -154,22 +154,3 @@ def _bits_to_array(bits: int, n: int) -> np.ndarray:
     raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little", count=n)
 
-
-def parse(text: str) -> PauliOperator:
-    return PauliOperator.from_string(text)
-
-
-def render(op: PauliOperator) -> str:
-    return str(op)
-
-
-def commute(e: PauliOperator, f: PauliOperator) -> int:
-    return e.commute(f)
-
-
-def multiply(e: PauliOperator, f: PauliOperator) -> PauliOperator:
-    return e * f
-
-
-def weight(e: PauliOperator) -> int:
-    return e.weight

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .bp import DecodeConfig, depolarizing_prior, validate_prior
-from .codes import STABILIZER, StabilizerCode
+from . import codes
+from .codes import StabilizerCode
 from .heuristics import decode_with_heuristics
 from .pauli import PauliOperator
 
@@ -28,6 +29,7 @@ SUCCESS = "success"
 DETECTED = "detected"
 LOGICAL = "logical"
 
+_TRIAL_CLASS = {codes.STABILIZER: SUCCESS, codes.DETECTABLE: DETECTED, codes.LOGICAL: LOGICAL}
 _CLASS_CODES = {SUCCESS: 0, DETECTED: 1, LOGICAL: 2}
 _CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}
 
@@ -89,10 +91,7 @@ def sample_error(prior: np.ndarray, rng) -> PauliOperator:
 
 
 def classify_residual(code: StabilizerCode, error: PauliOperator, correction: PauliOperator) -> str:
-    residual = error * correction
-    if any(c.commute(residual) != 1 for c in code.checks):
-        return DETECTED
-    return SUCCESS if code.residual_class(residual) == STABILIZER else LOGICAL
+    return _TRIAL_CLASS[code.residual_class(error * correction)]
 
 
 def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng) -> TrialOutcome:
@@ -171,6 +170,8 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_failures is not None and max_failures < 1:
+        raise ValueError("max_failures must be >= 1, or None to run every trial")
     epsilons = [float(e) for e in epsilons]
     points = []
     executor = None

@@ -229,7 +229,7 @@ def test_permutation_equivariance(five):
         permuted_checks.append(qbp.PauliOperator.from_letters(new))
     code_p = qbp.StabilizerCode(permuted_checks)
     prior = np.tile(np.array([0.85, 0.07, 0.05, 0.03]), (5, 1))
-    s = five.syndrome(qbp.parse("XIIII"))
+    s = five.syndrome(qbp.PauliOperator.from_string("XIIII"))
     assert list(code_p.syndrome(qbp.PauliOperator.from_letters(
         np.eye(5, dtype=np.int8)[perm[0]]))) == list(s)
     cfg = qbp.DecodeConfig(max_iterations=7, t_pert=2)

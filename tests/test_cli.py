@@ -123,6 +123,16 @@ def test_simulate_csv(tmp_path, capsys):
     assert first[0] == "0.0" and first[2] == "0"  # zero failures at eps 0
 
 
+def test_simulate_max_failures(capsys):
+    args = ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3", "--trials", "20"]
+    code, _, err = run_cli(capsys, *args, "--max-failures", "-3")
+    assert code == 1 and "--max-failures" in err
+    code, stdout, _ = run_cli(capsys, *args, "--max-failures", "0")
+    assert code == 0
+    row = [l for l in stdout.splitlines() if not l.startswith("#")][1].split(",")
+    assert row[1] == "20"  # 0 disables the early stop: every trial runs
+
+
 def test_simulate_rerun_identical(tmp_path, capsys):
     args = [
         "simulate", "--bicycle", "20,10,6", "--seed", "5", "--epsilon", "0.08",

@@ -50,11 +50,21 @@ def test_isolated_qubit_warns():
 
 
 def test_syndrome_examples(toy, five):
-    assert list(toy.syndrome(qbp.parse("IX"))) == [1, -1]
-    assert list(toy.syndrome(qbp.parse("II"))) == [1, 1]
-    assert list(five.syndrome(qbp.parse("XIIII"))) == [1, 1, 1, -1]
+    assert list(toy.syndrome(qbp.PauliOperator.from_string("IX"))) == [1, -1]
+    assert list(toy.syndrome(qbp.PauliOperator.from_string("II"))) == [1, 1]
+    assert list(five.syndrome(qbp.PauliOperator.from_string("XIIII"))) == [1, 1, 1, -1]
     with pytest.raises(ValueError):
-        toy.syndrome(qbp.parse("X"))
+        toy.syndrome(qbp.PauliOperator.from_string("X"))
+
+
+def test_syndrome_matches_check_commutation(small_bicycle, five):
+    rng = np.random.default_rng(2)
+    for code in (small_bicycle, five):
+        for _ in range(50):
+            e = random_pauli(rng, code.n)
+            got = code.syndrome(e)
+            assert got.dtype == np.int8
+            assert got.tolist() == [c.commute(e) for c in code.checks]
 
 
 def test_syndrome_is_homomorphism(five):
@@ -83,13 +93,19 @@ def _census_oracle(code):
     return count
 
 
-def test_four_loop_census(toy, five):
+def test_four_loop_census(toy, five, small_bicycle):
     count, loops = toy.four_loop_census()
     assert count == 1 and loops == [(0, 1, (0, 1))]
     count5, loops5 = five.four_loop_census()
     assert count5 == _census_oracle(five) and count5 >= 1
     for i, j, shared in loops5:
         assert len(shared) >= 2
+    countb, loopsb = small_bicycle.four_loop_census()
+    assert countb == _census_oracle(small_bicycle) and countb == len(loopsb)
+    for i, j, shared in loopsb:
+        qi = {q for q, _ in small_bicycle.tanner[i]}
+        qj = {q for q, _ in small_bicycle.tanner[j]}
+        assert shared == tuple(sorted(qi & qj))
     single = qbp.StabilizerCode(["XXX"])
     assert single.four_loop_census() == (0, [])
 
@@ -202,7 +218,7 @@ def test_residual_class(five):
     assert five.residual_class(five.checks[0] * five.checks[2]) == STABILIZER
     for l in five.canonical_generators()[1]:
         assert five.residual_class(l) == LOGICAL
-    assert five.residual_class(qbp.parse("XIIII")) == DETECTABLE
+    assert five.residual_class(qbp.PauliOperator.from_string("XIIII")) == DETECTABLE
     assert five.residual_class(qbp.PauliOperator.identity(5)) == STABILIZER
 
 

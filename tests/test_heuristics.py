@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+
 import numpy as np
+import pytest
 
 import qbp
 from qbp import bp
@@ -13,11 +17,17 @@ def toy_setup(toy, eps=0.1):
     return prior, syndrome
 
 
+def frustrated_checks(code, correction, syndrome):
+    """Checks whose syndrome bit disagrees with the proposed correction, ascending."""
+    return np.flatnonzero(code.syndrome(correction) != syndrome).tolist()
+
+
 def test_find_frustrated(toy):
     prior, s = toy_setup(toy)
-    assert qbp.find_frustrated_checks(toy, qbp.parse("II"), s) == [1]
-    assert qbp.find_frustrated_checks(toy, qbp.parse("XI"), s) == []
-    assert qbp.find_frustrated_checks(toy, qbp.parse("II"), np.array([-1, -1], dtype=np.int8)) == [0, 1]
+    ii, xi = qbp.PauliOperator.from_string("II"), qbp.PauliOperator.from_string("XI")
+    assert frustrated_checks(toy, ii, s) == [1]
+    assert frustrated_checks(toy, xi, s) == []
+    assert frustrated_checks(toy, ii, np.array([-1, -1], dtype=np.int8)) == [0, 1]
 
 
 def test_frustrated_empty_iff_halting(toy, five):
@@ -26,7 +36,7 @@ def test_frustrated_empty_iff_halting(toy, five):
     for _ in range(50):
         s = rng.choice([-1, 1], size=4).astype(np.int8)
         res = qbp.decode(five, prior, s, qbp.DecodeConfig(max_iterations=20))
-        frustrated = qbp.find_frustrated_checks(five, res.correction, s)
+        frustrated = frustrated_checks(five, res.correction, s)
         assert res.converged == (not frustrated)
 
 
@@ -208,3 +218,27 @@ def test_converged_implies_syndrome_match(small_bicycle):
         res, _ = qbp.decode_with_heuristics(small_bicycle, prior, s, cfg)
         if res.converged:
             assert list(small_bicycle.syndrome(res.correction)) == list(s)
+
+
+# sha256 over (correction, converged, iterations, event log) of 12 seeded
+# decodes per heuristic; recorded before perturb_step drew all incidences at
+# once and before the collision search used StabilizerCode.shared_qubits
+GOLDEN_EVENT_DIGESTS = {
+    "perturb": "c48ba219d8e652b21e0f8af2711db459cd2199ece1f7716a888a8f287a6905ed",
+    "collision_perturb": "9e129faf3ee9c543871281dbd05428079125441233debe38a1e3f76ac8554cc7",
+    "collision_freeze": "17271b7acb15a73128b20866f3e53808529aa5e97f0fa5e3101f5301fc365675",
+}
+
+
+@pytest.mark.parametrize("heuristic", sorted(GOLDEN_EVENT_DIGESTS))
+def test_event_log_golden_digest(small_bicycle, heuristic):
+    prior = qbp.depolarizing_prior(small_bicycle.n, 0.05)
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    digest = hashlib.sha256()
+    for trial in range(12):
+        rng = np.random.default_rng([5, trial])
+        error = qbp.sample_error(prior, rng)
+        res, events = qbp.decode_with_heuristics(small_bicycle, prior, small_bicycle.syndrome(error), cfg, rng=rng)
+        digest.update(repr((str(res.correction), res.converged, res.iterations_used,
+                            [dataclasses.astuple(e) for e in events])).encode())
+    assert digest.hexdigest() == GOLDEN_EVENT_DIGESTS[heuristic]

@@ -11,7 +11,7 @@ def brute_marginals(code, prior, syndrome):
     """Reference implementation built on string enumeration."""
     mass = np.zeros((code.n, 4))
     for letters in itertools.product(range(4), repeat=code.n):
-        op = qbp.parse("".join(LETTERS[v] for v in letters))
+        op = qbp.PauliOperator.from_string("".join(LETTERS[v] for v in letters))
         if list(code.syndrome(op)) != list(syndrome):
             continue
         p = 1.0
@@ -86,7 +86,7 @@ def test_exact_map_matches_brute_force(five):
         got = qbp.exact_map(five, prior, s)
         best_p, best = -1.0, None
         for letters in itertools.product(range(4), repeat=5):
-            op = qbp.parse("".join(LETTERS[v] for v in letters))
+            op = qbp.PauliOperator.from_string("".join(LETTERS[v] for v in letters))
             if list(five.syndrome(op)) != list(s):
                 continue
             p = 1.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import qbp
 from qbp.pauli import LETTERS, PauliOperator, commute_single
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=48)
@@ -39,12 +38,12 @@ def test_commute_single_full_table():
     ],
 )
 def test_commute_examples(e, f, want):
-    assert qbp.commute(qbp.parse(e), qbp.parse(f)) == want
+    assert PauliOperator.from_string(e).commute(PauliOperator.from_string(f)) == want
 
 
 def test_commute_length_mismatch():
     with pytest.raises(ValueError):
-        qbp.commute(qbp.parse("XX"), qbp.parse("X"))
+        PauliOperator.from_string("XX").commute(PauliOperator.from_string("X"))
 
 
 @pytest.mark.parametrize(
@@ -57,16 +56,16 @@ def test_commute_length_mismatch():
     ],
 )
 def test_multiply_examples(e, f, want):
-    assert str(qbp.multiply(qbp.parse(e), qbp.parse(f))) == want
+    assert str(PauliOperator.from_string(e) * PauliOperator.from_string(f)) == want
 
 
 @pytest.mark.parametrize("text,want", [("XIIY", 2), ("IIII", 0), ("XZZXI", 4)])
 def test_weight(text, want):
-    assert qbp.weight(qbp.parse(text)) == want
+    assert PauliOperator.from_string(text).weight == want
 
 
 def test_parse_bit_layout():
-    op = qbp.parse("XIIY")
+    op = PauliOperator.from_string("XIIY")
     assert list(op.x_array()) == [1, 0, 0, 1]
     assert list(op.z_array()) == [0, 0, 0, 1]
     assert list(op.letters()) == [1, 0, 0, 2]
@@ -75,19 +74,19 @@ def test_parse_bit_layout():
 @pytest.mark.parametrize("bad", ["", "XA", "xz", "I I"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
-        qbp.parse(bad)
+        PauliOperator.from_string(bad)
 
 
 @given(pauli_strings)
 def test_roundtrip(text):
-    assert qbp.render(qbp.parse(text)) == text
+    assert str(PauliOperator.from_string(text)) == text
 
 
 @given(st.data())
 def test_commute_symmetry_and_table_product(data):
     s = data.draw(pauli_strings)
     t = data.draw(st.text(alphabet="IXYZ", min_size=len(s), max_size=len(s)))
-    e, f = qbp.parse(s), qbp.parse(t)
+    e, f = PauliOperator.from_string(s), PauliOperator.from_string(t)
     assert e.commute(f) == f.commute(e)
     prod = 1
     for a, b in zip(s, t):
@@ -99,7 +98,7 @@ def test_commute_symmetry_and_table_product(data):
 def test_bicharacter_and_involution(data):
     n = data.draw(st.integers(min_value=1, max_value=32))
     strs = [data.draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)) for _ in range(3)]
-    e, f, g = (qbp.parse(x) for x in strs)
+    e, f, g = (PauliOperator.from_string(x) for x in strs)
     assert (e * f).commute(g) == e.commute(g) * f.commute(g)
     assert (e * e).is_identity
     assert (e * f) * g == e * (f * g)
@@ -120,9 +119,9 @@ def test_commute_matches_table_product_bulk():
 
 
 def test_equality_and_hash():
-    assert qbp.parse("XY") == qbp.parse("XY")
-    assert qbp.parse("XY") != qbp.parse("YX")
-    assert len({qbp.parse("XY"), qbp.parse("XY"), qbp.parse("YX")}) == 2
+    assert PauliOperator.from_string("XY") == PauliOperator.from_string("XY")
+    assert PauliOperator.from_string("XY") != PauliOperator.from_string("YX")
+    assert len({PauliOperator.from_string("XY"), PauliOperator.from_string("XY"), PauliOperator.from_string("YX")}) == 2
 
 
 def test_from_letters_matches_parse():
@@ -130,4 +129,4 @@ def test_from_letters_matches_parse():
     for _ in range(50):
         letters = rng.integers(0, 4, size=int(rng.integers(1, 70))).astype(np.int8)
         text = "".join(LETTERS[v] for v in letters)
-        assert PauliOperator.from_letters(letters) == qbp.parse(text)
+        assert PauliOperator.from_letters(letters) == PauliOperator.from_string(text)

@@ -27,9 +27,9 @@ def test_sample_error_frequencies():
 
 
 def test_classify_residual(toy, five):
-    assert classify_residual(toy, qbp.parse("IX"), qbp.parse("II")) == DETECTED
-    assert classify_residual(toy, qbp.parse("IX"), qbp.parse("XI")) == SUCCESS
-    assert classify_residual(toy, qbp.parse("IX"), qbp.parse("IX")) == SUCCESS
+    assert classify_residual(toy, qbp.PauliOperator.from_string("IX"), qbp.PauliOperator.from_string("II")) == DETECTED
+    assert classify_residual(toy, qbp.PauliOperator.from_string("IX"), qbp.PauliOperator.from_string("XI")) == SUCCESS
+    assert classify_residual(toy, qbp.PauliOperator.from_string("IX"), qbp.PauliOperator.from_string("IX")) == SUCCESS
     logical = five.canonical_generators()[1][0]
     assert classify_residual(five, logical, qbp.PauliOperator.identity(5)) == LOGICAL
 
@@ -111,6 +111,12 @@ def test_early_stop_deterministic(small_bicycle):
     assert qbp.stats_to_csv(a) == qbp.stats_to_csv(b)
     p = a.points[0]
     assert p.early_stopped and p.failures == 10 and p.trials < 500
+
+
+def test_max_failures_below_one_rejected(toy):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_failures"):
+            qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, max_failures=bad)
 
 
 def test_stats_serialization_fields(small_bicycle):
