@@ -1,13 +1,12 @@
 """Quaternary belief propagation on the decorated Tanner graph.
 
-Messages are probability 4-vectors over {I, X, Y, Z} attached to each
-directed Tanner edge.  The check update is evaluated in the commutation
-domain: each incoming message collapses to a single number d = P(commute) -
-P(anticommute) against the edge decoration, the syndrome constraint only
-sees the product of those numbers, and the outgoing 4-vector splits the
-resulting two-way mass evenly over the commuting and anticommuting letters.
-This is contractually identical to the naive sum over all neighbor
-assignments but costs O(degree) instead of O(4^degree).
+Each directed Tanner edge carries one float.  The check update only reads an
+incoming message through its commutation bias d = P(commute) - P(anticommute)
+against the edge decoration, so qubit-to-check messages are kept as d.  The
+syndrome constraint sees the product of the other biases, and the outgoing
+4-vector t * sign + 1/4 splits the two-way mass evenly over the commuting
+and anticommuting letters, so check-to-qubit messages are kept as t.  This
+equals the naive sum over all neighbor assignments at O(degree) cost.
 
 The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.
@@ -72,15 +71,17 @@ class DecodeConfig:
 
 @dataclass
 class MessageState:
-    """Mutable per-decode state: edge messages plus the working priors.
+    """Mutable per-decode state: one scalar per directed edge plus the working priors.
 
-    Message arrays are indexed in check-major edge order.  The working prior
-    starts as a copy of the channel prior; heuristics mutate it in place.
+    Edge arrays are check-major.  With s the letters' commutation signs
+    against edge e's decoration, d_qc[e] = <m, s> for the qubit-to-check
+    4-vector m, and the check-to-qubit 4-vector is t_cq[e] * s + 1/4.  The
+    working prior starts as the channel prior; heuristics mutate it in place.
     """
 
     working_prior: np.ndarray  # (n, 4)
-    m_qc: np.ndarray           # (E, 4) qubit-to-check
-    m_cq: np.ndarray           # (E, 4) check-to-qubit
+    d_qc: np.ndarray           # (E,) qubit-to-check commutation bias
+    t_cq: np.ndarray           # (E,) check-to-qubit scalar
 
 
 @dataclass
@@ -92,13 +93,13 @@ class DecodeResult:
 
 
 def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
-    """Each qubit opens by sending its prior; check messages start uniform."""
+    """Each qubit opens by sending its prior; check messages start uniform (t = 0)."""
     prior = validate_prior(prior, code.n)
     wp = np.maximum(prior, EPS_FLOOR)
     ea = code.edges
-    m_qc = wp[ea.qubit].copy()
-    m_cq = np.full((len(ea.qubit), 4), 0.25)
-    return MessageState(working_prior=wp, m_qc=m_qc, m_cq=m_cq)
+    d_qc = np.empty(len(ea.qubit))
+    d_qc[ea.qubit_order] = np.einsum("ij,ij->i", wp[ea.qubit_of_sorted], ea.sign)
+    return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(ea.qubit)))
 
 
 def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray) -> None:
@@ -106,11 +107,11 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
 
     The outgoing value for letter E is (1 + s_c * sign(E) * prod) / 4 where
     prod multiplies the commute/anticommute biases of all other incoming
-    messages; zero biases are handled exactly.
+    messages; zero biases are handled exactly.  Stores t = s_c * prod / 4.
     """
     ea = code.edges
     s_edge = syndrome.astype(np.float64)[ea.check]
-    d = np.einsum("ij,ij->i", state.m_qc, ea.sign)
+    d = state.d_qc
     zero = d == 0.0
     if zero.any():
         d1 = np.where(zero, 1.0, d)
@@ -124,16 +125,15 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
         prod_excl = total[ea.check] / d
     t = s_edge * prod_excl
     t *= 0.25
-    m_cq = t[:, None] * ea.sign
-    m_cq += 0.25
-    np.maximum(m_cq, EPS_FLOOR, out=m_cq)
-    state.m_cq = m_cq
+    state.t_cq = t
 
 
 def _qubit_products(state: MessageState, code: StabilizerCode):
-    """Unnormalized beliefs: working prior times the product of all incoming messages."""
+    """Unnormalized beliefs (prior times all incoming messages); incoming t * sign + 1/4, qubit-sorted."""
     ea = code.edges
-    w = state.m_cq.take(ea.qubit_order, axis=0)
+    w = state.t_cq.take(ea.qubit_order)[:, None] * ea.sign
+    w += 0.25
+    np.maximum(w, EPS_FLOOR, out=w)
     prod = np.multiply.reduceat(w, ea.qubit_start[:-1], axis=0)
     bu = state.working_prior.copy()
     bu[ea.active_qubits] *= prod
@@ -158,7 +158,7 @@ def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
     out = bu.take(ea.qubit_of_sorted, axis=0)
     out /= w
     _normalize_rows(out)
-    state.m_qc[ea.qubit_order] = out
+    state.d_qc[ea.qubit_order] = np.einsum("ij,ij->i", out, ea.sign)
     return _normalize_rows(bu)
 
 

@@ -56,12 +56,12 @@ def syndrome_to_string(s: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class EdgeArrays:
-    """Flat numpy view of the decorated Tanner graph, check-major order."""
+    """Flat numpy view of the decorated Tanner graph, check-major order except `sign`."""
 
     qubit: np.ndarray       # (E,) qubit index per edge
     check: np.ndarray       # (E,) check index per edge
     check_start: np.ndarray  # (m+1,) segment offsets per check
-    sign: np.ndarray        # (E,4) commutation sign of each letter vs the decoration
+    sign: np.ndarray        # (E,4) per qubit-sorted edge, commutation sign of each letter vs the decoration
     anti_index: np.ndarray  # (E,) row offsets into the flat anticommute table
     qubit_order: np.ndarray  # permutation sorting edges by qubit (stable)
     qubit_start: np.ndarray  # (A+1,) segment offsets over qubit-sorted edges
@@ -162,7 +162,12 @@ class StabilizerCode:
         common = self.checks[i].support() & self.checks[j].support()
         if not common:
             return ()
-        return tuple(q for q, _ in self.tanner[i] if (common >> q) & 1)
+        return tuple(q for q in self.check_qubits[i] if (common >> q) & 1)
+
+    @property
+    def check_qubits(self) -> tuple[tuple[int, ...], ...]:
+        """Per check, the qubits it acts on, ascending."""
+        return self._cached("check_qubits", lambda: tuple(tuple(q for q, _ in adj) for adj in self.tanner))
 
     def degree_distribution(self):
         """Edge-perspective degree distributions (lambda, rho) as coefficient lists.
@@ -349,7 +354,7 @@ class StabilizerCode:
             qubit=qubit,
             check=check,
             check_start=check_start,
-            sign=SIGN_TABLE[letter].astype(np.float64),
+            sign=SIGN_TABLE[letter[order]].astype(np.float64),
             anti_index=letter.astype(np.int64) * 4,
             qubit_order=order,
             qubit_start=qubit_start,

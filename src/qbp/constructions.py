@@ -90,16 +90,26 @@ def css_from_matrix(h: np.ndarray) -> StabilizerCode:
 
 
 def _balanced_deletion(h0: np.ndarray, keep: int) -> np.ndarray:
-    """Greedily delete rows, minimizing the column-weight variance at each step."""
-    remaining = list(range(h0.shape[0]))
-    colw = h0.sum(axis=0).astype(np.int64)
+    """Greedily delete rows, minimizing the column-weight variance at each step.
+
+    The variance of colw - h0[r] comes from exact integer sums (colw, colw**2,
+    row weights, h0 @ colw) in np.mean's float steps, so ties match np.mean.
+    """
+    n = h0.shape[1]
+    colw = h0.sum(axis=0, dtype=np.int64)
+    weight = h0.sum(axis=1, dtype=np.int64)
+    dot = h0 @ colw
+    s1, s2 = int(colw.sum()), int(colw @ colw)
+    remaining = np.arange(h0.shape[0], dtype=np.int64)
     while len(remaining) > keep:
-        rows = h0[remaining].astype(np.int64)
-        variances = ((colw[None, :] - rows) ** 2).mean(axis=1) - ((colw[None, :] - rows).mean(axis=1)) ** 2
+        w = weight[remaining]
+        variances = (s2 - 2 * dot[remaining] + w) / n - ((s1 - w) / n) ** 2
         drop = int(np.argmin(variances))
-        colw -= rows[drop]
-        remaining.pop(drop)
-    return np.array(remaining, dtype=np.int64)
+        row = remaining[drop]
+        s1, s2 = s1 - int(weight[row]), s2 + int(weight[row]) - 2 * int(dot[row])
+        dot -= h0[:, h0[row] == 1].sum(axis=1, dtype=np.int64)
+        remaining = np.delete(remaining, drop)
+    return remaining
 
 
 def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts: int = 100) -> StabilizerCode:

@@ -46,10 +46,6 @@ def _colliding_pairs(code: StabilizerCode, frustrated):
                 yield c, c2, shared
 
 
-def _neighbors(code: StabilizerCode, c: int) -> tuple[int, ...]:
-    return tuple(q for q, _ in code.tanner[c])
-
-
 def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
                  delta: float, iteration: int = 0, targets=None, trigger=None) -> list[PerturbationEvent]:
     """Scale the X/Y/Z prior entries of the target qubits by independent (1 + U[0, delta]).
@@ -59,7 +55,7 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     the working prior for the rest of the decode call.
     """
     groups = [(trigger, tuple(targets))] if targets is not None else [
-        (("check", c), _neighbors(code, c)) for c in frustrated
+        (("check", c), code.check_qubits[c]) for c in frustrated
     ]
     touched = [q for _, qubits in groups for q in qubits]
     shape = (len(touched), 3)
@@ -160,10 +156,11 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
                 return freeze(trigger, (c, c2), shared, q), events, False
     for c in frustrated:
         trigger = ("check", c)
-        remaining = registry.untried(trigger, _neighbors(code, c))
+        neighbors = code.check_qubits[c]
+        remaining = registry.untried(trigger, neighbors)
         if remaining:
             q = int(rng.choice(remaining))
-            return freeze(trigger, (c,), _neighbors(code, c), q), events, False
+            return freeze(trigger, (c,), neighbors, q), events, False
     return None, events, True
 
 

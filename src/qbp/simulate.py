@@ -11,6 +11,7 @@ results are bit-identical regardless of how many workers run them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,8 +31,6 @@ DETECTED = "detected"
 LOGICAL = "logical"
 
 _TRIAL_CLASS = {codes.STABILIZER: SUCCESS, codes.DETECTABLE: DETECTED, codes.LOGICAL: LOGICAL}
-_CLASS_CODES = {SUCCESS: 0, DETECTED: 1, LOGICAL: 2}
-_CLASS_NAMES = {v: k for k, v in _CLASS_CODES.items()}
 
 _CHUNK_TRIALS = 50
 
@@ -118,12 +117,6 @@ def _init_worker(code: StabilizerCode, config: DecodeConfig, master_seed: int):
     _WORKER["priors"] = {}
 
 
-def _trial_tuple(code, prior, config, master_seed, eps_index, trial_index):
-    rng = np.random.default_rng([master_seed, eps_index, trial_index])
-    out = run_trial(code, prior, config, rng)
-    return (_CLASS_CODES[out.classification], out.iterations_used, out.perturbations, out.error_weight)
-
-
 def _run_chunk(args):
     eps_index, eps, start, stop = args
     code = _WORKER["code"]
@@ -134,17 +127,17 @@ def _run_chunk(args):
         prior = depolarizing_prior(code.n, eps)
         _WORKER["priors"][eps_index] = prior
     return [
-        _trial_tuple(code, prior, config, master_seed, eps_index, t)
+        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]))
         for t in range(start, stop)
     ]
 
 
 def _aggregate(eps: float, outcomes, early_stopped: bool) -> PointStats:
     trials = len(outcomes)
-    detected = sum(1 for o in outcomes if o[0] == _CLASS_CODES[DETECTED])
-    logical = sum(1 for o in outcomes if o[0] == _CLASS_CODES[LOGICAL])
+    detected = sum(1 for o in outcomes if o.classification == DETECTED)
+    logical = sum(1 for o in outcomes if o.classification == LOGICAL)
     failures = detected + logical
-    total_iters = sum(o[1] for o in outcomes)
+    total_iters = sum(o.iterations_used for o in outcomes)
     lo, hi = wilson_interval(failures, trials)
     return PointStats(
         epsilon=eps,
@@ -192,20 +185,14 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
             else:
                 results = map(_run_chunk, chunks)
             outcomes = []
-            early = False
             failures = 0
-            for chunk_out in results:
-                for tup in chunk_out:
-                    outcomes.append(tup)
-                    if tup[0] != _CLASS_CODES[SUCCESS]:
-                        failures += 1
-                        if max_failures is not None and failures >= max_failures:
-                            early = len(outcomes) < trials
-                            break
-                else:
-                    continue
-                break
-            points.append(_aggregate(eps, outcomes, early))
+            for outcome in itertools.chain.from_iterable(results):
+                outcomes.append(outcome)
+                if outcome.classification != SUCCESS:
+                    failures += 1
+                    if max_failures is not None and failures >= max_failures:
+                        break
+            points.append(_aggregate(eps, outcomes, len(outcomes) < trials))
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)

@@ -16,7 +16,7 @@ import pytest
 import qbp
 
 from test_bp import naive_check_message
-from conftest import random_single_check_code
+from conftest import check_messages, random_single_check_code, set_incoming
 
 
 def report(num, ok, text, elapsed):
@@ -97,11 +97,11 @@ def test_criterion_3_oracle_equivalence():
         incoming = rng.dirichlet(np.ones(4), size=code.n)
         s_c = int(rng.choice([-1, 1]))
         state = qbp.init_messages(code, qbp.depolarizing_prior(code.n, 0.1))
-        state.m_qc[:] = incoming
+        set_incoming(state, code, incoming)
         qbp.check_update(state, code, np.array([s_c], dtype=np.int8))
         labels = [letter for _, letter in code.tanner[0]]
         ref = naive_check_message(labels, incoming, s_c)
-        worst_msg = max(worst_msg, float(np.abs(state.m_cq - ref).max()))
+        worst_msg = max(worst_msg, float(np.abs(check_messages(state, code) - ref).max()))
     elapsed = time.time() - t0
     ok = worst_belief <= 1e-10 and worst_msg <= 1e-12 and elapsed < 60.0
     report(3, ok, f"BP vs exact marginals max|diff|={worst_belief:.2e} (<=1e-10), "

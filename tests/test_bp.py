@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import qbp
 from qbp import bp
 from qbp.pauli import SIGN_TABLE
 
-from conftest import random_single_check_code
+from conftest import check_messages, edge_bias, edge_signs, random_single_check_code, set_incoming
 
 
 def naive_check_message(labels, incoming, s_c):
@@ -41,12 +42,13 @@ def test_depolarizing_prior():
 
 def test_init_messages(toy):
     state = qbp.init_messages(toy, qbp.depolarizing_prior(2, 0.1))
-    assert np.allclose(state.m_qc, [0.9, 1 / 30, 1 / 30, 1 / 30])
-    assert np.allclose(state.m_qc.sum(axis=1), 1.0, atol=1e-9)
-    assert (state.m_cq == 0.25).all()
+    # every toy edge label commutes with I and itself: d = 0.9 + 1/30 - 2/30
+    assert np.allclose(state.d_qc, 1 - 4 * 0.1 / 3)
+    assert (state.t_cq == 0.0).all()
+    assert (check_messages(state, toy) == 0.25).all()
     zero = qbp.init_messages(toy, qbp.depolarizing_prior(2, 0.0))
-    assert (zero.m_qc >= bp.EPS_FLOOR).all()
-    assert zero.m_qc[0, 0] == 1.0
+    assert (zero.working_prior >= bp.EPS_FLOOR).all()
+    assert (zero.d_qc == 1.0).all()
     with pytest.raises(ValueError):
         qbp.init_messages(toy, qbp.depolarizing_prior(3, 0.1))
 
@@ -60,8 +62,9 @@ def test_check_update_toy_closed_form(toy):
     d = 1 - 4 * eps / 3
     expect_xx = np.array([1 + d, 1 + d, 1 - d, 1 - d]) / 4
     expect_zz = np.array([1 - d, 1 + d, 1 + d, 1 - d]) / 4
-    assert np.allclose(state.m_cq[0], expect_xx, atol=1e-14)
-    assert np.allclose(state.m_cq[2], expect_zz, atol=1e-14)
+    m_cq = check_messages(state, toy)
+    assert np.allclose(m_cq[0], expect_xx, atol=1e-14)
+    assert np.allclose(m_cq[2], expect_zz, atol=1e-14)
 
 
 def test_check_update_syndrome_minus_one_example():
@@ -72,22 +75,22 @@ def test_check_update_syndrome_minus_one_example():
     qbp.check_update(state, code, np.array([-1], dtype=np.int8))
     expect = np.array([2 * eps / 3, 2 * eps / 3, 1 - 2 * eps / 3, 1 - 2 * eps / 3])
     expect /= expect.sum()
-    assert np.allclose(state.m_cq[0], expect, atol=1e-14)
+    assert np.allclose(check_messages(state, code)[0], expect, atol=1e-14)
 
 
 def test_check_update_uniform_incoming_stays_uniform():
     code = qbp.StabilizerCode(["XY"])
     state = qbp.init_messages(code, qbp.depolarizing_prior(2, 0.1))
-    state.m_qc[:] = 0.25
+    set_incoming(state, code, np.full((2, 4), 0.25))
     qbp.check_update(state, code, np.array([1], dtype=np.int8))
-    assert np.allclose(state.m_cq, 0.25, atol=1e-15)
+    assert np.allclose(check_messages(state, code), 0.25, atol=1e-15)
 
 
 def test_check_update_degree_one_check():
     code = qbp.StabilizerCode(["Z"])
     state = qbp.init_messages(code, qbp.depolarizing_prior(1, 0.2))
     qbp.check_update(state, code, np.array([-1], dtype=np.int8))
-    assert np.allclose(state.m_cq[0], [0.0, 0.5, 0.5, 0.0], atol=1e-12)
+    assert np.allclose(check_messages(state, code)[0], [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_check_update_matches_naive_enumeration():
@@ -99,11 +102,11 @@ def test_check_update_matches_naive_enumeration():
         incoming = rng.dirichlet(np.ones(4), size=deg)
         s_c = int(rng.choice([-1, 1]))
         state = qbp.init_messages(code, qbp.depolarizing_prior(deg, 0.1))
-        state.m_qc[:] = incoming
+        set_incoming(state, code, incoming)
         qbp.check_update(state, code, np.array([s_c], dtype=np.int8))
         labels = [letter for _, letter in code.tanner[0]]
         ref = naive_check_message(labels, incoming, s_c)
-        worst = max(worst, float(np.abs(state.m_cq - ref).max()))
+        worst = max(worst, float(np.abs(check_messages(state, code) - ref).max()))
     assert worst <= 1e-12
 
 
@@ -111,13 +114,13 @@ def test_check_update_handles_zero_bias():
     # two incoming messages with exactly zero commute/anticommute bias
     code = qbp.StabilizerCode(["XXX"])
     state = qbp.init_messages(code, qbp.depolarizing_prior(3, 0.1))
-    state.m_qc[0] = [0.25, 0.25, 0.25, 0.25]
-    state.m_qc[1] = [0.4, 0.1, 0.4, 0.1]
-    state.m_qc[2] = [0.3, 0.2, 0.3, 0.2]
+    incoming = np.array([[0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.4, 0.1], [0.3, 0.2, 0.3, 0.2]])
+    set_incoming(state, code, incoming)
+    assert (state.d_qc[:2] == 0.0).all()
     qbp.check_update(state, code, np.array([-1], dtype=np.int8))
     labels = [1, 1, 1]
-    ref = naive_check_message(labels, state.m_qc[:3], -1)
-    assert np.abs(state.m_cq - ref).max() <= 1e-12
+    ref = naive_check_message(labels, incoming, -1)
+    assert np.abs(check_messages(state, code) - ref).max() <= 1e-12
 
 
 def test_qubit_update_degree_one_returns_prior():
@@ -126,15 +129,15 @@ def test_qubit_update_degree_one_returns_prior():
     state = qbp.init_messages(code, prior)
     qbp.check_update(state, code, np.array([1], dtype=np.int8))
     qbp.qubit_update(state, code)
-    assert np.allclose(state.m_qc, prior, atol=1e-12)
+    assert np.allclose(state.d_qc, edge_bias(code, prior), atol=1e-12)
 
 
 def test_qubit_update_uniform_incoming_returns_prior(toy):
     prior = qbp.depolarizing_prior(2, 0.3)
     state = qbp.init_messages(toy, prior)
-    state.m_cq[:] = 0.25
+    state.t_cq[:] = 0.0
     qbp.qubit_update(state, toy)
-    assert np.allclose(state.m_qc, prior[toy.edges.qubit], atol=1e-12)
+    assert np.allclose(state.d_qc, edge_bias(toy, prior[toy.edges.qubit]), atol=1e-12)
 
 
 def test_qubit_update_toy_composition(toy):
@@ -142,15 +145,16 @@ def test_qubit_update_toy_composition(toy):
     prior = qbp.depolarizing_prior(2, eps)
     state = qbp.init_messages(toy, prior)
     qbp.check_update(state, toy, np.array([1, -1], dtype=np.int8))
-    m_zz_to_0 = state.m_cq[2].copy()
-    m_xx_to_0 = state.m_cq[0].copy()
+    m_zz_to_0 = check_messages(state, toy)[2]
+    m_xx_to_0 = check_messages(state, toy)[0]
     qbp.qubit_update(state, toy)
     want_to_xx = prior[0] * m_zz_to_0
     want_to_xx /= want_to_xx.sum()
     want_to_zz = prior[0] * m_xx_to_0
     want_to_zz /= want_to_zz.sum()
-    assert np.allclose(state.m_qc[0], want_to_xx, atol=1e-12)
-    assert np.allclose(state.m_qc[2], want_to_zz, atol=1e-12)
+    signs = edge_signs(toy)
+    assert np.isclose(state.d_qc[0], want_to_xx @ signs[0], rtol=0, atol=1e-12)
+    assert np.isclose(state.d_qc[2], want_to_zz @ signs[2], rtol=0, atol=1e-12)
 
 
 def test_beliefs_isolated_qubit_equals_prior():
@@ -273,3 +277,35 @@ def test_decode_config_validation():
         qbp.DecodeConfig(delta=-0.1)
     with pytest.raises(ValueError):
         qbp.DecodeConfig(heuristic="annealing")
+
+
+def test_edge_state_is_one_scalar_per_edge(small_bicycle):
+    ea = small_bicycle.edges
+    assert np.array_equal(ea.sign, edge_signs(small_bicycle)[ea.qubit_order])
+    state = qbp.init_messages(small_bicycle, qbp.depolarizing_prior(small_bicycle.n, 0.05))
+    qbp.check_update(state, small_bicycle, np.ones(small_bicycle.m, dtype=np.int8))
+    qbp.qubit_update(state, small_bicycle)
+    assert state.d_qc.shape == state.t_cq.shape == (len(ea.qubit),)
+
+
+# sha256 over (final beliefs bytes, correction, iterations) of 12 seeded
+# decodes per heuristic; recorded while messages were still (E, 4) arrays
+GOLDEN_BELIEF_DIGESTS = {
+    "none": "f3df952e317d8e712d15b070fd80f4d03d9ca13461502a8dbd512d87946526cf",
+    "perturb": "be1cc5d64a016e7c297f79cafe1af06c584aa7880df3aa8c22da562cb279dedf",
+    "collision_freeze": "ff6ef8100698f4bea72f3455f4af17ba77ec03fd832c4dec0d2b0fe3f0c48770",
+}
+
+
+@pytest.mark.parametrize("heuristic", sorted(GOLDEN_BELIEF_DIGESTS))
+def test_beliefs_golden_digest(small_bicycle, heuristic):
+    prior = qbp.depolarizing_prior(small_bicycle.n, 0.05)
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    digest = hashlib.sha256()
+    for trial in range(12):
+        rng = np.random.default_rng([5, trial])
+        error = qbp.sample_error(prior, rng)
+        res, _ = qbp.decode_with_heuristics(small_bicycle, prior, small_bicycle.syndrome(error), cfg, rng=rng)
+        digest.update(res.final_beliefs.tobytes())
+        digest.update(repr((str(res.correction), res.iterations_used)).encode())
+    assert digest.hexdigest() == GOLDEN_BELIEF_DIGESTS[heuristic]

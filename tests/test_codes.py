@@ -110,6 +110,13 @@ def test_four_loop_census(toy, five, small_bicycle):
     assert single.four_loop_census() == (0, [])
 
 
+def test_check_qubits(five, small_bicycle):
+    for code in (five, small_bicycle):
+        assert code.check_qubits == tuple(tuple(q for q, _ in adj) for adj in code.tanner)
+        assert code.check_qubits is code.check_qubits
+    assert five.check_qubits[0] == (0, 1, 2, 3)
+
+
 def test_four_loops_unavoidable_on_bicycles(small_bicycle):
     rng = np.random.default_rng(9)
     codes = [small_bicycle]

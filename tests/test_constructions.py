@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qbp
-from qbp.constructions import check_matrix
+from qbp.constructions import _balanced_deletion, check_matrix
 
 
 def _gf2_matmul(a, b):
@@ -128,3 +128,38 @@ def test_generation_failure_reported():
     # impossible spec: w/2 = n/2 forces the all-ones vector, which is rank 1
     with pytest.raises(qbp.GenerationError):
         qbp.generate_bicycle(qbp.BicycleSpec(n=8, m=6, w=8, seed=0), max_attempts=10)
+
+
+def _balanced_deletion_reference(h0, keep):
+    """The original greedy: recompute every remaining row's variance with np.mean."""
+    remaining = list(range(h0.shape[0]))
+    colw = h0.sum(axis=0).astype(np.int64)
+    while len(remaining) > keep:
+        rows = h0[remaining].astype(np.int64)
+        variances = ((colw[None, :] - rows) ** 2).mean(axis=1) - ((colw[None, :] - rows).mean(axis=1)) ** 2
+        drop = int(np.argmin(variances))
+        colw -= rows[drop]
+        remaining.pop(drop)
+    return np.array(remaining, dtype=np.int64)
+
+
+def test_balanced_deletion_matches_reference_greedy():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        d = int(rng.integers(2, 40))
+        a = np.zeros(d, dtype=np.uint8)
+        a[rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)] = 1
+        h0 = np.hstack([qbp.cyclic_matrix(a), qbp.cyclic_matrix(a).T])
+        keep = int(rng.integers(1, d + 1))
+        got = _balanced_deletion(h0, keep)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _balanced_deletion_reference(h0, keep))
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ((800, 400, 30, 11), "0f922691a5d3f7309738ed1681ff7da0a18844bbb003b79322d6db25f99c8dcf"),
+    ((20, 10, 6, 42), "9e388cc15a6d8ee2190a31454afda23d4f247f857a89335e9976ba34db9fb878"),
+])
+def test_generate_bicycle_fingerprint_pinned(spec, digest):
+    # recorded before the balanced deletion kept running integer sums
+    assert qbp.generate_bicycle(qbp.BicycleSpec(*spec)).fingerprint() == digest

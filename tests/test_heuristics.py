@@ -69,8 +69,8 @@ def test_frozen_qubit_outgoing_messages(toy):
     qbp.check_update(state, toy, s)
     state.working_prior[1] = np.maximum([1.0, 0, 0, 0], bp.EPS_FLOOR)
     qbp.qubit_update(state, toy)
-    for edge in (1, 3):  # edges of qubit 1
-        assert state.m_qc[edge, 0] >= 1 - 1e-9
+    for edge in (1, 3):  # edges of qubit 1: almost all mass on I, which commutes
+        assert state.d_qc[edge] >= 1 - 1e-9
 
 
 def test_freeze_step_restore_and_retry(toy):

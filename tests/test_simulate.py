@@ -113,6 +113,17 @@ def test_early_stop_deterministic(small_bicycle):
     assert p.early_stopped and p.failures == 10 and p.trials < 500
 
 
+def test_early_stop_flag_when_cut_lands_on_last_trial(small_bicycle):
+    cfg = qbp.DecodeConfig(max_iterations=20)
+    prior = qbp.depolarizing_prior(small_bicycle.n, 0.25)
+    first = next(t for t in range(500) if qbp.run_trial(
+        small_bicycle, prior, cfg, np.random.default_rng([4, 0, t])).classification != SUCCESS)
+    cut = qbp.run_simulation(small_bicycle, [0.25], first + 1, cfg, master_seed=4, max_failures=1)
+    assert (cut.points[0].trials, cut.points[0].failures, cut.points[0].early_stopped) == (first + 1, 1, False)
+    more = qbp.run_simulation(small_bicycle, [0.25], first + 2, cfg, master_seed=4, max_failures=1)
+    assert (more.points[0].trials, more.points[0].failures, more.points[0].early_stopped) == (first + 1, 1, True)
+
+
 def test_max_failures_below_one_rejected(toy):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_failures"):
