@@ -8,6 +8,14 @@ syndrome constraint sees the product of the other biases, and the outgoing
 and anticommuting letters, so check-to-qubit messages are kept as t.  This
 equals the naive sum over all neighbor assignments at O(degree) cost.
 
+The qubit update works letter-major: its per-edge 4-vectors are (4, E)
+arrays over the qubit-sorted edges (`EdgeArrays.sign` has the same layout),
+so each letter's products, leave-one-out quotients and normalisation run
+over contiguous rows.  It keeps the float operations, and their order, of
+the earlier (E, 4) kernel, so decodes are bit-identical with it; in
+particular the projection onto d sums its four terms as
+(r0 + s2 r2) + (s1 r1 + s3 r3), the order numpy's einsum used.
+
 The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.
 """
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import StabilizerCode
+from .codes import EdgeArrays, StabilizerCode
 from .pauli import PauliOperator
 
 # Strictly positive floor applied to message and belief entries after each
@@ -76,7 +84,9 @@ class MessageState:
     Edge arrays are check-major.  With s the letters' commutation signs
     against edge e's decoration, d_qc[e] = <m, s> for the qubit-to-check
     4-vector m, and the check-to-qubit 4-vector is t_cq[e] * s + 1/4.  The
-    working prior starts as the channel prior; heuristics mutate it in place.
+    4-vectors themselves exist only inside the qubit update, as letter-major
+    (4, E) arrays in qubit-sorted order.  The working prior starts as the
+    channel prior; heuristics mutate it in place.
     """
 
     working_prior: np.ndarray  # (n, 4)
@@ -92,13 +102,34 @@ class DecodeResult:
     final_beliefs: np.ndarray = field(repr=False)
 
 
+def _spread(rows: np.ndarray, ea: EdgeArrays) -> np.ndarray:
+    """Per-qubit (n, 4) rows repeated onto the qubit-sorted edges, as (4, E)."""
+    return np.repeat(rows.T[:, ea.active_qubits], np.diff(ea.qubit_start), axis=1)
+
+
+def _project(rows: np.ndarray, ea: EdgeArrays) -> np.ndarray:
+    """Commutation bias of (4, E) qubit-sorted rows, returned check-major.
+
+    The sum order (r0 + s2 r2) + (s1 r1 + s3 r3) is fixed: it is the order
+    numpy's einsum("ij,ij->i") summed four columns in the (E, 4) kernel, so
+    decodes stay bit-identical with it.  Letter I commutes with every label,
+    so s0 = 1.
+    """
+    sign = ea.sign
+    d = sign[2] * rows[2]
+    d += rows[0]
+    rest = sign[1] * rows[1]
+    rest += sign[3] * rows[3]
+    d += rest
+    return d.take(ea.qubit_rank)
+
+
 def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     """Each qubit opens by sending its prior; check messages start uniform (t = 0)."""
     prior = validate_prior(prior, code.n)
     wp = np.maximum(prior, EPS_FLOOR)
     ea = code.edges
-    d_qc = np.empty(len(ea.qubit))
-    d_qc[ea.qubit_order] = np.einsum("ij,ij->i", wp[ea.qubit_of_sorted], ea.sign)
+    d_qc = _project(_spread(wp, ea), ea)
     return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(ea.qubit)))
 
 
@@ -129,18 +160,20 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
 
 
 def _qubit_products(state: MessageState, code: StabilizerCode):
-    """Unnormalized beliefs (prior times all incoming messages); incoming t * sign + 1/4, qubit-sorted."""
+    """Unnormalized beliefs (prior times all incoming messages), and the
+    incoming t * sign + 1/4 as (4, E) qubit-sorted rows."""
     ea = code.edges
-    w = state.t_cq.take(ea.qubit_order)[:, None] * ea.sign
+    w = state.t_cq.take(ea.qubit_order) * ea.sign
     w += 0.25
     np.maximum(w, EPS_FLOOR, out=w)
-    prod = np.multiply.reduceat(w, ea.qubit_start[:-1], axis=0)
+    prod = np.multiply.reduceat(w, ea.qubit_start[:-1], axis=1)
     bu = state.working_prior.copy()
-    bu[ea.active_qubits] *= prod
+    bu[ea.active_qubits] *= prod.T
     return bu, w
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Normalize (k, 4) rows in place; a (4, E) array is passed transposed."""
     totals = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
     dead = totals <= 0.0
     if dead.any():
@@ -155,10 +188,9 @@ def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
     """Refresh every qubit-to-check message; returns the fresh beliefs."""
     ea = code.edges
     bu, w = _qubit_products(state, code)
-    out = bu.take(ea.qubit_of_sorted, axis=0)
-    out /= w
-    _normalize_rows(out)
-    state.d_qc[ea.qubit_order] = np.einsum("ij,ij->i", out, ea.sign)
+    out = np.divide(_spread(bu, ea), w, out=w)
+    _normalize_rows(out.T)
+    state.d_qc = _project(out, ea)
     return _normalize_rows(bu)
 
 

@@ -56,17 +56,22 @@ def syndrome_to_string(s: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class EdgeArrays:
-    """Flat numpy view of the decorated Tanner graph, check-major order except `sign`."""
+    """Flat numpy view of the decorated Tanner graph.
+
+    Edges are check-major except in `sign`, which is letter-major (4, E) over
+    the qubit-sorted edges: sign[l, i] is the commutation sign of letter l
+    against the decoration of edge qubit_order[i].
+    """
 
     qubit: np.ndarray       # (E,) qubit index per edge
     check: np.ndarray       # (E,) check index per edge
     check_start: np.ndarray  # (m+1,) segment offsets per check
-    sign: np.ndarray        # (E,4) per qubit-sorted edge, commutation sign of each letter vs the decoration
+    sign: np.ndarray        # (4,E) per letter, per qubit-sorted edge: commutation sign vs the decoration
     anti_index: np.ndarray  # (E,) row offsets into the flat anticommute table
-    qubit_order: np.ndarray  # permutation sorting edges by qubit (stable)
+    qubit_order: np.ndarray  # (E,) permutation sorting edges by qubit (stable)
+    qubit_rank: np.ndarray  # (E,) inverse of qubit_order: sorted position of each edge
     qubit_start: np.ndarray  # (A+1,) segment offsets over qubit-sorted edges
-    active_qubits: np.ndarray  # (A,) qubits of degree >= 1
-    qubit_of_sorted: np.ndarray  # (E,) qubit index per sorted edge
+    active_qubits: np.ndarray | slice  # qubits of degree >= 1: an (A,) index, or slice(None) if all n
 
 
 class StabilizerCode:
@@ -347,19 +352,18 @@ class StabilizerCode:
         counts = np.bincount(check, minlength=self.m)
         check_start = np.concatenate(([0], np.cumsum(counts)))
         order = np.argsort(qubit, kind="stable")
-        qsorted = qubit[order]
-        active, qcounts = np.unique(qsorted, return_counts=True)
+        active, qcounts = np.unique(qubit, return_counts=True)
         qubit_start = np.concatenate(([0], np.cumsum(qcounts)))
         return EdgeArrays(
             qubit=qubit,
             check=check,
             check_start=check_start,
-            sign=SIGN_TABLE[letter[order]].astype(np.float64),
+            sign=np.ascontiguousarray(SIGN_TABLE[letter[order]].T, dtype=np.float64),
             anti_index=letter.astype(np.int64) * 4,
             qubit_order=order,
+            qubit_rank=np.argsort(order),
             qubit_start=qubit_start,
-            active_qubits=active,
-            qubit_of_sorted=qsorted,
+            active_qubits=slice(None) if len(active) == self.n else active,
         )
 
     def syndrome01_of_letters(self, letters: np.ndarray) -> np.ndarray:

@@ -20,6 +20,12 @@ def small_bicycle():
     return qbp.generate_bicycle(qbp.BicycleSpec(n=20, m=10, w=6, seed=42))
 
 
+@pytest.fixture(scope="session")
+def bicycle_800():
+    """The headline (800, 400, 30) bicycle code; its qubits have degree 10-20."""
+    return qbp.generate_bicycle(qbp.BicycleSpec(n=800, m=400, w=30, seed=11))
+
+
 def random_pauli(rng, n):
     return qbp.PauliOperator.from_letters(rng.integers(0, 4, size=n).astype(np.int8))
 

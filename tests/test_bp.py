@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qbp
 from qbp import bp
+from qbp.bp import MessageState
 from qbp.pauli import SIGN_TABLE
 
 from conftest import check_messages, edge_bias, edge_signs, random_single_check_code, set_incoming
@@ -281,11 +283,118 @@ def test_decode_config_validation():
 
 def test_edge_state_is_one_scalar_per_edge(small_bicycle):
     ea = small_bicycle.edges
-    assert np.array_equal(ea.sign, edge_signs(small_bicycle)[ea.qubit_order])
+    assert np.array_equal(ea.sign, edge_signs(small_bicycle)[ea.qubit_order].T)
+    assert ea.sign.shape == (4, len(ea.qubit)) and ea.sign.flags.c_contiguous
     state = qbp.init_messages(small_bicycle, qbp.depolarizing_prior(small_bicycle.n, 0.05))
     qbp.check_update(state, small_bicycle, np.ones(small_bicycle.m, dtype=np.int8))
     qbp.qubit_update(state, small_bicycle)
     assert state.d_qc.shape == state.t_cq.shape == (len(ea.qubit),)
+
+
+def _reference_edges(code):
+    """The edge arrays the (E, 4) kernel read: signs as qubit-sorted (E, 4) rows."""
+    order = np.argsort(code.edges.qubit, kind="stable")
+    qsorted = code.edges.qubit[order]
+    active, counts = np.unique(qsorted, return_counts=True)
+    return SimpleNamespace(sign=edge_signs(code)[order], qubit_order=order, qubit_of_sorted=qsorted,
+                           qubit_start=np.concatenate(([0], np.cumsum(counts))), active_qubits=active)
+
+
+# The (E, 4) kernel, verbatim but for reading _reference_edges(code) in place
+# of code.edges: the letter-major kernel must match it bit for bit.
+def _reference_qubit_products(state, code):
+    ea = _reference_edges(code)
+    w = state.t_cq.take(ea.qubit_order)[:, None] * ea.sign
+    w += 0.25
+    np.maximum(w, bp.EPS_FLOOR, out=w)
+    prod = np.multiply.reduceat(w, ea.qubit_start[:-1], axis=0)
+    bu = state.working_prior.copy()
+    bu[ea.active_qubits] *= prod
+    return bu, w
+
+
+def _reference_normalize_rows(rows):
+    totals = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
+    dead = totals <= 0.0
+    if dead.any():
+        rows[dead] = 0.25
+        totals[dead] = 1.0
+    rows /= totals[:, None]
+    np.maximum(rows, bp.EPS_FLOOR, out=rows)
+    return rows
+
+
+def _reference_qubit_update(state, code):
+    ea = _reference_edges(code)
+    bu, w = _reference_qubit_products(state, code)
+    out = bu.take(ea.qubit_of_sorted, axis=0)
+    out /= w
+    _reference_normalize_rows(out)
+    state.d_qc[ea.qubit_order] = np.einsum("ij,ij->i", out, ea.sign)
+    return _reference_normalize_rows(bu)
+
+
+def _reference_init_d(code, prior):
+    ea = _reference_edges(code)
+    wp = np.maximum(prior, bp.EPS_FLOOR)
+    d_qc = np.empty(len(ea.qubit_order))
+    d_qc[ea.qubit_order] = np.einsum("ij,ij->i", wp[ea.qubit_of_sorted], ea.sign)
+    return d_qc
+
+
+def _equivalence_codes(toy, five, small_bicycle):
+    with pytest.warns(UserWarning):
+        tail = qbp.StabilizerCode(["XXI"])
+    with pytest.warns(UserWarning):
+        middle = qbp.StabilizerCode(["ZIZZ", "XIXI"])
+    return {"toy": toy, "five": five, "small_bicycle": small_bicycle, "isolated_tail": tail, "isolated_middle": middle}
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["random", "zero_bias", "dead_rows"]))
+def test_qubit_update_matches_reference_bitwise(toy, five, small_bicycle, seed, kind):
+    rng = np.random.default_rng([31, seed])
+    dead_rows = 0
+    for name, code in _equivalence_codes(toy, five, small_bicycle).items():
+        edges = len(code.edges.qubit)
+        prior = rng.dirichlet(np.ones(4), size=code.n)
+        if kind == "zero_bias":
+            # zero prior entries, and uniform rows whose bias d is exactly 0
+            prior[::2] = [1.0, 0.0, 0.0, 0.0]
+            prior[1::2] = 0.25
+        state = qbp.init_messages(code, prior)
+        assert np.array_equal(state.d_qc, _reference_init_d(code, prior)), name
+        if kind == "random":
+            state.t_cq = rng.uniform(-0.25, 0.25, size=edges)
+        elif kind == "zero_bias":
+            # uniform check messages, and the extreme t = +-1/4 whose factors hit the floor
+            state.t_cq = rng.choice([0.0, -0.0, 0.25, -0.25], size=edges)
+        else:
+            # products underflow to zero, so rows take the dead-row reset
+            state.working_prior[:] = 1e-300
+            state.t_cq = np.where(rng.random(edges) < 0.5, 0.25, -0.25)
+        ref = MessageState(state.working_prior.copy(), state.d_qc.copy(), state.t_cq.copy())
+        dead_rows += int((_reference_qubit_products(ref, code)[0].sum(axis=1) == 0.0).sum())
+        beliefs = qbp.qubit_update(state, code)
+        want = _reference_qubit_update(ref, code)
+        assert np.array_equal(state.d_qc, ref.d_qc), name
+        assert np.array_equal(beliefs, want), name
+        assert np.array_equal(qbp.compute_beliefs(state, code), want), name
+    assert (dead_rows > 0) == (kind == "dead_rows")
+
+
+def test_decode_iterations_match_reference_bitwise(five, small_bicycle):
+    # alternate check and qubit updates from real syndromes, as a decode does
+    rng = np.random.default_rng(32)
+    for code in (five, small_bicycle):
+        prior = qbp.depolarizing_prior(code.n, 0.1)
+        syndrome = code.syndrome(qbp.sample_error(prior, rng))
+        state = qbp.init_messages(code, prior)
+        ref = qbp.init_messages(code, prior)
+        for _ in range(20):
+            qbp.check_update(state, code, syndrome)
+            qbp.check_update(ref, code, syndrome)
+            assert np.array_equal(qbp.qubit_update(state, code), _reference_qubit_update(ref, code))
+            assert np.array_equal(state.d_qc, ref.d_qc)
 
 
 # sha256 over (final beliefs bytes, correction, iterations) of 12 seeded
@@ -309,3 +418,46 @@ def test_beliefs_golden_digest(small_bicycle, heuristic):
         digest.update(res.final_beliefs.tobytes())
         digest.update(repr((str(res.correction), res.iterations_used)).encode())
     assert digest.hexdigest() == GOLDEN_BELIEF_DIGESTS[heuristic]
+
+
+# sha256 over (final beliefs bytes, correction, iterations) of 4 seeded
+# decodes per heuristic on the headline code, whose long qubit segments the
+# small_bicycle digests never reach; recorded while the qubit update still
+# walked (E, 4) arrays
+GOLDEN_BICYCLE_800_DIGESTS = {
+    "none": "981617da055dbe0dcd7b69086b432464bd661d4cfde619b164c7486e994979a7",
+    "collision_freeze": "29f10b2a3e2d1e31e71fc7c26c0cf1a2d515727c1805cec27cf01b39496fd8eb",
+}
+
+
+@pytest.mark.parametrize("heuristic", sorted(GOLDEN_BICYCLE_800_DIGESTS))
+def test_beliefs_golden_digest_bicycle_800(bicycle_800, heuristic):
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    cfg = qbp.DecodeConfig(heuristic=heuristic)
+    digest = hashlib.sha256()
+    for trial in range(4):
+        rng = np.random.default_rng([11, trial])
+        error = qbp.sample_error(prior, rng)
+        res, _ = qbp.decode_with_heuristics(bicycle_800, prior, bicycle_800.syndrome(error), cfg, rng=rng)
+        digest.update(res.final_beliefs.tobytes())
+        digest.update(repr((str(res.correction), res.iterations_used)).encode())
+    assert digest.hexdigest() == GOLDEN_BICYCLE_800_DIGESTS[heuristic]
+
+
+@pytest.mark.parametrize("heuristic", ["none", "collision_freeze"])
+def test_decode_raises_no_fp_exception(small_bicycle, heuristic):
+    # Errors of weight 1..6 at every eps, so that near-deterministic priors
+    # meet nontrivial syndromes.  Underflow is left out: the floor absorbs it,
+    # and it is a known open fault.
+    n = small_bicycle.n
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for eps in (1e-12, 1e-6, 1e-3, 0.02, 0.04, 0.1, 0.2):
+            prior = qbp.depolarizing_prior(n, eps)
+            for weight in range(1, 7):
+                rng = np.random.default_rng([13, weight])
+                letters = np.zeros(n, dtype=np.int8)
+                letters[rng.choice(n, size=weight, replace=False)] = rng.integers(1, 4, size=weight)
+                error = qbp.PauliOperator.from_letters(letters)
+                res, _ = qbp.decode_with_heuristics(small_bicycle, prior, small_bicycle.syndrome(error), cfg, rng=rng)
+                assert np.isfinite(res.final_beliefs).all()
