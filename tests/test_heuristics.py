@@ -224,6 +224,7 @@ def test_converged_implies_syndrome_match(small_bicycle):
 # decodes per heuristic; recorded before perturb_step drew all incidences at
 # once and before the collision search used StabilizerCode.shared_qubits
 GOLDEN_EVENT_DIGESTS = {
+    "freeze": "98d9851c2eb0870f93bb049b06769845c36552f4f25ea2ee57b84e6b944c99cb",
     "perturb": "c48ba219d8e652b21e0f8af2711db459cd2199ece1f7716a888a8f287a6905ed",
     "collision_perturb": "9e129faf3ee9c543871281dbd05428079125441233debe38a1e3f76ac8554cc7",
     "collision_freeze": "17271b7acb15a73128b20866f3e53808529aa5e97f0fa5e3101f5301fc365675",
