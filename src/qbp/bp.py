@@ -210,7 +210,8 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeRes
 
     intervene, when given, is called as intervene(state, iteration, frustrated)
     after every t_pert unconverged iterations, with frustrated listing the
-    checks whose syndrome bit disagrees with the current hard decision.
+    checks whose syndrome bit disagrees with the current hard decision (never
+    empty, since the decode has not halted).
     """
     syndrome = np.asarray(syndrome, dtype=np.int8)
     if syndrome.shape != (code.m,):
@@ -253,7 +254,10 @@ def decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
     """Plain BP decoding: iterate to the first syndrome-matching hard decision.
 
     Non-convergence within max_iterations is reported via converged=False,
-    not as an error.
+    not as an error.  A config naming a heuristic is rejected: those decodes
+    go through heuristics.decode_with_heuristics.
     """
     config = config or DecodeConfig()
+    if config.heuristic != "none":
+        raise ValueError(f"decode runs plain BP; use decode_with_heuristics for heuristic {config.heuristic!r}")
     return _run(code, prior, syndrome, config, intervene=None, trace=trace)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bp import DecodeConfig, depolarizing_prior
+from .bp import HEURISTICS, DecodeConfig, depolarizing_prior
 from .codes import (
     CodeFormatError,
     StabilizerCode,
@@ -28,13 +28,7 @@ from .oracle import exact_marginals
 from .pauli import LETTERS, PauliOperator
 from .simulate import run_simulation, stats_to_csv, stats_to_json
 
-_HEURISTIC_FLAGS = {
-    "none": "none",
-    "freeze": "freeze",
-    "perturb": "perturb",
-    "collision-freeze": "collision_freeze",
-    "collision-perturb": "collision_perturb",
-}
+_HEURISTIC_FLAGS = {h.replace("_", "-"): h for h in HEURISTICS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +196,8 @@ def _cmd_simulate(parser: _Parser, args) -> int:
     epsilons = _parse_epsilons(parser, args)
     if args.max_failures < 0:
         parser.error("--max-failures must be >= 0 (0 disables the early stop)")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     max_failures = None if args.max_failures == 0 else args.max_failures
     stats = run_simulation(
         code, epsilons, args.trials, config,

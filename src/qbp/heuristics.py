@@ -8,10 +8,17 @@ prior entries of qubits touching frustrated checks, and collision targeting
 narrows either intervention to the shared qubits of a pair of frustrated
 checks.  All randomness flows through one per-decode generator, so a seed
 replays the exact event sequence.
+
+Perturbations accumulate on the working prior and keep no other state.  The
+freeze schedule keeps one FreezeRegistry per decode call: the qubits tried
+for each trigger, the qubits frozen now, and the active freeze, which the
+next step retries while its trigger stays frustrated and keeps once it is
+satisfied.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,13 +69,9 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     # one draw for all incidences consumes the generator exactly as one
     # draw per group would, in group order
     draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
-    deltas = [tuple(row) for row in draws.tolist()]
-    events = []
-    start = 0
-    for trig, qubits in groups:
-        stop = start + len(qubits)
-        events.append(PerturbationEvent("perturb", iteration, trig, qubits, tuple(deltas[start:stop])))
-        start = stop
+    deltas = map(tuple, draws.tolist())
+    events = [PerturbationEvent("perturb", iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
+              for trig, qubits in groups]
     if delta > 0 and touched:
         idx, where = np.unique(touched, return_inverse=True)
         factors = np.ones((len(idx), 3))
@@ -76,133 +79,94 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         wp = state.working_prior
         rows = wp[idx]
         rows[:, 1:] *= factors
-        rows /= rows.sum(axis=1, keepdims=True)
-        np.maximum(rows, bp.EPS_FLOOR, out=rows)
-        wp[idx] = rows
+        wp[idx] = bp._normalize_rows(rows)
     return events
 
 
 @dataclass
-class FreezeTracker:
-    """The active freeze trigger and the qubit currently pinned for it."""
-
-    trigger: tuple
-    trigger_checks: tuple[int, ...]
-    candidates: tuple[int, ...]
-    frozen_qubit: int
-    saved_prior: np.ndarray
-
-
-@dataclass
 class FreezeRegistry:
-    """Per-decode memory: qubits already tried per trigger, and active freezes."""
+    """The freeze schedule's state for one decode call.
+
+    tried maps each trigger to the qubits already frozen for it; frozen holds
+    the qubits pinned now; active is the latest freeze as (trigger,
+    candidates, qubit, saved prior row), or None.  A trigger's checks are
+    trigger[1:].
+    """
 
     tried: dict = field(default_factory=dict)
     frozen: set = field(default_factory=set)
-
-    def untried(self, trigger: tuple, candidates) -> list:
-        used = self.tried.setdefault(trigger, set())
-        return sorted(set(candidates) - used - self.frozen)
+    active: tuple | None = None
 
 
 def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
-                iteration: int = 0, tracker: FreezeTracker | None = None,
-                registry: FreezeRegistry | None = None, collision: bool = False):
-    """One step of the freeze schedule; returns (tracker, events, escalate).
+                registry: FreezeRegistry, iteration: int = 0,
+                collision: bool = False) -> PerturbationEvent | None:
+    """One step of the freeze schedule; returns its event, or None to escalate.
 
     While the active trigger stays frustrated, its frozen qubit is restored
-    and an untried neighbor is frozen instead; when the trigger runs out of
+    and an untried candidate is frozen instead; when the trigger runs out of
     candidates the caller is told to escalate to a perturbation.  A satisfied
     trigger keeps its qubit frozen and the next trigger is selected: the
     first colliding pair with untried shared qubits when collision targeting
-    is on, else the lowest frustrated check with untried neighbors.  Tried
-    sets persist for the whole decode call via the registry.
+    is on, else the lowest frustrated check with untried neighbors.
     """
-    registry = registry if registry is not None else FreezeRegistry()
-    frustrated_set = set(frustrated)
-    events: list[PerturbationEvent] = []
+    wp = state.working_prior
 
-    def freeze(trigger, trigger_checks, candidates, q):
-        registry.tried[trigger].add(q)
+    def freeze(trigger, candidates):
+        used = registry.tried.setdefault(trigger, set())
+        remaining = sorted(set(candidates) - used - registry.frozen)
+        if not remaining:
+            return None
+        q = int(rng.choice(remaining))
+        used.add(q)
         registry.frozen.add(q)
-        tr = FreezeTracker(
-            trigger=trigger,
-            trigger_checks=trigger_checks,
-            candidates=tuple(candidates),
-            frozen_qubit=q,
-            saved_prior=state.working_prior[q].copy(),
-        )
-        state.working_prior[q] = _FROZEN_PRIOR
-        events.append(PerturbationEvent("freeze", iteration, trigger, (q,)))
-        return tr
+        registry.active = (trigger, candidates, q, wp[q].copy())
+        wp[q] = _FROZEN_PRIOR
+        return PerturbationEvent("freeze", iteration, trigger, (q,))
 
-    if tracker is not None:
-        if frustrated_set & set(tracker.trigger_checks):
-            state.working_prior[tracker.frozen_qubit] = tracker.saved_prior
-            registry.frozen.discard(tracker.frozen_qubit)
-            remaining = registry.untried(tracker.trigger, tracker.candidates)
-            if remaining:
-                q = int(rng.choice(remaining))
-                return freeze(tracker.trigger, tracker.trigger_checks, tracker.candidates, q), events, False
-            return None, events, True
-        tracker = None  # trigger satisfied: leave its qubit frozen, move on
-
-    if collision:
-        for c, c2, shared in _colliding_pairs(code, frustrated):
-            trigger = ("collision", c, c2)
-            remaining = registry.untried(trigger, shared)
-            if remaining:
-                q = int(rng.choice(remaining))
-                return freeze(trigger, (c, c2), shared, q), events, False
-    for c in frustrated:
-        trigger = ("check", c)
-        neighbors = code.check_qubits[c]
-        remaining = registry.untried(trigger, neighbors)
-        if remaining:
-            q = int(rng.choice(remaining))
-            return freeze(trigger, (c,), neighbors, q), events, False
-    return None, events, True
+    if registry.active is not None:
+        trigger, candidates, q, saved = registry.active
+        registry.active = None
+        if not set(frustrated).isdisjoint(trigger[1:]):
+            wp[q] = saved
+            registry.frozen.discard(q)
+            return freeze(trigger, candidates)
+        # trigger satisfied: its qubit stays frozen, move on
+    pairs = _colliding_pairs(code, frustrated) if collision else ()
+    for trigger, candidates in itertools.chain(
+            ((("collision", c, c2), shared) for c, c2, shared in pairs),
+            ((("check", c), code.check_qubits[c]) for c in frustrated)):
+        event = freeze(trigger, candidates)
+        if event is not None:
+            return event
+    return None
 
 
-class _Controller:
-    def __init__(self, code: StabilizerCode, config: bp.DecodeConfig, rng, events: list):
-        self.code = code
-        self.config = config
-        self.rng = rng
-        self.events = events
-        self.tracker: FreezeTracker | None = None
-        self.registry = FreezeRegistry()
-        self.collision = config.heuristic.startswith("collision")
-        self.freezing = config.heuristic.endswith("freeze")
+def _intervention(code: StabilizerCode, config: bp.DecodeConfig, rng, events: list):
+    """The intervene(state, iteration, frustrated) callback of config.heuristic, logging to events."""
+    registry = FreezeRegistry()
+    collision = config.heuristic.startswith("collision")
+    freezing = config.heuristic.endswith("freeze")
 
-    def __call__(self, state: bp.MessageState, iteration: int, frustrated: list):
-        if not frustrated:
-            return
-        if self.freezing:
-            self.tracker, events, escalate = freeze_step(
-                state, self.code, frustrated, self.rng, iteration=iteration,
-                tracker=self.tracker, registry=self.registry, collision=self.collision,
-            )
-            self.events.extend(events)
-            if not escalate:
+    def intervene(state: bp.MessageState, iteration: int, frustrated: list):
+        targets = trigger = None
+        if freezing:
+            event = freeze_step(state, code, frustrated, rng, iteration=iteration,
+                                registry=registry, collision=collision)
+            if event is not None:
+                events.append(event)
                 return
             # exhausted freeze triggers escalate to the full random
             # perturbation over every frustrated check
-            self.events.extend(
-                perturb_step(state, self.code, frustrated, self.rng, self.config.delta,
-                             iteration=iteration)
-            )
-            return
-        targets = trigger = None
-        if self.collision:
-            pair = collision_targets(self.code, frustrated)
+        elif collision:
+            pair = collision_targets(code, frustrated)
             if pair is not None:
                 c, c2, shared = pair
                 targets, trigger = shared, ("collision", c, c2)
-        self.events.extend(
-            perturb_step(state, self.code, frustrated, self.rng, self.config.delta,
-                         iteration=iteration, targets=targets, trigger=trigger)
-        )
+        events.extend(perturb_step(state, code, frustrated, rng, config.delta,
+                                   iteration=iteration, targets=targets, trigger=trigger))
+
+    return intervene
 
 
 def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
@@ -210,14 +174,14 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
     """BP decoding with the configured degeneracy-breaking schedule.
 
     Returns (DecodeResult, events).  With heuristic "none" this is exactly
-    the plain decoder and the event log is empty.
+    the plain decoder, no generator is built and the event log is empty.
     """
     config = config or bp.DecodeConfig()
-    if config.heuristic == "none":
-        return bp._run(code, prior, syndrome, config, intervene=None, trace=trace), []
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     events: list[PerturbationEvent] = []
-    controller = _Controller(code, config, rng, events)
-    result = bp._run(code, prior, syndrome, config, intervene=controller, trace=trace)
+    intervene = None
+    if config.heuristic != "none":
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
+        intervene = _intervention(code, config, rng, events)
+    result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace)
     return result, events

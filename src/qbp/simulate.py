@@ -165,6 +165,8 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
         raise ValueError("trials must be >= 1")
     if max_failures is not None and max_failures < 1:
         raise ValueError("max_failures must be >= 1, or None to run every trial")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     epsilons = [float(e) for e in epsilons]
     points = []
     executor = None

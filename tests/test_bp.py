@@ -196,6 +196,16 @@ def test_decode_trivial_syndrome(five):
     assert res.converged and res.iterations_used == 1 and res.correction.is_identity
 
 
+def test_decode_rejects_heuristic_config(toy):
+    prior = qbp.depolarizing_prior(2, 0.1)
+    s = np.array([1, -1], dtype=np.int8)
+    cfg = qbp.DecodeConfig(heuristic="collision_freeze", seed=1)
+    with pytest.raises(ValueError, match="decode_with_heuristics"):
+        qbp.decode(toy, prior, s, cfg)
+    res, events = qbp.decode_with_heuristics(toy, prior, s, cfg)
+    assert res.converged and events
+
+
 def test_decode_toy_detected(toy):
     trace = []
     res = qbp.decode(toy, qbp.depolarizing_prior(2, 0.1), np.array([1, -1], dtype=np.int8), trace=trace)

@@ -2,7 +2,8 @@ import csv
 import json
 
 import qbp
-from qbp.cli import main
+from qbp.bp import HEURISTICS
+from qbp.cli import _HEURISTIC_FLAGS, _decode_config, build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -131,6 +132,22 @@ def test_simulate_max_failures(capsys):
     assert code == 0
     row = [l for l in stdout.splitlines() if not l.startswith("#")][1].split(",")
     assert row[1] == "20"  # 0 disables the early stop: every trial runs
+
+
+def test_simulate_jobs_below_one(capsys):
+    args = ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3", "--trials", "20"]
+    code, _, err = run_cli(capsys, *args, "--jobs", "-2")
+    assert code == 1 and "--jobs" in err
+
+
+def test_heuristic_flags_match_heuristics():
+    # every --heuristic choice names one member of HEURISTICS, and every member has a choice
+    assert sorted(_HEURISTIC_FLAGS) == ["collision-freeze", "collision-perturb", "freeze", "none", "perturb"]
+    assert sorted(_HEURISTIC_FLAGS.values()) == sorted(HEURISTICS)
+    parser = build_parser()
+    for flag, heuristic in _HEURISTIC_FLAGS.items():
+        args = parser.parse_args(["decode", "--builtin", "two_qubit_toy", "--syndrome", "++", "--heuristic", flag])
+        assert _decode_config(parser, args).heuristic == heuristic
 
 
 def test_simulate_rerun_identical(tmp_path, capsys):

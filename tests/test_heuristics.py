@@ -6,7 +6,7 @@ import pytest
 
 import qbp
 from qbp import bp
-from qbp.heuristics import FreezeRegistry, freeze_step
+from qbp.heuristics import _FROZEN_PRIOR, FreezeRegistry, freeze_step
 
 VALID_TOY_RECOVERIES = {"XI", "IX", "YZ", "ZY"}
 
@@ -76,20 +76,34 @@ def test_frozen_qubit_outgoing_messages(toy):
 def test_freeze_step_restore_and_retry(toy):
     prior, s = toy_setup(toy)
     state = qbp.init_messages(toy, prior)
+    before = state.working_prior.copy()
     rng = np.random.default_rng(0)
     registry = FreezeRegistry()
-    tracker, events, escalate = freeze_step(state, toy, [1], rng, registry=registry)
-    assert not escalate and events[0].kind == "freeze"
-    q0 = tracker.frozen_qubit
-    saved = tracker.saved_prior.copy()
+    event = freeze_step(state, toy, [1], rng, registry=registry)
+    assert event.kind == "freeze" and event.trigger == ("check", 1)
+    (q0,) = event.qubits
+    assert registry.active[2] == q0
     # still frustrated: restore and freeze the other qubit
-    tracker, events, escalate = freeze_step(state, toy, [1], rng, tracker=tracker, registry=registry)
-    assert not escalate
-    assert tracker.frozen_qubit != q0
-    assert np.array_equal(state.working_prior[q0], saved)
+    event = freeze_step(state, toy, [1], rng, registry=registry)
+    assert event is not None and event.qubits != (q0,)
+    assert np.array_equal(state.working_prior[q0], before[q0])
     # both candidates tried: escalate
-    tracker, events, escalate = freeze_step(state, toy, [1], rng, tracker=tracker, registry=registry)
-    assert escalate and tracker is None
+    assert freeze_step(state, toy, [1], rng, registry=registry) is None
+    assert registry.active is None
+
+
+def test_freeze_step_satisfied_trigger_stays_frozen(five):
+    state = qbp.init_messages(five, qbp.depolarizing_prior(5, 0.1))
+    rng = np.random.default_rng(0)
+    registry = FreezeRegistry()
+    first = freeze_step(state, five, [0], rng, registry=registry)
+    (q0,) = first.qubits
+    # check 0 is satisfied now: its qubit stays pinned and check 1 triggers
+    second = freeze_step(state, five, [1], rng, registry=registry)
+    assert second.trigger == ("check", 1) != first.trigger
+    assert np.array_equal(state.working_prior[q0], _FROZEN_PRIOR)
+    assert q0 in registry.frozen and q0 not in second.qubits
+    assert registry.active[0] == ("check", 1)
 
 
 def test_perturb_zero_delta_is_noop(toy):
@@ -223,6 +237,7 @@ def test_converged_implies_syndrome_match(small_bicycle):
 # sha256 over (correction, converged, iterations, event log) of 12 seeded
 # decodes per heuristic; recorded before perturb_step drew all incidences at
 # once and before the collision search used StabilizerCode.shared_qubits
+# (freeze: before the freeze schedule's state moved into FreezeRegistry)
 GOLDEN_EVENT_DIGESTS = {
     "freeze": "98d9851c2eb0870f93bb049b06769845c36552f4f25ea2ee57b84e6b944c99cb",
     "perturb": "c48ba219d8e652b21e0f8af2711db459cd2199ece1f7716a888a8f287a6905ed",

@@ -130,6 +130,12 @@ def test_max_failures_below_one_rejected(toy):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, max_failures=bad)
 
 
+def test_jobs_below_one_rejected(toy):
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="jobs"):
+            qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, jobs=bad)
+
+
 def test_stats_serialization_fields(small_bicycle):
     stats = qbp.run_simulation(small_bicycle, [0.05], 30, qbp.DecodeConfig(), master_seed=5)
     csv_text = qbp.stats_to_csv(stats)
