@@ -21,6 +21,12 @@ def test_build_rejects_noncommuting():
     with pytest.raises(qbp.NonCommutingChecksError) as err:
         qbp.StabilizerCode(["XI", "ZI"])
     assert err.value.pair == (0, 1)
+    with pytest.raises(qbp.NonCommutingChecksError) as err:
+        qbp.StabilizerCode(["XXI", "ZZI", "IXX", "IZZ"])
+    assert err.value.pair == (0, 3)
+    with pytest.raises(qbp.NonCommutingChecksError) as err:
+        qbp.StabilizerCode(["IX", "XI", "ZI"])
+    assert err.value.pair == (1, 2)
 
 
 def test_build_rejects_dependent():
@@ -45,8 +51,10 @@ def test_build_rejects_bad_input():
 
 
 def test_isolated_qubit_warns():
-    with pytest.warns(UserWarning, match="isolated"):
+    with pytest.warns(UserWarning, match=r"qubits \[2\] are isolated"):
         qbp.StabilizerCode(["XXI"])
+    with pytest.warns(UserWarning, match=r"qubits \[0, 3\] are isolated"):
+        qbp.StabilizerCode(["IXXI", "IZZI"])
 
 
 def test_syndrome_examples(toy, five):

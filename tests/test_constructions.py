@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,16 @@ def test_css_from_matrix_rejects_non_self_dual():
         qbp.css_from_matrix(np.zeros((0, 2)))
 
 
+def test_css_from_matrix_names_first_odd_overlap():
+    with pytest.raises(ValueError, match="rows 0 and 1 have odd overlap"):
+        qbp.css_from_matrix(np.array([[1, 1, 0], [0, 1, 1]]))
+    # an odd-weight row overlaps itself oddly
+    with pytest.raises(ValueError, match="rows 0 and 0 have odd overlap"):
+        qbp.css_from_matrix(np.array([[1, 1, 1]]))
+    with pytest.raises(ValueError, match="rows 1 and 2 have odd overlap"):
+        qbp.css_from_matrix(np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1]]))
+
+
 def test_builtin_codes():
     toy = qbp.builtin("two_qubit_toy")
     assert [str(c) for c in toy.checks] == ["XX", "ZZ"] and toy.k == 0
@@ -163,3 +176,26 @@ def test_balanced_deletion_matches_reference_greedy():
 def test_generate_bicycle_fingerprint_pinned(spec, digest):
     # recorded before the balanced deletion kept running integer sums
     assert qbp.generate_bicycle(qbp.BicycleSpec(*spec)).fingerprint() == digest
+
+
+def _structure_digest(code):
+    """sha256 over the Tanner rows, every EdgeArrays field and the check basis."""
+    h = hashlib.sha256(repr(code.tanner).encode())
+    ea = code.edges
+    for field in dataclasses.fields(ea):
+        value = getattr(ea, field.name)
+        h.update(field.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+        else:
+            h.update(repr(value).encode())
+    h.update(repr(code._check_basis()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ((800, 400, 30, 11), "9e8a8c1e7730d952b4930cf16e410e83a146605e4c5f2f87c8de8898a36f60d5"),
+    ((20, 10, 6, 42), "4d646ff090dbf3d5bd1113a50282905bcbcedd3f7cc6af01fe1c9bd2d1b26c30"),
+])
+def test_generate_bicycle_structure_pinned(spec, digest):
+    assert _structure_digest(qbp.generate_bicycle(qbp.BicycleSpec(*spec))) == digest
