@@ -182,11 +182,13 @@ def _parse_epsilons(parser: _Parser, args) -> list:
             lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             parser.error(f"invalid sweep {args.epsilon_sweep!r}")
-        if not (0 < lo <= hi and steps >= 1):
-            parser.error("sweep needs 0 < lo <= hi and steps >= 1")
+        if not (0 < lo <= hi <= 1 and steps >= 1):
+            parser.error("--epsilon-sweep needs 0 < lo <= hi <= 1 and steps >= 1")
         return [float(e) for e in np.geomspace(lo, hi, steps)]
     if not args.epsilon:
         parser.error("provide --epsilon or --epsilon-sweep")
+    if not all(0 <= e <= 1 for e in args.epsilon):
+        parser.error("--epsilon must lie in [0, 1]")
     return args.epsilon
 
 

@@ -4,8 +4,14 @@ A code is built from m independent, pairwise commuting Pauli checks on n
 qubits and encodes k = n - m logical qubits.  The decorated Tanner graph has
 an edge (q, c) wherever check c acts non-trivially on qubit q, labelled with
 that Pauli factor.  Logical operators and pure errors are extracted by
-symplectic Gaussian elimination over GF(2) on the check matrix; a code object
-is immutable after construction and derived structure is cached lazily.
+symplectic Gaussian elimination over GF(2) on the check matrix.
+
+The constructor is the one place a check set is validated and indexed: the
+pairwise commutation test, one elimination that rejects dependent checks and
+keeps `rows` and their echelon `basis`, and one scan of the letter matrix that
+yields `tanner`, `edges` and the isolated-qubit warning.  A code object is
+immutable after construction; canonical generators, `check_qubits` and the
+fingerprint are cached lazily.
 """
 
 from __future__ import annotations
@@ -74,13 +80,28 @@ class EdgeArrays:
     active_qubits: np.ndarray | slice  # qubits of degree >= 1: an (A,) index, or slice(None) if all n
 
 
+def _edge_arrays(qubit, check, check_start, letter, n: int) -> EdgeArrays:
+    """EdgeArrays from the check-major edge lists (qubit, check, letter) per edge."""
+    order = np.argsort(qubit, kind="stable")
+    active, qcounts = np.unique(qubit, return_counts=True)
+    return EdgeArrays(
+        qubit=qubit,
+        check=check,
+        check_start=check_start,
+        sign=np.ascontiguousarray(SIGN_TABLE[letter[order]].T, dtype=np.float64),
+        anti_index=letter.astype(np.int64) * 4,
+        qubit_order=order,
+        qubit_rank=np.argsort(order),
+        qubit_start=np.concatenate(([0], np.cumsum(qcounts))),
+        active_qubits=slice(None) if len(active) == n else active,
+    )
+
+
 class StabilizerCode:
     """Validated stabilizer code; treat instances as immutable."""
 
     def __init__(self, checks):
-        ops = []
-        for i, c in enumerate(checks):
-            ops.append(PauliOperator.from_string(c) if isinstance(c, str) else c)
+        ops = tuple(PauliOperator.from_string(c) if isinstance(c, str) else c for c in checks)
         if not ops:
             raise ValueError("a code needs at least one check")
         n = ops[0].n
@@ -91,33 +112,37 @@ class StabilizerCode:
             for j in range(i + 1, len(ops)):
                 if ops[i].commute(ops[j]) != 1:
                     raise NonCommutingChecksError(i, j)
-        dep = gf2.first_dependent([self._symplectic_row(op) for op in ops])
-        if dep is not None:
-            raise DependentChecksError(dep)
+        # symplectic rows and their reduced echelon basis, from one elimination
+        self.rows = [self._symplectic_row(op) for op in ops]
+        self.basis: list[tuple[int, int]] = []
+        for i, row in enumerate(self.rows):
+            if not gf2.insert(self.basis, row):
+                raise DependentChecksError(i)
 
         self.n = n
         self.m = len(ops)
-        self.checks = tuple(ops)
-        self.tanner = tuple(
-            tuple((q, int(letter)) for q, letter in enumerate(op.letters()) if letter != 0)
-            for op in ops
-        )
-        covered = 0
-        for op in ops:
-            covered |= op.support()
-        if covered != (1 << n) - 1:
-            isolated = [q for q in range(n) if not (covered >> q) & 1]
-            warnings.warn(f"qubits {isolated} are isolated (degree 0)", stacklevel=2)
+        self.checks = ops
+        # one scan of the (m, n) letter matrix; its nonzeros are check-major
+        # with ascending qubits, the edge order everywhere below
+        letters = np.stack([op.letters() for op in ops])
+        check, qubit = np.nonzero(letters)
+        letter = letters[check, qubit]
+        check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
+        pairs = list(zip(qubit.tolist(), letter.tolist()))
+        bounds = check_start.tolist()
+        self.tanner = tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
+        isolated = np.flatnonzero(~letters.any(axis=0))
+        if isolated.size:
+            warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
+        self.edges = _edge_arrays(qubit, check, check_start, letter, n)
         self._cache: dict = {}
 
-    # pickling: derived caches are recomputed on demand
+    # pickling: everything built in __init__ travels; lazy caches are rebuilt on demand
     def __getstate__(self):
-        state = {k: getattr(self, k) for k in ("n", "m", "checks", "tanner")}
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
 
     def __setstate__(self, state):
-        for k, v in state.items():
-            setattr(self, k, v)
+        self.__dict__.update(state)
         self._cache = {}
 
     def _cached(self, key: str, build):
@@ -200,12 +225,6 @@ class StabilizerCode:
 
     # -- symplectic structure ---------------------------------------------
 
-    def _check_rows(self):
-        return self._cached("rows", lambda: [self._symplectic_row(op) for op in self.checks])
-
-    def _check_basis(self):
-        return self._cached("basis", lambda: gf2.echelon(self._check_rows()))
-
     def canonical_generators(self):
         """Pure errors and logical generators completing the checks to a canonical set.
 
@@ -230,7 +249,7 @@ class StabilizerCode:
 
     def _compute_canonical(self):
         n2 = 2 * self.n
-        rows = self._check_rows()
+        rows = self.rows
         # symplectic partner of a row: swap x and z halves
         mask = (1 << self.n) - 1
         swapped = [((r >> self.n) & mask) | ((r & mask) << self.n) for r in rows]
@@ -241,7 +260,7 @@ class StabilizerCode:
 
         # logical candidates: centralizer of the checks modulo their span
         centralizer = gf2.nullspace(swapped, n2)
-        basis = list(self._check_basis())
+        basis = list(self.basis)
         cands = [red for red in (gf2.insert(basis, v) for v in centralizer) if red]
         if len(cands) != 2 * self.k:
             raise RuntimeError(f"expected {2 * self.k} logical candidates, got {len(cands)}")
@@ -329,42 +348,11 @@ class StabilizerCode:
         """Classify a residual operator: detectable, stabilizer, or logical."""
         if (self.syndrome(op) < 0).any():
             return DETECTABLE
-        if gf2.in_rowspan(self._symplectic_row(op), self._check_basis()):
+        if gf2.in_rowspan(self._symplectic_row(op), self.basis):
             return STABILIZER
         return LOGICAL
 
     # -- flat edge arrays for message passing ------------------------------
-
-    @property
-    def edges(self) -> EdgeArrays:
-        return self._cached("edges", self._build_edges)
-
-    def _build_edges(self) -> EdgeArrays:
-        eq, ec, el = [], [], []
-        for c, adj in enumerate(self.tanner):
-            for q, letter in adj:
-                eq.append(q)
-                ec.append(c)
-                el.append(letter)
-        qubit = np.array(eq, dtype=np.int64)
-        check = np.array(ec, dtype=np.int64)
-        letter = np.array(el, dtype=np.int8)
-        counts = np.bincount(check, minlength=self.m)
-        check_start = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(qubit, kind="stable")
-        active, qcounts = np.unique(qubit, return_counts=True)
-        qubit_start = np.concatenate(([0], np.cumsum(qcounts)))
-        return EdgeArrays(
-            qubit=qubit,
-            check=check,
-            check_start=check_start,
-            sign=np.ascontiguousarray(SIGN_TABLE[letter[order]].T, dtype=np.float64),
-            anti_index=letter.astype(np.int64) * 4,
-            qubit_order=order,
-            qubit_rank=np.argsort(order),
-            qubit_start=qubit_start,
-            active_qubits=slice(None) if len(active) == self.n else active,
-        )
 
     def syndrome01_of_letters(self, letters: np.ndarray) -> np.ndarray:
         """Violation bits (1 = anticommute) of a per-qubit letter assignment."""

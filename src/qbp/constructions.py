@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
-from .codes import StabilizerCode
+from .codes import DependentChecksError, NonCommutingChecksError, StabilizerCode
 from .pauli import PauliOperator
 
 _BUILTINS = {
@@ -58,35 +57,30 @@ def cyclic_matrix(a: np.ndarray) -> np.ndarray:
     return a[idx]
 
 
-def _matrix_rows(h: np.ndarray) -> list[int]:
-    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in h]
-
-
 def _checks_from_matrix(h: np.ndarray) -> list[PauliOperator]:
-    rows = _matrix_rows(h)
+    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in h]
     n = h.shape[1]
     checks = [PauliOperator(n, 0, r) for r in rows]       # Z-type
     checks += [PauliOperator(n, r, 0) for r in rows]      # X-type
     return checks
 
 
-def _self_dual_witness(h: np.ndarray):
-    overlap = (h.astype(np.int64) @ h.T.astype(np.int64)) % 2
-    bad = np.argwhere(overlap == 1)
-    return (int(bad[0][0]), int(bad[0][1])) if bad.size else None
-
-
 def css_from_matrix(h: np.ndarray) -> StabilizerCode:
-    """CSS code from a self-dual full-rank binary matrix: Z rows then X rows."""
+    """CSS code from a self-dual full-rank binary matrix: Z rows then X rows.
+
+    The code's constructor does the validation.  Its first anticommuting pair
+    is (Z check i, X check j) for the row-major first odd overlap (i, j) of H.
+    """
     h = np.asarray(h, dtype=np.uint8) % 2
     if h.ndim != 2 or h.size == 0:
         raise ValueError("expected a nonempty binary matrix")
-    witness = _self_dual_witness(h)
-    if witness is not None:
-        raise ValueError(f"matrix is not self-dual: rows {witness[0]} and {witness[1]} have odd overlap")
-    if gf2.rank(_matrix_rows(h)) < h.shape[0]:
-        raise ValueError("matrix is rank deficient")
-    return StabilizerCode(_checks_from_matrix(h))
+    try:
+        return StabilizerCode(_checks_from_matrix(h))
+    except NonCommutingChecksError as exc:
+        i, j = exc.pair
+        raise ValueError(f"matrix is not self-dual: rows {i} and {j - len(h)} have odd overlap") from None
+    except DependentChecksError:
+        raise ValueError("matrix is rank deficient") from None
 
 
 def _balanced_deletion(h0: np.ndarray, keep: int) -> np.ndarray:
@@ -148,9 +142,10 @@ def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts
             # spent rather than failing outright.
             if attempt < max_attempts // 2 and len({tuple(col) for col in h.T}) < spec.n:
                 continue
-            if gf2.rank(_matrix_rows(h)) < keep:
+            try:
+                return StabilizerCode(_checks_from_matrix(h))
+            except DependentChecksError:
                 continue
-            return StabilizerCode(_checks_from_matrix(h))
     raise GenerationError(f"no valid bicycle code after {max_attempts} attempts for {spec}")
 
 

@@ -42,21 +42,8 @@ def reduce_vector(v: int, basis) -> int:
     return v
 
 
-def rank(rows) -> int:
-    return len(echelon(rows))
-
-
 def in_rowspan(v: int, basis) -> bool:
     return reduce_vector(v, basis) == 0
-
-
-def first_dependent(rows) -> int | None:
-    """Index of the first row lying in the span of the earlier ones."""
-    basis: list[tuple[int, int]] = []
-    for i, r in enumerate(rows):
-        if not insert(basis, r):
-            return i
-    return None
 
 
 def nullspace(rows, ncols: int) -> list[int]:

@@ -84,6 +84,10 @@ class PauliOperator:
     def from_letters(cls, letters: np.ndarray) -> "PauliOperator":
         """Build from an array of letter codes (0=I, 1=X, 2=Y, 3=Z)."""
         letters = np.asarray(letters)
+        if letters.ndim != 1:
+            raise ValueError(f"letter codes must form a 1-D array, got shape {letters.shape}")
+        if ((letters < 0) | (letters > 3)).any():
+            raise ValueError("letter codes must lie in 0..3")
         n = letters.shape[0]
         xb = np.packbits((letters == 1) | (letters == 2), bitorder="little")
         zb = np.packbits((letters == 2) | (letters == 3), bitorder="little")

@@ -168,6 +168,9 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     epsilons = [float(e) for e in epsilons]
+    for eps in epsilons:
+        if not 0 <= eps <= 1:
+            raise ValueError(f"depolarizing strength must lie in [0, 1], got {eps}")
     points = []
     executor = None
     try:

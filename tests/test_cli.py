@@ -140,6 +140,18 @@ def test_simulate_jobs_below_one(capsys):
     assert code == 1 and "--jobs" in err
 
 
+def test_simulate_epsilon_out_of_range(capsys):
+    base = ["simulate", "--builtin", "two_qubit_toy", "--trials", "20"]
+    code, stdout, err = run_cli(capsys, *base, "--epsilon", "0.1", "--epsilon", "1.5")
+    assert code == 1 and "--epsilon" in err and stdout == ""
+    code, stdout, err = run_cli(capsys, *base, "--epsilon", "-0.1")
+    assert code == 1 and "--epsilon" in err
+    # the sweep's top point is checked too
+    code, stdout, err = run_cli(capsys, *base, "--epsilon-sweep", "0.5:1.5:3")
+    assert code == 1 and "--epsilon-sweep" in err and stdout == ""
+    assert run_cli(capsys, *base, "--epsilon", "0.0", "--epsilon", "1.0")[0] == 0
+
+
 def test_heuristic_flags_match_heuristics():
     # every --heuristic choice names one member of HEURISTICS, and every member has a choice
     assert sorted(_HEURISTIC_FLAGS) == ["collision-freeze", "collision-perturb", "freeze", "none", "perturb"]

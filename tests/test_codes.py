@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +37,18 @@ def test_build_rejects_dependent():
         qbp.StabilizerCode(["XX", "XX"])
     assert err.value.index == 1
     # product of the first two
-    with pytest.raises(qbp.DependentChecksError):
+    with pytest.raises(qbp.DependentChecksError) as err:
         qbp.StabilizerCode(["XX", "ZZ", "YY"])
+    assert err.value.index == 2
+    with pytest.raises(qbp.DependentChecksError) as err:
+        qbp.StabilizerCode(["ZI", "IZ", "ZZ"])
+    assert err.value.index == 2
+    # the identity lies in every span, and is rejected before the isolated-qubit scan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qbp.DependentChecksError) as err:
+            qbp.StabilizerCode(["II"])
+    assert err.value.index == 0
 
 
 def test_xx_yy_is_a_valid_code():
@@ -294,3 +307,77 @@ def test_load_skips_comments(tmp_path, toy):
     path = tmp_path / "c.code"
     path.write_text("# header\n\n2 2\n# mid comment\nXX\nZZ\n")
     assert qbp.StabilizerCode.load(path).fingerprint() == toy.fingerprint()
+
+
+def _assert_same_code(a, b):
+    assert a.checks == b.checks and a.tanner == b.tanner and (a.n, a.m) == (b.n, b.m)
+    assert a.rows == b.rows and a.basis == b.basis
+    assert a.fingerprint() == b.fingerprint()
+    for field in dataclasses.fields(a.edges):
+        x, y = getattr(a.edges, field.name), getattr(b.edges, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+def test_pickle_roundtrip(small_bicycle):
+    with pytest.warns(UserWarning, match="isolated"):
+        isolated = qbp.StabilizerCode(["XXII", "ZZII", "IIIZ"])
+    rng = np.random.default_rng(21)
+    for code in (small_bicycle, isolated):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            copy = pickle.loads(pickle.dumps(code))
+        _assert_same_code(code, copy)
+        for _ in range(50):
+            e = random_pauli(rng, code.n)
+            assert copy.residual_class(e) == code.residual_class(e)
+        assert copy.canonical_generators() == code.canonical_generators()
+        prior = qbp.depolarizing_prior(code.n, 0.1)
+        syndrome = code.syndrome(random_pauli(rng, code.n))
+        a = qbp.decode(code, prior, syndrome, qbp.DecodeConfig(max_iterations=30))
+        b = qbp.decode(copy, prior, syndrome, qbp.DecodeConfig(max_iterations=30))
+        assert a.correction == b.correction and a.iterations_used == b.iterations_used
+        assert a.final_beliefs.tobytes() == b.final_beliefs.tobytes()
+
+
+def test_construction_eliminates_once(monkeypatch):
+    from qbp import gf2
+
+    counts = {"insert": 0, "echelon": 0}
+    for name in counts:
+        real = getattr(gf2, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(gf2, name, counted)
+    code = qbp.generate_bicycle(qbp.BicycleSpec(800, 400, 30, 11))
+    code.edges
+    code.residual_class(qbp.PauliOperator.identity(code.n))
+    assert counts == {"insert": code.m, "echelon": 0}
+
+
+def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
+    # relabel X/Y/Z per qubit (commutation is kept) and splice in identity columns
+    rng = np.random.default_rng(31)
+    for base in (five, small_bicycle):
+        for _ in range(5):
+            perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(base.n)])
+            mat = perm[np.arange(base.n), np.stack([c.letters() for c in base.checks])]
+            for q in sorted(rng.choice(base.n + 1, size=int(rng.integers(0, 3)), replace=False), reverse=True):
+                mat = np.insert(mat, q, 0, axis=1)
+            isolated = np.flatnonzero(~mat.any(axis=0)).tolist()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat])
+            assert [str(w.message) for w in caught] == (
+                [f"qubits {isolated} are isolated (degree 0)"] if isolated else [])
+            want = tuple(tuple((q, int(letter)) for q, letter in enumerate(row) if letter != 0) for row in mat)
+            assert code.tanner == want
+            ea = code.edges
+            assert ea.qubit.tolist() == [q for adj in want for q, _ in adj]
+            assert ea.check.tolist() == [c for c, adj in enumerate(want) for _ in adj]
+            assert ea.anti_index.tolist() == [4 * letter for adj in want for _, letter in adj]

@@ -24,7 +24,7 @@ def test_rank_against_numpy_elimination():
                 if r != rank and a[r, col]:
                     a[r] ^= a[rank]
             rank += 1
-        assert gf2.rank(_to_rows(mat)) == rank
+        assert len(gf2.echelon(_to_rows(mat))) == rank
 
 
 def test_rowspan_membership():
@@ -35,11 +35,17 @@ def test_rowspan_membership():
     assert not gf2.in_rowspan(0b001, basis)
 
 
+def _first_dependent(rows):
+    """Index of the first row whose insert returns 0 (the constructor's test), or None."""
+    basis = []
+    return next((i for i, r in enumerate(rows) if not gf2.insert(basis, r)), None)
+
+
 def test_first_dependent():
     rows = _to_rows(np.array([[1, 0], [0, 1], [1, 1]]))
-    assert gf2.first_dependent(rows) == 2
-    assert gf2.first_dependent(rows[:2]) is None
-    assert gf2.first_dependent([0b0]) == 0
+    assert _first_dependent(rows) == 2
+    assert _first_dependent(rows[:2]) is None
+    assert _first_dependent([0b0]) == 0
 
 
 def test_nullspace_annihilates():
@@ -49,7 +55,7 @@ def test_nullspace_annihilates():
         mat = rng.integers(0, 2, size=(m, n))
         rows = _to_rows(mat)
         null = gf2.nullspace(rows, n)
-        assert len(null) == n - gf2.rank(rows)
+        assert len(null) == n - len(gf2.echelon(rows))
         for v in null:
             for r in rows:
                 assert (r & v).bit_count() % 2 == 0
@@ -62,7 +68,7 @@ def test_solve_unit_targets():
         m = int(rng.integers(1, n + 1))
         mat = rng.integers(0, 2, size=(m, n))
         rows = _to_rows(mat)
-        if gf2.rank(rows) < m:
+        if len(gf2.echelon(rows)) < m:
             continue
         sols = gf2.solve_unit_targets(rows)
         for c, v in enumerate(sols):

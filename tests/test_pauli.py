@@ -130,3 +130,15 @@ def test_from_letters_matches_parse():
         letters = rng.integers(0, 4, size=int(rng.integers(1, 70))).astype(np.int8)
         text = "".join(LETTERS[v] for v in letters)
         assert PauliOperator.from_letters(letters) == PauliOperator.from_string(text)
+
+
+def test_from_letters_rejects_bad_input():
+    with pytest.raises(ValueError, match="0..3"):
+        PauliOperator.from_letters(np.array([4, 7, -1, 1]))
+    with pytest.raises(ValueError, match="0..3"):
+        PauliOperator.from_letters(np.array([0, 1, 2, 3, 4], dtype=np.uint8))
+    with pytest.raises(ValueError, match="1-D"):
+        PauliOperator.from_letters(np.zeros((2, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match="1-D"):
+        PauliOperator.from_letters(np.int8(1))
+    assert str(PauliOperator.from_letters(np.array([0, 1, 2, 3]))) == "IXYZ"

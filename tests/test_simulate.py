@@ -136,6 +136,18 @@ def test_jobs_below_one_rejected(toy):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, jobs=bad)
 
 
+def test_epsilons_validated_before_any_trial(toy, monkeypatch):
+    calls = []
+    real = qbp.simulate.run_trial
+    monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: calls.append(1) or real(*a))
+    for bad in ([0.1, 1.5], [-0.01], [0.1, float("nan")]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            qbp.run_simulation(toy, bad, 300, qbp.DecodeConfig(), master_seed=0)
+    assert calls == []
+    qbp.run_simulation(toy, [0.0, 1.0], 3, qbp.DecodeConfig(), master_seed=0)
+    assert len(calls) == 6
+
+
 def test_stats_serialization_fields(small_bicycle):
     stats = qbp.run_simulation(small_bicycle, [0.05], 30, qbp.DecodeConfig(), master_seed=5)
     csv_text = qbp.stats_to_csv(stats)
