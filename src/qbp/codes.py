@@ -125,8 +125,9 @@ class StabilizerCode:
         # one scan of the (m, n) letter matrix; its nonzeros are check-major
         # with ascending qubits, the edge order everywhere below
         letters = np.stack([op.letters() for op in ops])
-        check, qubit = np.nonzero(letters)
-        letter = letters[check, qubit]
+        flat = np.flatnonzero(letters)
+        check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
+        letter = letters.ravel()[flat]
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
         pairs = list(zip(qubit.tolist(), letter.tolist()))
         bounds = check_start.tolist()

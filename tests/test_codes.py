@@ -381,3 +381,6 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
             assert ea.qubit.tolist() == [q for adj in want for q, _ in adj]
             assert ea.check.tolist() == [c for c, adj in enumerate(want) for _ in adj]
             assert ea.anti_index.tolist() == [4 * letter for adj in want for _, letter in adj]
+            # the per-edge index arrays feed the BP kernels' gathers: keep them contiguous
+            for name in ("qubit", "check", "check_start", "anti_index", "qubit_order", "qubit_rank"):
+                assert getattr(ea, name).flags.c_contiguous, name
