@@ -17,6 +17,7 @@ fingerprint are cached lazily.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,7 +130,9 @@ class StabilizerCode:
         check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
         letter = letters.ravel()[flat]
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
-        pairs = list(zip(qubit.tolist(), letter.tolist()))
+        # one shared (qubit, letter) tuple per label, not one per edge
+        labels = np.fromiter(itertools.product(range(n), range(4)), dtype=object, count=4 * n)
+        pairs = labels[4 * qubit + letter].tolist()
         bounds = check_start.tolist()
         self.tanner = tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
         isolated = np.flatnonzero(~letters.any(axis=0))
