@@ -130,7 +130,8 @@ class StabilizerCode:
         check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
         letter = letters.ravel()[flat]
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
-        # one shared (qubit, letter) tuple per label, not one per edge
+        # rows share one (qubit, letter) tuple per label rather than one per
+        # edge: 4n tuples in place of E, which keeps a code's memory down
         labels = np.fromiter(itertools.product(range(n), range(4)), dtype=object, count=4 * n)
         pairs = labels[4 * qubit + letter].tolist()
         bounds = check_start.tolist()
