@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -166,3 +168,30 @@ def test_failures_decompose(small_bicycle):
     assert p.trials == 200
     assert math.isclose(p.bler, p.failures / 200)
     assert p.ci_low <= p.bler <= p.ci_high
+
+
+# sha256 of stats_to_json, and of the run_trial outcomes (perturbation counts
+# included) of the same point-1 trials, per heuristic; recorded while sweeps
+# still built the full event log and kept only its length
+GOLDEN_SWEEP_DIGESTS = {
+    "collision_freeze": ("4eb1684c960e3f23fbb36b583a8b694ee19fcf2c4b30e508e230eba13ca08c65",
+                         "3da8356c2cdcdbfbc40aa8cde4ef32fdb4074b25f0a0515e281ec74f9e98879a"),
+    "collision_perturb": ("a0412e1f5481abf1ce399f9ccf4354074b2e7a60562865f13d2924a4b6dc1586",
+                          "529f63e64303f6be339d780e3127f9c5c10d9fde8a3f6b1ffcb098af5b0920a2"),
+    "freeze": ("eb189a5a17803f1327744d302fd9e8b4425829829d70a099cdbc25902952c7a7",
+               "1569339b563adfe971e41799120053be3d699449dfca25a50bef81b8bd391045"),
+    "perturb": ("56f401ff2c3955c57813b559a488bef97c2ebcf66a430e1b9f12c0d1411d5327",
+                "f6b3feccc55219bcbff2a384118c114f5b33b64ea356b1e28c29a84be1fa392c"),
+}
+
+
+@pytest.mark.parametrize("heuristic", sorted(GOLDEN_SWEEP_DIGESTS))
+def test_sweep_golden_digest(small_bicycle, heuristic):
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    stats = qbp.run_simulation(small_bicycle, [0.05, 0.12], 60, cfg, master_seed=21, max_failures=None)
+    prior = qbp.depolarizing_prior(small_bicycle.n, 0.12)
+    outcomes = [dataclasses.astuple(qbp.run_trial(small_bicycle, prior, cfg, np.random.default_rng([21, 1, t])))
+                for t in range(60)]
+    digests = (hashlib.sha256(qbp.stats_to_json(stats).encode()).hexdigest(),
+               hashlib.sha256(repr(outcomes).encode()).hexdigest())
+    assert digests == GOLDEN_SWEEP_DIGESTS[heuristic]
