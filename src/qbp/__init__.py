@@ -53,6 +53,7 @@ from .simulate import (
     run_simulation,
     run_trial,
     sample_error,
+    sampling_table,
     stats_to_csv,
     stats_to_json,
     wilson_interval,

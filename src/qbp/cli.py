@@ -126,7 +126,13 @@ def _cmd_inspect(parser: _Parser, args) -> int:
     return 0
 
 
+def _check_epsilons(parser: _Parser, epsilons) -> None:
+    if not all(0 <= e <= 1 for e in epsilons):
+        parser.error("--epsilon must lie in [0, 1]")
+
+
 def _cmd_decode(parser: _Parser, args) -> int:
+    _check_epsilons(parser, [args.epsilon])
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)
@@ -187,8 +193,7 @@ def _parse_epsilons(parser: _Parser, args) -> list:
         return [float(e) for e in np.geomspace(lo, hi, steps)]
     if not args.epsilon:
         parser.error("provide --epsilon or --epsilon-sweep")
-    if not all(0 <= e <= 1 for e in args.epsilon):
-        parser.error("--epsilon must lie in [0, 1]")
+    _check_epsilons(parser, args.epsilon)
     return args.epsilon
 
 
@@ -220,6 +225,7 @@ def _cmd_simulate(parser: _Parser, args) -> int:
 
 
 def _cmd_oracle_check(parser: _Parser, args) -> int:
+    _check_epsilons(parser, [args.epsilon])
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)

@@ -9,6 +9,11 @@ narrows either intervention to the shared qubits of a pair of frustrated
 checks.  All randomness flows through one per-decode generator, so a seed
 replays the exact event sequence.
 
+The event log is built only when asked for: `decode_with_heuristics`
+returns it to `qbp decode`, the tests and replay.  A Monte Carlo sweep only
+counts interventions; its steps make the same draws and prior updates but
+build no PerturbationEvent and no per-qubit delta tuple.
+
 Perturbations accumulate on the working prior and keep no other state.  The
 freeze schedule keeps one FreezeRegistry per decode call: the qubits tried
 for each trigger, the qubits frozen now, and the active freeze, which the
@@ -54,12 +59,14 @@ def _colliding_pairs(code: StabilizerCode, frustrated):
 
 
 def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
-                 delta: float, iteration: int = 0, targets=None, trigger=None) -> list[PerturbationEvent]:
+                 delta: float, iteration: int = 0, targets=None, trigger=None,
+                 log: bool = True) -> list[PerturbationEvent] | int:
     """Scale the X/Y/Z prior entries of the target qubits by independent (1 + U[0, delta]).
 
     With no explicit targets, every qubit of every frustrated check is
     perturbed once per (check, qubit) incidence.  Perturbations accumulate on
-    the working prior for the rest of the decode call.
+    the working prior for the rest of the decode call.  Returns one event per
+    target group; with log=False only their number, from the same draws.
     """
     groups = [(trigger, tuple(targets))] if targets is not None else [
         (("check", c), code.check_qubits[c]) for c in frustrated
@@ -69,9 +76,6 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     # one draw for all incidences consumes the generator exactly as one
     # draw per group would, in group order
     draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
-    deltas = map(tuple, draws.tolist())
-    events = [PerturbationEvent("perturb", iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
-              for trig, qubits in groups]
     if delta > 0 and touched:
         idx, where = np.unique(touched, return_inverse=True)
         factors = np.ones((len(idx), 3))
@@ -80,7 +84,11 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         rows = wp[idx]
         rows[:, 1:] *= factors
         wp[idx] = bp._normalize_rows(rows)
-    return events
+    if not log:
+        return len(groups)
+    deltas = map(tuple, draws.tolist())
+    return [PerturbationEvent("perturb", iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
+            for trig, qubits in groups]
 
 
 @dataclass
@@ -100,8 +108,8 @@ class FreezeRegistry:
 
 def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
                 registry: FreezeRegistry, iteration: int = 0,
-                collision: bool = False) -> PerturbationEvent | None:
-    """One step of the freeze schedule; returns its event, or None to escalate.
+                collision: bool = False, log: bool = True) -> PerturbationEvent | bool | None:
+    """One step of the freeze schedule; returns its event (True with log=False), or None to escalate.
 
     While the active trigger stays frustrated, its frozen qubit is restored
     and an untried candidate is frozen instead; when the trigger runs out of
@@ -122,7 +130,7 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         registry.frozen.add(q)
         registry.active = (trigger, candidates, q, wp[q].copy())
         wp[q] = _FROZEN_PRIOR
-        return PerturbationEvent("freeze", iteration, trigger, (q,))
+        return PerturbationEvent("freeze", iteration, trigger, (q,)) if log else True
 
     if registry.active is not None:
         trigger, candidates, q, saved = registry.active
@@ -142,46 +150,50 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     return None
 
 
-def _intervention(code: StabilizerCode, config: bp.DecodeConfig, rng, events: list):
-    """The intervene(state, iteration, frustrated) callback of config.heuristic, logging to events."""
-    registry = FreezeRegistry()
-    collision = config.heuristic.startswith("collision")
-    freezing = config.heuristic.endswith("freeze")
-
-    def intervene(state: bp.MessageState, iteration: int, frustrated: list):
-        targets = trigger = None
-        if freezing:
-            event = freeze_step(state, code, frustrated, rng, iteration=iteration,
-                                registry=registry, collision=collision)
-            if event is not None:
-                events.append(event)
-                return
-            # exhausted freeze triggers escalate to the full random
-            # perturbation over every frustrated check
-        elif collision:
-            pair = collision_targets(code, frustrated)
-            if pair is not None:
-                c, c2, shared = pair
-                targets, trigger = shared, ("collision", c, c2)
-        events.extend(perturb_step(state, code, frustrated, rng, config.delta,
-                                   iteration=iteration, targets=targets, trigger=trigger))
-
-    return intervene
-
-
 def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
-                           config: bp.DecodeConfig | None = None, rng=None, trace=None):
+                           config: bp.DecodeConfig | None = None, rng=None, trace=None, *, _log: bool = True):
     """BP decoding with the configured degeneracy-breaking schedule.
 
     Returns (DecodeResult, events).  With heuristic "none" this is exactly
     the plain decoder, no generator is built and the event log is empty.
+    With _log=False, as sweeps call it, the decode and its draws are the
+    same, but the second item is the number of interventions, len(events).
     """
     config = config or bp.DecodeConfig()
     events: list[PerturbationEvent] = []
+    count = 0
     intervene = None
     if config.heuristic != "none":
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        intervene = _intervention(code, config, rng, events)
+        registry = FreezeRegistry()
+        collision = config.heuristic.startswith("collision")
+        freezing = config.heuristic.endswith("freeze")
+
+        def intervene(state: bp.MessageState, iteration: int, frustrated: list):
+            nonlocal count
+            targets = trigger = None
+            if freezing:
+                event = freeze_step(state, code, frustrated, rng, iteration=iteration,
+                                    registry=registry, collision=collision, log=_log)
+                if event is not None:
+                    if _log:
+                        events.append(event)
+                    count += 1
+                    return
+                # exhausted freeze triggers escalate to the full random
+                # perturbation over every frustrated check
+            elif collision:
+                pair = collision_targets(code, frustrated)
+                if pair is not None:
+                    c, c2, shared = pair
+                    targets, trigger = shared, ("collision", c, c2)
+            logged = perturb_step(state, code, frustrated, rng, config.delta,
+                                  iteration=iteration, targets=targets, trigger=trigger, log=_log)
+            if _log:
+                events.extend(logged)
+                logged = len(logged)
+            count += logged
+
     result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace)
-    return result, events
+    return result, events if _log else count

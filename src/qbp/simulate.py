@@ -80,12 +80,21 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     return lo, hi
 
 
-def sample_error(prior: np.ndarray, rng) -> PauliOperator:
-    """Independent per-qubit draw from the channel prior."""
+def sampling_table(prior: np.ndarray) -> np.ndarray:
+    """The validated prior's cumulative I, X, Y columns, (n, 3): the letter thresholds of sample_error."""
     prior = validate_prior(prior, prior.shape[0])
-    cum = np.cumsum(prior, axis=1)
-    r = rng.random(prior.shape[0])
-    letters = (r[:, None] >= cum[:, :3]).sum(axis=1).astype(np.int8)
+    return np.ascontiguousarray(np.cumsum(prior, axis=1)[:, :3])
+
+
+def sample_error(prior: np.ndarray, rng, table: np.ndarray | None = None) -> PauliOperator:
+    """Independent per-qubit draw from the channel prior.
+
+    A sweep passes table, the prior's sampling_table, built once per point.
+    """
+    if table is None:
+        table = sampling_table(prior)
+    r = rng.random(table.shape[0])
+    letters = (r[:, None] >= table).sum(axis=1, dtype=np.int8)
     return PauliOperator.from_letters(letters)
 
 
@@ -93,14 +102,19 @@ def classify_residual(code: StabilizerCode, error: PauliOperator, correction: Pa
     return _TRIAL_CLASS[code.residual_class(error * correction)]
 
 
-def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng) -> TrialOutcome:
-    error = sample_error(prior, rng)
+def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng,
+              table: np.ndarray | None = None) -> TrialOutcome:
+    """One sampled error, decoded and classified; table is passed on to sample_error.
+
+    The decode counts its heuristic interventions and builds no event log.
+    """
+    error = sample_error(prior, rng, table)
     syndrome = code.syndrome(error)
-    result, events = decode_with_heuristics(code, prior, syndrome, config, rng=rng)
+    result, interventions = decode_with_heuristics(code, prior, syndrome, config, rng=rng, _log=False)
     return TrialOutcome(
         classification=classify_residual(code, error, result.correction),
         iterations_used=result.iterations_used,
-        perturbations=len(events),
+        perturbations=interventions,
         error_weight=error.weight,
     )
 
@@ -114,7 +128,7 @@ def _init_worker(code: StabilizerCode, config: DecodeConfig, master_seed: int):
     _WORKER["code"] = code
     _WORKER["config"] = config
     _WORKER["master_seed"] = master_seed
-    _WORKER["priors"] = {}
+    _WORKER["points"] = {}
 
 
 def _run_chunk(args):
@@ -122,12 +136,13 @@ def _run_chunk(args):
     code = _WORKER["code"]
     config = _WORKER["config"]
     master_seed = _WORKER["master_seed"]
-    prior = _WORKER["priors"].get(eps_index)
-    if prior is None:
+    point = _WORKER["points"].get(eps_index)
+    if point is None:
         prior = depolarizing_prior(code.n, eps)
-        _WORKER["priors"][eps_index] = prior
+        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior))
+    prior, table = point
     return [
-        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]))
+        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]), table)
         for t in range(start, stop)
     ]
 

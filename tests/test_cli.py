@@ -152,6 +152,15 @@ def test_simulate_epsilon_out_of_range(capsys):
     assert run_cli(capsys, *base, "--epsilon", "0.0", "--epsilon", "1.0")[0] == 0
 
 
+def test_decode_and_oracle_check_epsilon_out_of_range(capsys):
+    for base in (["decode", "--builtin", "two_qubit_toy", "--syndrome", "+-"],
+                 ["oracle-check", "--builtin", "two_qubit_toy", "--trials", "2"]):
+        for bad in ("1.5", "-0.1", "nan"):
+            code, stdout, err = run_cli(capsys, *base, "--epsilon", bad)
+            assert code == 1 and "--epsilon" in err and stdout == ""
+        assert run_cli(capsys, *base, "--epsilon", "1.0")[0] == 0
+
+
 def test_heuristic_flags_match_heuristics():
     # every --heuristic choice names one member of HEURISTICS, and every member has a choice
     assert sorted(_HEURISTIC_FLAGS) == ["collision-freeze", "collision-perturb", "freeze", "none", "perturb"]

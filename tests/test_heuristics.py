@@ -258,3 +258,60 @@ def test_event_log_golden_digest(small_bicycle, heuristic):
         digest.update(repr((str(res.correction), res.converged, res.iterations_used,
                             [dataclasses.astuple(e) for e in events])).encode())
     assert digest.hexdigest() == GOLDEN_EVENT_DIGESTS[heuristic]
+
+
+def logged_and_counted(code, prior, cfg, seed):
+    """One seeded trial decoded twice, with the event log and counting only."""
+    runs = []
+    for log in (True, False):
+        rng = np.random.default_rng(seed)
+        error = qbp.sample_error(prior, rng)
+        res, record = qbp.decode_with_heuristics(code, prior, code.syndrome(error), cfg, rng=rng, _log=log)
+        runs.append(((str(res.correction), res.converged, res.iterations_used, res.final_beliefs.tobytes(),
+                      rng.bit_generator.state), record))
+    (logged, events), (counted, count) = runs
+    return logged, counted, events, count
+
+
+@pytest.mark.parametrize("heuristic", bp.HEURISTICS)
+@pytest.mark.parametrize("eps", [0.05, 0.12])
+def test_counting_decode_matches_logging(small_bicycle, heuristic, eps):
+    prior = qbp.depolarizing_prior(small_bicycle.n, eps)
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    total = 0
+    for trial in range(10):
+        logged, counted, events, count = logged_and_counted(small_bicycle, prior, cfg, [9, trial])
+        assert counted == logged
+        assert count == len(events)
+        total += count
+    assert (total == 0) == (heuristic == "none")
+
+
+@pytest.mark.parametrize("heuristic,seed", [("collision_freeze", 0), ("collision_freeze", 1),
+                                            ("perturb", 2), ("collision_perturb", 3)])
+def test_counting_decode_matches_logging_bicycle_800(bicycle_800, heuristic, seed):
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    cfg = qbp.DecodeConfig(heuristic=heuristic)
+    logged, counted, events, count = logged_and_counted(bicycle_800, prior, cfg, [31, seed])
+    assert counted == logged
+    assert count == len(events) > 0
+
+
+@pytest.mark.parametrize("heuristic", ["collision_freeze", "perturb"])
+def test_run_trial_builds_no_events(small_bicycle, heuristic, monkeypatch):
+    prior = qbp.depolarizing_prior(small_bicycle.n, 0.12)
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    logged = []
+    for trial in range(10):
+        rng = np.random.default_rng([13, trial])
+        error = qbp.sample_error(prior, rng)
+        _, events = qbp.decode_with_heuristics(small_bicycle, prior, small_bicycle.syndrome(error), cfg, rng=rng)
+        logged.append(len(events))
+
+    def no_events(*args, **kwargs):
+        raise AssertionError("a sweep trial built a PerturbationEvent")
+
+    monkeypatch.setattr(qbp.heuristics, "PerturbationEvent", no_events)
+    counted = [qbp.run_trial(small_bicycle, prior, cfg, np.random.default_rng([13, trial])).perturbations
+               for trial in range(10)]
+    assert counted == logged and sum(counted) > 0
