@@ -179,7 +179,8 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
                 if event is not None:
                     if _log:
                         events.append(event)
-                    count += 1
+                    else:
+                        count += 1
                     return
                 # exhausted freeze triggers escalate to the full random
                 # perturbation over every frustrated check
@@ -188,12 +189,12 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
                 if pair is not None:
                     c, c2, shared = pair
                     targets, trigger = shared, ("collision", c, c2)
-            logged = perturb_step(state, code, frustrated, rng, config.delta,
-                                  iteration=iteration, targets=targets, trigger=trigger, log=_log)
+            perturbed = perturb_step(state, code, frustrated, rng, config.delta,
+                                     iteration=iteration, targets=targets, trigger=trigger, log=_log)
             if _log:
-                events.extend(logged)
-                logged = len(logged)
-            count += logged
+                events.extend(perturbed)
+            else:
+                count += perturbed
 
     result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace)
     return result, events if _log else count
