@@ -407,6 +407,99 @@ def test_decode_iterations_match_reference_bitwise(five, small_bicycle):
             assert np.array_equal(state.d_qc, ref.d_qc)
 
 
+# The tolerance net: the kernel may reorder float operations, but every
+# update must stay within these absolute bounds of the reference kernel.
+@pytest.mark.parametrize("kind", ["random", "zero_bias", "saturated"])
+def test_qubit_update_matches_reference(toy, five, small_bicycle, kind):
+    rng = np.random.default_rng([33, len(kind)])
+    for name, code in _equivalence_codes(toy, five, small_bicycle).items():
+        edges = len(code.edges.qubit)
+        prior = rng.dirichlet(np.ones(4), size=code.n)
+        if kind == "zero_bias":
+            prior[::2] = [1.0, 0.0, 0.0, 0.0]
+            prior[1::2] = 0.25
+        state = qbp.init_messages(code, prior)
+        assert np.abs(state.d_qc - _reference_init_d(code, prior)).max() <= 1e-12, name
+        if kind == "random":
+            state.t_cq = rng.uniform(-0.25, 0.25, size=edges)
+        elif kind == "zero_bias":
+            state.t_cq = rng.choice([0.0, -0.0, 0.25, -0.25], size=edges)
+        else:
+            # every check message at the extreme t = +-1/4, whose b factors hit the floor
+            state.t_cq = np.where(rng.random(edges) < 0.5, 0.25, -0.25)
+        ref = MessageState(state.working_prior.copy(), state.d_qc.copy(), state.t_cq.copy())
+        beliefs = qbp.qubit_update(state, code)
+        want = _reference_qubit_update(ref, code)
+        assert np.abs(state.d_qc - ref.d_qc).max() <= 1e-12, name
+        assert np.abs(beliefs - want).max() <= 1e-12, name
+        assert np.abs(qbp.compute_beliefs(state, code) - want).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("code_name, eps", [("five", 0.1), ("small_bicycle", 0.1), ("bicycle_800", 0.04)])
+def test_decode_iterations_match_reference(request, code_name, eps):
+    # alternate check and qubit updates from real syndromes; the two runs
+    # evolve apart, so differences may compound over the 20 iterations
+    code = request.getfixturevalue(code_name)
+    rng = np.random.default_rng(34)
+    prior = qbp.depolarizing_prior(code.n, eps)
+    for _ in range(3):
+        syndrome = code.syndrome(qbp.sample_error(prior, rng))
+        state = qbp.init_messages(code, prior)
+        ref = qbp.init_messages(code, prior)
+        for _ in range(20):
+            qbp.check_update(state, code, syndrome)
+            qbp.check_update(ref, code, syndrome)
+            beliefs = qbp.qubit_update(state, code)
+            assert np.abs(beliefs - _reference_qubit_update(ref, code)).max() <= 1e-10
+            assert np.abs(state.d_qc - ref.d_qc).max() <= 1e-10
+            assert np.abs(state.t_cq - ref.t_cq).max() <= 1e-10
+
+
+def random_tree_code(rng, max_checks=4, max_private=2):
+    """A random code with several checks whose Tanner graph is a tree.
+
+    Each check after the first shares exactly one qubit with the earlier
+    ones, with that qubit's letter, so all checks commute and no cycle
+    closes; each has private qubits, so the checks are independent.
+    """
+    qubit_letter = []
+    rows = []
+    for c in range(int(rng.integers(2, max_checks + 1))):
+        support = {}
+        if c:
+            q = int(rng.integers(len(qubit_letter)))
+            support[q] = qubit_letter[q]
+        for _ in range(int(rng.integers(1, max_private + 1))):
+            qubit_letter.append(int(rng.integers(1, 4)))
+            support[len(qubit_letter) - 1] = qubit_letter[-1]
+        rows.append(support)
+    letters = np.zeros((len(rows), len(qubit_letter)), dtype=np.int8)
+    for c, support in enumerate(rows):
+        letters[c, list(support)] = list(support.values())
+    return qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in letters])
+
+
+def test_beliefs_match_exact_marginals_on_multi_check_trees():
+    rng = np.random.default_rng(35)
+    worst = 0.0
+    sizes = set()
+    for _ in range(60):
+        code = random_tree_code(rng)
+        assert code.n <= 12
+        sizes.add(code.m)
+        prior = rng.dirichlet(np.full(4, 0.5), size=code.n)
+        prior = 0.5 * prior + 0.5 * qbp.depolarizing_prior(code.n, float(rng.uniform(1e-3, 0.5)))
+        s = rng.choice([-1, 1], size=code.m).astype(np.int8)
+        state = qbp.init_messages(code, prior)
+        # messages are exact once they have crossed the tree, within n + m sweeps
+        for _ in range(code.n + code.m):
+            qbp.check_update(state, code, s)
+            beliefs = qbp.qubit_update(state, code)
+        worst = max(worst, float(np.abs(beliefs - qbp.exact_marginals(code, prior, s)).max()))
+    assert sizes == {2, 3, 4}
+    assert worst <= 1e-10
+
+
 # sha256 over (final beliefs bytes, correction, iterations) of 12 seeded
 # decodes per heuristic; recorded while messages were still (E, 4) arrays
 GOLDEN_BELIEF_DIGESTS = {
