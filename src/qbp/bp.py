@@ -8,13 +8,22 @@ syndrome constraint sees the product of the other biases, and the outgoing
 and anticommuting letters, so check-to-qubit messages are kept as t.  This
 equals the naive sum over all neighbor assignments at O(degree) cost.
 
-The qubit update works letter-major: its per-edge 4-vectors are (4, E)
-arrays over the qubit-sorted edges (`EdgeArrays.sign` has the same layout),
-so each letter's products, leave-one-out quotients and normalisation run
-over contiguous rows.  It keeps the float operations, and their order, of
-the earlier (E, 4) kernel, so decodes are bit-identical with it; in
-particular the projection onto d sums its four terms as
-(r0 + s2 r2) + (s1 r1 + s3 r3), the order numpy's einsum used.
+The qubit update works in the log domain on the same scalars.  An incoming
+check message takes two values: a = 1/4 + t on I and the edge's label, and
+b = 1/4 - t on the other two letters.  A qubit's log-belief is then
+log p_I + sum(log a) for I, and log p_l + sum(log b) + sum(log(a / b)) over
+the edges labelled l for l != I: three bincounts.  The outgoing bias is
+d = tanh(x / 2), x = log(B_I + B_label) - log(B_other1 + B_other2) -
+log(a / b), the leave-one-out of the edge's own message with no division;
+one (3, n) table of the first two terms is gathered per edge.  No product is
+formed, so nothing underflows, whatever the degrees and priors.
+
+EPS_FLOOR applies where the linear-domain kernel applied it: to a and b (a
+frozen t = +-1/4 gives log EPS_FLOOR, not -inf), the working prior and the
+returned beliefs.  The B of the leave-one-out are the unfloored beliefs,
+shifted to a row maximum of 1 and clipped only where exp would underflow.
+Floored ones would divide a floored letter by its floored message to 1 and
+hand back a letter that the other checks rule out.
 
 The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.
@@ -29,12 +38,15 @@ import numpy as np
 from .codes import EdgeArrays, StabilizerCode
 from .pauli import PauliOperator
 
-# Strictly positive floor applied to message and belief entries after each
-# normalization so that no letter is ever absorbed at exactly zero.  The value
-# must stay far below every oracle-equivalence tolerance: a floored entry
-# renormalizes to roughly floor / (consistent mass), which at 1e-12 already
-# exceeds 1e-10 for low-mass rows.
+# Strictly positive floor, applied where the module docstring says, so that
+# no letter is absorbed at exactly zero.  It must stay far below every oracle
+# tolerance: a floored entry renormalizes to about floor / (consistent mass).
 EPS_FLOOR = 1e-30
+
+# Lower clip on log-beliefs shifted to a row maximum of 0, so that exp stays
+# a normal float.  A clipped letter cannot move an outgoing bias, since an
+# edge's own |log(a / b)| is at most log(0.5 / EPS_FLOOR) < 70.
+_LOG_CLIP = -700.0
 
 HEURISTICS = ("none", "freeze", "perturb", "collision_freeze", "collision_perturb")
 
@@ -83,10 +95,9 @@ class MessageState:
 
     Edge arrays are check-major.  With s the letters' commutation signs
     against edge e's decoration, d_qc[e] = <m, s> for the qubit-to-check
-    4-vector m, and the check-to-qubit 4-vector is t_cq[e] * s + 1/4.  The
-    4-vectors themselves exist only inside the qubit update, as letter-major
-    (4, E) arrays in qubit-sorted order.  The working prior starts as the
-    channel prior; heuristics mutate it in place.
+    4-vector m, and the check-to-qubit 4-vector is t_cq[e] * s + 1/4.  No
+    4-vector is ever formed per edge.  The working prior starts as the
+    channel prior, floored at EPS_FLOOR; heuristics mutate it in place.
     """
 
     working_prior: np.ndarray  # (n, 4)
@@ -102,35 +113,27 @@ class DecodeResult:
     final_beliefs: np.ndarray = field(repr=False)
 
 
-def _spread(rows: np.ndarray, ea: EdgeArrays) -> np.ndarray:
-    """Per-qubit (n, 4) rows repeated onto the qubit-sorted edges, as (4, E)."""
-    return np.repeat(rows.T[:, ea.active_qubits], np.diff(ea.qubit_start), axis=1)
+def _outgoing(cols: np.ndarray, ea: EdgeArrays, log_ab: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge bias d = tanh(x / 2) from letter-major (4, n) beliefs B of any scale.
 
-
-def _project(rows: np.ndarray, ea: EdgeArrays) -> np.ndarray:
-    """Commutation bias of (4, E) qubit-sorted rows, returned check-major.
-
-    The sum order (r0 + s2 r2) + (s1 r1 + s3 r3) is fixed: it is the order
-    numpy's einsum("ij,ij->i") summed four columns in the (E, 4) kernel, so
-    decodes stay bit-identical with it.  Letter I commutes with every label,
-    so s0 = 1.
+    x = log(B_I + B_label) - log(B_other1 + B_other2), less the edge's own
+    log(a / b) when given: the leave-one-out of its incoming message.
     """
-    sign = ea.sign
-    d = sign[2] * rows[2]
-    d += rows[0]
-    rest = sign[1] * rows[1]
-    rest += sign[3] * rows[3]
-    d += rest
-    return d.take(ea.qubit_rank)
+    x = np.log(cols[1:] + cols[0])
+    x -= np.log(cols[[2, 1, 1]] + cols[[3, 3, 2]])  # the letters anticommuting with X, Y, Z
+    x = x.ravel().take(ea.slot)
+    if log_ab is not None:
+        x -= log_ab
+    x *= 0.5
+    return np.tanh(x, out=x)
 
 
 def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     """Each qubit opens by sending its prior; check messages start uniform (t = 0)."""
     prior = validate_prior(prior, code.n)
     wp = np.maximum(prior, EPS_FLOOR)
-    ea = code.edges
-    d_qc = _project(_spread(wp, ea), ea)
-    return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(ea.qubit)))
+    d_qc = _outgoing(wp.T, code.edges)
+    return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(d_qc)))
 
 
 def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray) -> None:
@@ -159,45 +162,43 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
     state.t_cq = t
 
 
-def _qubit_products(state: MessageState, code: StabilizerCode):
-    """Unnormalized beliefs (prior times all incoming messages), and the
-    incoming t * sign + 1/4 as (4, E) qubit-sorted rows."""
+def _beliefs(state: MessageState, code: StabilizerCode):
+    """Unnormalized letter-major (4, n) beliefs with a maximum of 1 per qubit
+    (clipped below at exp(_LOG_CLIP)), and log(a / b) per edge."""
     ea = code.edges
-    w = state.t_cq.take(ea.qubit_order) * ea.sign
-    w += 0.25
-    np.maximum(w, EPS_FLOOR, out=w)
-    prod = np.multiply.reduceat(w, ea.qubit_start[:-1], axis=1)
-    bu = state.working_prior.copy()
-    bu[ea.active_qubits] *= prod.T
-    return bu, w
+    n = code.n
+    t = state.t_cq
+    log_ab = np.log(np.maximum(t + 0.25, EPS_FLOOR))
+    log_b = np.log(np.maximum(0.25 - t, EPS_FLOOR))
+    logs = np.log(state.working_prior.T, order="C")
+    logs[0] += np.bincount(ea.qubit, log_ab, n)
+    log_ab -= log_b
+    logs[1:] += np.bincount(ea.qubit, log_b, n)
+    logs[1:] += np.bincount(ea.slot, log_ab, 3 * n).reshape(3, n)
+    logs -= np.maximum(np.maximum(logs[0], logs[1]), np.maximum(logs[2], logs[3]))
+    np.maximum(logs, _LOG_CLIP, out=logs)
+    return np.exp(logs, out=logs), log_ab
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Normalize (k, 4) rows in place; a (4, E) array is passed transposed."""
-    totals = rows[:, 0] + rows[:, 1] + rows[:, 2] + rows[:, 3]
-    dead = totals <= 0.0
-    if dead.any():
-        rows[dead] = 0.25
-        totals[dead] = 1.0
-    rows /= totals[:, None]
-    np.maximum(rows, EPS_FLOOR, out=rows)
+    """Normalize positive (k, 4) rows in place and floor them at EPS_FLOOR;
+    a letter-major (4, k) array is passed transposed."""
+    cols = rows.T
+    cols /= cols[0] + cols[1] + cols[2] + cols[3]
+    np.maximum(cols, EPS_FLOOR, out=cols)
     return rows
 
 
 def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
     """Refresh every qubit-to-check message; returns the fresh beliefs."""
-    ea = code.edges
-    bu, w = _qubit_products(state, code)
-    out = np.divide(_spread(bu, ea), w, out=w)
-    _normalize_rows(out.T)
-    state.d_qc = _project(out, ea)
-    return _normalize_rows(bu)
+    cols, log_ab = _beliefs(state, code)
+    state.d_qc = _outgoing(cols, code.edges, log_ab)
+    return _normalize_rows(cols.T)
 
 
 def compute_beliefs(state: MessageState, code: StabilizerCode) -> np.ndarray:
     """Normalized per-qubit beliefs from the current check messages."""
-    bu, _ = _qubit_products(state, code)
-    return _normalize_rows(bu)
+    return _normalize_rows(_beliefs(state, code)[0].T)
 
 
 def hard_decision(beliefs: np.ndarray) -> PauliOperator:
@@ -227,12 +228,8 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeRes
             trace.append((iteration, beliefs.copy()))
         violated = code.syndrome01_of_letters(letters)
         if np.array_equal(violated, target01):
-            return DecodeResult(
-                correction=PauliOperator.from_letters(letters),
-                converged=True,
-                iterations_used=iteration,
-                final_beliefs=beliefs,
-            )
+            return DecodeResult(correction=PauliOperator.from_letters(letters), converged=True,
+                                iterations_used=iteration, final_beliefs=beliefs)
         since_intervention += 1
         if intervene is not None and since_intervention >= config.t_pert and iteration < config.max_iterations:
             frustrated = np.flatnonzero(violated != target01)
@@ -241,12 +238,8 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeRes
             # very next iteration (a no-op for untouched qubits)
             qubit_update(state, code)
             since_intervention = 0
-    return DecodeResult(
-        correction=PauliOperator.from_letters(letters),
-        converged=False,
-        iterations_used=iteration,
-        final_beliefs=beliefs,
-    )
+    return DecodeResult(correction=PauliOperator.from_letters(letters), converged=False,
+                        iterations_used=iteration, final_beliefs=beliefs)
 
 
 def decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .pauli import ANTI_TABLE, LETTERS, SIGN_TABLE, PauliOperator
+from .pauli import ANTI_TABLE, LETTERS, PauliOperator
 
 STABILIZER = "stabilizer"
 LOGICAL = "logical"
@@ -65,37 +65,37 @@ def syndrome_to_string(s: np.ndarray) -> str:
 class EdgeArrays:
     """Flat numpy view of the decorated Tanner graph.
 
-    Edges are check-major except in `sign`, which is letter-major (4, E) over
-    the qubit-sorted edges: sign[l, i] is the commutation sign of letter l
-    against the decoration of edge qubit_order[i].
+    Edges are check-major, with ascending qubits inside each check.  `slot`
+    places each edge in a letter-major (3, n) per-qubit table, one row per
+    non-identity letter, flattened: the BP qubit update sums per-edge terms
+    into it with one bincount and reads it back with one gather.
     """
 
     qubit: np.ndarray       # (E,) qubit index per edge
     check: np.ndarray       # (E,) check index per edge
     check_start: np.ndarray  # (m+1,) segment offsets per check
-    sign: np.ndarray        # (4,E) per letter, per qubit-sorted edge: commutation sign vs the decoration
     anti_index: np.ndarray  # (E,) row offsets into the flat anticommute table
-    qubit_order: np.ndarray  # (E,) permutation sorting edges by qubit (stable)
-    qubit_rank: np.ndarray  # (E,) inverse of qubit_order: sorted position of each edge
-    qubit_start: np.ndarray  # (A+1,) segment offsets over qubit-sorted edges
-    active_qubits: np.ndarray | slice  # qubits of degree >= 1: an (A,) index, or slice(None) if all n
+    slot: np.ndarray        # (E,) (label - 1) * n + qubit
 
 
-def _edge_arrays(qubit, check, check_start, letter, n: int) -> EdgeArrays:
-    """EdgeArrays from the check-major edge lists (qubit, check, letter) per edge."""
-    order = np.argsort(qubit, kind="stable")
-    active, qcounts = np.unique(qubit, return_counts=True)
-    return EdgeArrays(
-        qubit=qubit,
-        check=check,
-        check_start=check_start,
-        sign=np.ascontiguousarray(SIGN_TABLE[letter[order]].T, dtype=np.float64),
-        anti_index=letter.astype(np.int64) * 4,
-        qubit_order=order,
-        qubit_rank=np.argsort(order),
-        qubit_start=np.concatenate(([0], np.cumsum(qcounts))),
-        active_qubits=slice(None) if len(active) == n else active,
-    )
+def _first_anticommuting_pair(qubit, check, letter, m: int) -> tuple[int, int] | None:
+    """First check pair (i, j), i < j in row-major order, that anticommutes, or None.
+
+    Takes the check-major edge lists.  Two checks anticommute when an odd
+    number of the qubits they share carry anticommuting letters, so only
+    pairs of edges on one qubit are visited: sum over qubits of
+    degree * (degree - 1) / 2 pairs, not m * (m - 1) / 2.
+    """
+    order = np.argsort(qubit, kind="stable")  # by qubit; checks ascend within one
+    qubit, check, letter = qubit[order], check[order], letter[order]
+    # pair each edge with every later edge on its qubit
+    later = np.searchsorted(qubit, qubit, side="right") - np.arange(1, len(qubit) + 1)
+    first = np.repeat(np.arange(len(qubit)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    anti = ANTI_TABLE[letter[first], letter[second]].astype(bool)
+    keys, counts = np.unique(check[first[anti]] * m + check[second[anti]], return_counts=True)
+    odd = keys[counts % 2 == 1]
+    return tuple(map(int, divmod(odd[0], m))) if len(odd) else None
 
 
 class StabilizerCode:
@@ -109,10 +109,16 @@ class StabilizerCode:
         for i, op in enumerate(ops):
             if op.n != n:
                 raise ValueError(f"check {i} acts on {op.n} qubits, expected {n}")
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if ops[i].commute(ops[j]) != 1:
-                    raise NonCommutingChecksError(i, j)
+        # one scan of the (m, n) letter matrix serves the commutation test
+        # and the Tanner graph; its nonzeros are check-major with ascending
+        # qubits, the edge order everywhere below
+        letters = np.stack([op.letters() for op in ops])
+        flat = np.flatnonzero(letters)
+        check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
+        letter = letters.ravel()[flat]
+        pair = _first_anticommuting_pair(qubit, check, letter, len(ops))
+        if pair is not None:
+            raise NonCommutingChecksError(*pair)
         # symplectic rows and their reduced echelon basis, from one elimination
         self.rows = [self._symplectic_row(op) for op in ops]
         self.basis: list[tuple[int, int]] = []
@@ -123,12 +129,6 @@ class StabilizerCode:
         self.n = n
         self.m = len(ops)
         self.checks = ops
-        # one scan of the (m, n) letter matrix; its nonzeros are check-major
-        # with ascending qubits, the edge order everywhere below
-        letters = np.stack([op.letters() for op in ops])
-        flat = np.flatnonzero(letters)
-        check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
-        letter = letters.ravel()[flat]
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
         # rows share one (qubit, letter) tuple per label rather than one per
         # edge: 4n tuples in place of E, which keeps a code's memory down
@@ -139,7 +139,9 @@ class StabilizerCode:
         isolated = np.flatnonzero(~letters.any(axis=0))
         if isolated.size:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
-        self.edges = _edge_arrays(qubit, check, check_start, letter, n)
+        label = letter.astype(np.int64)
+        self.edges = EdgeArrays(qubit=qubit, check=check, check_start=check_start,
+                                anti_index=4 * label, slot=(label - 1) * n + qubit)
         self._cache: dict = {}
 
     # pickling: everything built in __init__ travels; lazy caches are rebuilt on demand

@@ -68,15 +68,19 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     the working prior for the rest of the decode call.  Returns one event per
     target group; with log=False only their number, from the same draws.
     """
-    groups = [(trigger, tuple(targets))] if targets is not None else [
-        (("check", c), code.check_qubits[c]) for c in frustrated
-    ]
-    touched = [q for _, qubits in groups for q in qubits]
+    ea = code.edges
+    if targets is not None:
+        touched = np.asarray(targets, dtype=ea.qubit.dtype)
+    else:
+        # each frustrated check's qubits in group order; the empty head keeps
+        # the dtype when there are none
+        bounds = ea.check_start
+        touched = np.concatenate([ea.qubit[:0], *(ea.qubit[bounds[c]:bounds[c + 1]] for c in frustrated)])
     shape = (len(touched), 3)
     # one draw for all incidences consumes the generator exactly as one
     # draw per group would, in group order
     draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
-    if delta > 0 and touched:
+    if delta > 0 and len(touched):
         idx, where = np.unique(touched, return_inverse=True)
         factors = np.ones((len(idx), 3))
         np.multiply.at(factors, where, 1.0 + draws)
@@ -85,7 +89,10 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         rows[:, 1:] *= factors
         wp[idx] = bp._normalize_rows(rows)
     if not log:
-        return len(groups)
+        return 1 if targets is not None else len(frustrated)
+    groups = [(trigger, tuple(targets))] if targets is not None else [
+        (("check", c), code.check_qubits[c]) for c in frustrated
+    ]
     deltas = map(tuple, draws.tolist())
     return [PerturbationEvent("perturb", iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
             for trig, qubits in groups]

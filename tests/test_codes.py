@@ -32,6 +32,30 @@ def test_build_rejects_noncommuting():
     assert err.value.pair == (1, 2)
 
 
+def test_noncommuting_pair_matches_pairwise_scan():
+    # the first anticommuting pair in (i, j) row-major order, as a scan of
+    # every pair finds it; sparse rows so that most pairs share few qubits
+    rng = np.random.default_rng(36)
+    raised = 0
+    for _ in range(400):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        ops = [qbp.PauliOperator.from_letters(np.where(rng.random(n) < 0.4, rng.integers(1, 4, size=n), 0).astype(np.int8))
+               for _ in range(m)]
+        want = next(((i, j) for i in range(m) for j in range(i + 1, m) if ops[i].commute(ops[j]) != 1), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                qbp.StabilizerCode(ops)
+                got = None
+            except qbp.NonCommutingChecksError as exc:
+                got = exc.pair
+            except ValueError:
+                got = None
+        assert got == want
+        raised += want is not None
+    assert 100 < raised < 400
+
+
 def test_build_rejects_dependent():
     with pytest.raises(qbp.DependentChecksError) as err:
         qbp.StabilizerCode(["XX", "XX"])
@@ -382,5 +406,5 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
             assert ea.check.tolist() == [c for c, adj in enumerate(want) for _ in adj]
             assert ea.anti_index.tolist() == [4 * letter for adj in want for _, letter in adj]
             # the per-edge index arrays feed the BP kernels' gathers: keep them contiguous
-            for name in ("qubit", "check", "check_start", "anti_index", "qubit_order", "qubit_rank"):
+            for name in ("qubit", "check", "check_start", "anti_index", "slot"):
                 assert getattr(ea, name).flags.c_contiguous, name
