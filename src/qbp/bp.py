@@ -114,7 +114,7 @@ class DecodeResult:
 
 
 def _outgoing(cols: np.ndarray, ea: EdgeArrays, log_ab: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge bias d = tanh(x / 2) from letter-major (4, n) beliefs B of any scale.
+    """Per-edge bias d = tanh(x / 2) from positive letter-major (4, n) beliefs B of any scale.
 
     x = log(B_I + B_label) - log(B_other1 + B_other2), less the edge's own
     log(a / b) when given: the leave-one-out of its incoming message.
@@ -168,11 +168,11 @@ def _beliefs(state: MessageState, code: StabilizerCode):
     ea = code.edges
     n = code.n
     t = state.t_cq
-    log_ab = np.log(np.maximum(t + 0.25, EPS_FLOOR))
+    log_a = np.log(np.maximum(t + 0.25, EPS_FLOOR))
     log_b = np.log(np.maximum(0.25 - t, EPS_FLOOR))
     logs = np.log(state.working_prior.T, order="C")
-    logs[0] += np.bincount(ea.qubit, log_ab, n)
-    log_ab -= log_b
+    logs[0] += np.bincount(ea.qubit, log_a, n)
+    log_ab = np.subtract(log_a, log_b, out=log_a)
     logs[1:] += np.bincount(ea.qubit, log_b, n)
     logs[1:] += np.bincount(ea.slot, log_ab, 3 * n).reshape(3, n)
     logs -= np.maximum(np.maximum(logs[0], logs[1]), np.maximum(logs[2], logs[3]))

@@ -6,10 +6,11 @@ an edge (q, c) wherever check c acts non-trivially on qubit q, labelled with
 that Pauli factor.  Logical operators and pure errors are extracted by
 symplectic Gaussian elimination over GF(2) on the check matrix.
 
-The constructor is the one place a check set is validated and indexed: the
-pairwise commutation test, one elimination that rejects dependent checks and
-keeps `rows` and their echelon `basis`, and one scan of the letter matrix that
-yields `tanner`, `edges` and the isolated-qubit warning.  A code object is
+The constructor is the one place a check set is validated and indexed: one
+scan of the letter matrix yields the edge lists, from which come the
+commutation test (over the check pairs that meet on a qubit), `tanner`,
+`edges` and the isolated-qubit warning, and one elimination rejects dependent
+checks and keeps `rows` and their echelon `basis`.  A code object is
 immutable after construction; canonical generators, `check_qubits` and the
 fingerprint are cached lazily.
 """

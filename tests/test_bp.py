@@ -399,13 +399,17 @@ def test_qubit_update_matches_log_space_on_dead_rows(toy, five, small_bicycle):
 
 # The tolerance net: the kernel may reorder float operations, but every
 # update must stay within these absolute bounds of the reference kernel.
-@pytest.mark.parametrize("kind", ["random", "zero_bias", "saturated"])
+REFERENCE_CASES = ("random", "zero_bias", "saturated")
+
+
+@pytest.mark.parametrize("kind", REFERENCE_CASES)
 def test_qubit_update_matches_reference(toy, five, small_bicycle, kind):
-    rng = np.random.default_rng([33, len(kind)])
+    rng = np.random.default_rng([33, REFERENCE_CASES.index(kind)])
     for name, code in _equivalence_codes(toy, five, small_bicycle).items():
         edges = len(code.edges.qubit)
         prior = rng.dirichlet(np.ones(4), size=code.n)
         if kind == "zero_bias":
+            # zero prior entries, and uniform rows whose bias d is exactly 0
             prior[::2] = [1.0, 0.0, 0.0, 0.0]
             prior[1::2] = 0.25
         state = qbp.init_messages(code, prior)
@@ -413,6 +417,7 @@ def test_qubit_update_matches_reference(toy, five, small_bicycle, kind):
         if kind == "random":
             state.t_cq = rng.uniform(-0.25, 0.25, size=edges)
         elif kind == "zero_bias":
+            # uniform check messages, and the extreme t = +-1/4 whose factors hit the floor
             state.t_cq = rng.choice([0.0, -0.0, 0.25, -0.25], size=edges)
         else:
             # every check message at the extreme t = +-1/4, whose b factors hit the floor
