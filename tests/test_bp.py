@@ -354,6 +354,58 @@ def _reference_init_d(code, prior):
     return d_qc
 
 
+# The check update as it gathered per-check values by a per-edge check index,
+# verbatim but for reading that index from _reference_check_edges(code): the
+# kernel must match it bit for bit, up to the sign of a zero.
+def _reference_check_edges(code):
+    ea = code.edges
+    check = np.repeat(np.arange(code.m), np.diff(ea.check_start))
+    return SimpleNamespace(check=check, check_start=ea.check_start)
+
+
+def _reference_check_update(state, code, syndrome):
+    ea = _reference_check_edges(code)
+    s_edge = syndrome.astype(np.float64)[ea.check]
+    d = state.d_qc
+    zero = d == 0.0
+    if zero.any():
+        d1 = np.where(zero, 1.0, d)
+        total = np.multiply.reduceat(d1, ea.check_start[:-1])
+        nzero = np.add.reduceat(zero.astype(np.int64), ea.check_start[:-1])
+        tot_e = total[ea.check]
+        nz_e = nzero[ea.check]
+        prod_excl = np.where(nz_e == 0, tot_e / d1, np.where((nz_e == 1) & zero, tot_e, 0.0))
+    else:
+        total = np.multiply.reduceat(d, ea.check_start[:-1])
+        prod_excl = total[ea.check] / d
+    t = s_edge * prod_excl
+    t *= 0.25
+    state.t_cq = t
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_check_update_matches_reference_bitwise(toy, five, small_bicycle, bicycle_800, zeros):
+    # random biases and +-1 syndromes; with zeros, checks hold 0, 1 or 2 exact
+    # zero biases (as many as their degree allows)
+    rng = np.random.default_rng([36, int(zeros)])
+    codes = dict(_equivalence_codes(toy, five, small_bicycle), bicycle_800=bicycle_800)
+    for name, code in codes.items():
+        ea = code.edges
+        state = qbp.init_messages(code, qbp.depolarizing_prior(code.n, 0.1))
+        for _ in range(4):
+            state.d_qc = rng.uniform(-1.0, 1.0, size=len(ea.qubit))
+            if zeros:
+                for c in range(code.m):
+                    lo, hi = ea.check_start[c], ea.check_start[c + 1]
+                    k = min(int(rng.integers(0, 3)), hi - lo)
+                    state.d_qc[lo + rng.choice(hi - lo, size=k, replace=False)] = 0.0
+            syndrome = rng.choice([-1, 1], size=code.m).astype(np.int8)
+            ref = MessageState(state.working_prior, state.d_qc.copy(), state.t_cq.copy())
+            qbp.check_update(state, code, syndrome)
+            _reference_check_update(ref, code, syndrome)
+            assert np.array_equal(state.t_cq, ref.t_cq), name
+
+
 def _equivalence_codes(toy, five, small_bicycle):
     with pytest.warns(UserWarning):
         tail = qbp.StabilizerCode(["XXI"])

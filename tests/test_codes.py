@@ -102,11 +102,15 @@ def test_syndrome_examples(toy, five):
         toy.syndrome(qbp.PauliOperator.from_string("X"))
 
 
-def test_syndrome_matches_check_commutation(small_bicycle, five):
+def test_syndrome_matches_check_commutation(small_bicycle, five, bicycle_800):
     rng = np.random.default_rng(2)
-    for code in (small_bicycle, five):
-        for _ in range(50):
-            e = random_pauli(rng, code.n)
+    with pytest.warns(UserWarning):
+        tail = qbp.StabilizerCode(["XXI"])
+    with pytest.warns(UserWarning):
+        middle = qbp.StabilizerCode(["ZIZZ", "XIXI"])
+    for code in (small_bicycle, five, tail, middle, bicycle_800):
+        uniform = [qbp.PauliOperator.from_letters(np.full(code.n, letter, dtype=np.int8)) for letter in (0, 2)]
+        for e in uniform + [random_pauli(rng, code.n) for _ in range(50)]:
             got = code.syndrome(e)
             assert got.dtype == np.int8
             assert got.tolist() == [c.commute(e) for c in code.checks]

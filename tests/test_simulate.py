@@ -195,3 +195,32 @@ def test_sweep_golden_digest(small_bicycle, heuristic):
     digests = (hashlib.sha256(qbp.stats_to_json(stats).encode()).hexdigest(),
                hashlib.sha256(repr(outcomes).encode()).hexdigest())
     assert digests == GOLDEN_SWEEP_DIGESTS[heuristic]
+
+
+# The benchmark's three reference blocks on the headline code: per workload,
+# six sub-blocks, sub-block j at master seed SeedSequence([7, j]); sha256 over
+# their stats_to_json in sub-block order, and the block's failures.  Every
+# decode these blocks make must stay bit-identical for the digest to hold.
+REFERENCE_BLOCKS = {
+    "lowerr-cf": (0.02, "collision_freeze", 100, 4,
+                  "67c3fd32553841bb9b454724517aa27c400784a221436c41252d5b6b6315c0fd"),
+    "higherr-cf": (0.04, "collision_freeze", 8, 35,
+                  "d1d1503f8b8275716482d38e1abdfc3ec50e89587c9278c28696641f8c3492be"),
+    "higherr-plain": (0.04, "none", 12, 51,
+                  "36d694a1b8714c7c13e2d8aa56dbe5c889986f448c887eecef2bd05a7921fdf3"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE_BLOCKS))
+def test_reference_block_golden_digest(bicycle_800, workload):
+    eps, heuristic, block_trials, failures, want = REFERENCE_BLOCKS[workload]
+    cfg = qbp.DecodeConfig(heuristic=heuristic)
+    digest = hashlib.sha256()
+    total = 0
+    for j in range(6):
+        master = int(np.random.SeedSequence([7, j]).generate_state(1, np.uint64)[0])
+        stats = qbp.run_simulation(bicycle_800, [eps], block_trials, cfg, master_seed=master,
+                                   jobs=1, max_failures=None)
+        digest.update(qbp.stats_to_json(stats).encode())
+        total += stats.points[0].failures
+    assert (total, digest.hexdigest()) == (failures, want)
