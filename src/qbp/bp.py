@@ -10,13 +10,16 @@ equals the naive sum over all neighbor assignments at O(degree) cost.
 
 The qubit update works in the log domain on the same scalars.  An incoming
 check message takes two values: a = 1/4 + t on I and the edge's label, and
-b = 1/4 - t on the other two letters.  A qubit's log-belief is then
-log p_I + sum(log a) for I, and log p_l + sum(log b) + sum(log(a / b)) over
-the edges labelled l for l != I: three bincounts.  The outgoing bias is
-d = tanh(x / 2), x = log(B_I + B_label) - log(B_other1 + B_other2) -
-log(a / b), the leave-one-out of the edge's own message with no division;
-one (3, n) table of the first two terms is gathered per edge.  No product is
-formed, so nothing underflows, whatever the degrees and priors.
+b = 1/4 - t on the other two letters.  Summed over a qubit's edges, log b
+is the same for all four letters, a per-qubit constant that the shift to a
+row maximum cancels, so it is dropped: the log-belief is log p_l + S_l for
+l != I, S_l the sum of log(a / b) over the edges labelled l (one bincount),
+and log p_I + S_X + S_Y + S_Z for I, since every edge has exactly one
+non-identity label.  The outgoing bias is d = tanh(x / 2), x = log(B_I +
+B_label) - log(B_other1 + B_other2) - log(a / b), the leave-one-out of the
+edge's own message with no division; one (3, n) table of the first two
+terms is gathered per edge.  No product is formed, so nothing underflows,
+whatever the degrees and priors.
 
 EPS_FLOOR applies where the linear-domain kernel applied it: to a and b (a
 frozen t = +-1/4 gives log EPS_FLOOR, not -inf), the working prior and the
@@ -63,9 +66,9 @@ def validate_prior(prior: np.ndarray, n: int) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
     if prior.shape != (n, 4):
         raise ValueError(f"prior must have shape ({n}, 4), got {prior.shape}")
-    if (prior < 0).any():
-        raise ValueError("prior has negative entries")
-    if np.abs(prior.sum(axis=1) - 1.0).max() > 1e-12:
+    if not (prior >= 0).all():  # false for NaN, as is the row-sum test below
+        raise ValueError("prior has negative or NaN entries")
+    if not (np.abs(prior.sum(axis=1) - 1.0) <= 1e-12).all():
         raise ValueError("prior rows must sum to 1")
     return prior
 
@@ -141,23 +144,21 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
 
     The outgoing value for letter E is (1 + s_c * sign(E) * prod) / 4 where
     prod multiplies the commute/anticommute biases of all other incoming
-    messages; zero biases are handled exactly.  Stores t = s_c * prod / 4.
+    messages; zero biases are handled exactly.  Stores t = s_c * prod / 4; s_c
+    multiplies each check's product before it is repeated over its edges.
     """
-    ea = code.edges
-    s_edge = syndrome.astype(np.float64)[ea.check]
+    starts = code.edges.check_start
+    degrees = np.diff(starts)
     d = state.d_qc
     zero = d == 0.0
     if zero.any():
         d1 = np.where(zero, 1.0, d)
-        total = np.multiply.reduceat(d1, ea.check_start[:-1])
-        nzero = np.add.reduceat(zero.astype(np.int64), ea.check_start[:-1])
-        tot_e = total[ea.check]
-        nz_e = nzero[ea.check]
-        prod_excl = np.where(nz_e == 0, tot_e / d1, np.where((nz_e == 1) & zero, tot_e, 0.0))
+        total = np.repeat(syndrome * np.multiply.reduceat(d1, starts[:-1]), degrees)
+        nzero = np.repeat(np.add.reduceat(zero.astype(np.int64), starts[:-1]), degrees)
+        t = np.where(nzero == 0, total / d1, np.where((nzero == 1) & zero, total, 0.0))
     else:
-        total = np.multiply.reduceat(d, ea.check_start[:-1])
-        prod_excl = total[ea.check] / d
-    t = s_edge * prod_excl
+        t = np.repeat(syndrome * np.multiply.reduceat(d, starts[:-1]), degrees)
+        t /= d
     t *= 0.25
     state.t_cq = t
 
@@ -168,13 +169,13 @@ def _beliefs(state: MessageState, code: StabilizerCode):
     ea = code.edges
     n = code.n
     t = state.t_cq
-    log_a = np.log(np.maximum(t + 0.25, EPS_FLOOR))
-    log_b = np.log(np.maximum(0.25 - t, EPS_FLOOR))
+    a = np.maximum(t + 0.25, EPS_FLOOR)
+    a /= np.maximum(0.25 - t, EPS_FLOOR)
+    log_ab = np.log(a, out=a)
+    per_label = np.bincount(ea.slot, log_ab, 3 * n).reshape(3, n)
     logs = np.log(state.working_prior.T, order="C")
-    logs[0] += np.bincount(ea.qubit, log_a, n)
-    log_ab = np.subtract(log_a, log_b, out=log_a)
-    logs[1:] += np.bincount(ea.qubit, log_b, n)
-    logs[1:] += np.bincount(ea.slot, log_ab, 3 * n).reshape(3, n)
+    logs[0] += per_label[0] + per_label[1] + per_label[2]
+    logs[1:] += per_label
     logs -= np.maximum(np.maximum(logs[0], logs[1]), np.maximum(logs[2], logs[3]))
     np.maximum(logs, _LOG_CLIP, out=logs)
     return np.exp(logs, out=logs), log_ab

@@ -32,7 +32,7 @@ STABILIZER = "stabilizer"
 LOGICAL = "logical"
 DETECTABLE = "detectable"
 
-_ANTI_FLAT = ANTI_TABLE.ravel()
+_LABELS = np.arange(1, 4).reshape(3, 1)  # X, Y, Z as a column, against (n,) letters
 
 
 class CodeFormatError(ValueError):
@@ -66,16 +66,15 @@ def syndrome_to_string(s: np.ndarray) -> str:
 class EdgeArrays:
     """Flat numpy view of the decorated Tanner graph.
 
-    Edges are check-major, with ascending qubits inside each check.  `slot`
-    places each edge in a letter-major (3, n) per-qubit table, one row per
-    non-identity letter, flattened: the BP qubit update sums per-edge terms
-    into it with one bincount and reads it back with one gather.
+    Edges are check-major, with ascending qubits inside each check: per-check
+    values reach a check's edges by np.repeat over the check_start segments.
+    `slot` places each edge in a letter-major (3, n) per-qubit table, one row
+    per non-identity letter, flattened: the BP qubit update sums per-edge
+    terms into it by bincount and gathers from it, as does the halting test.
     """
 
     qubit: np.ndarray       # (E,) qubit index per edge
-    check: np.ndarray       # (E,) check index per edge
     check_start: np.ndarray  # (m+1,) segment offsets per check
-    anti_index: np.ndarray  # (E,) row offsets into the flat anticommute table
     slot: np.ndarray        # (E,) (label - 1) * n + qubit
 
 
@@ -140,9 +139,8 @@ class StabilizerCode:
         isolated = np.flatnonzero(~letters.any(axis=0))
         if isolated.size:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
-        label = letter.astype(np.int64)
-        self.edges = EdgeArrays(qubit=qubit, check=check, check_start=check_start,
-                                anti_index=4 * label, slot=(label - 1) * n + qubit)
+        self.edges = EdgeArrays(qubit=qubit, check_start=check_start,
+                                slot=(letter.astype(np.int64) - 1) * n + qubit)
         self._cache: dict = {}
 
     # pickling: everything built in __init__ travels; lazy caches are rebuilt on demand
@@ -365,8 +363,9 @@ class StabilizerCode:
     def syndrome01_of_letters(self, letters: np.ndarray) -> np.ndarray:
         """Violation bits (1 = anticommute) of a per-qubit letter assignment."""
         ea = self.edges
-        a = _ANTI_FLAT.take(ea.anti_index + letters.take(ea.qubit))
-        return np.bitwise_xor.reduceat(a, ea.check_start[:-1])
+        # a letter anticommutes with label l unless it is I or l; read per edge by slot
+        anti = (letters != 0) & (letters != _LABELS)
+        return np.bitwise_xor.reduceat(anti.view(np.uint8).ravel().take(ea.slot), ea.check_start[:-1])
 
     # -- I/O -----------------------------------------------------------------
 

@@ -55,6 +55,18 @@ def test_init_messages(toy):
         qbp.init_messages(toy, qbp.depolarizing_prior(3, 0.1))
 
 
+@pytest.mark.parametrize("entry", [(1, 2), (0, 0)])
+def test_nan_prior_rejected(toy, entry):
+    prior = qbp.depolarizing_prior(2, 0.1)
+    prior[entry] = np.nan
+    with pytest.raises(ValueError):
+        qbp.init_messages(toy, prior)
+    with pytest.raises(ValueError):
+        qbp.decode(toy, prior, np.array([1, -1], dtype=np.int8))
+    with pytest.raises(ValueError):
+        qbp.sample_error(prior, np.random.default_rng(0))
+
+
 def test_check_update_toy_closed_form(toy):
     eps = 0.1
     state = qbp.init_messages(toy, qbp.depolarizing_prior(2, eps))
@@ -548,12 +560,12 @@ def test_beliefs_match_exact_marginals_on_multi_check_trees():
 
 
 # sha256 over (final beliefs bytes, correction, iterations) of 12 seeded
-# decodes per heuristic; re-recorded for the log-domain qubit update, whose
-# corrections and iteration counts equal the (E, 4) kernel's on all of them
+# decodes per heuristic; re-recorded when the qubit update took one log of
+# a / b per edge, with the same corrections and iteration counts as before
 GOLDEN_BELIEF_DIGESTS = {
-    "none": "b84cda438b5a90f382a4ca19be7dd0cd86ca460380ad0de56dd92084388f9afc",
-    "perturb": "cd6cb68b83d14e4718fa391b8c2019fe8fd7405099f5035c908991599d4451a3",
-    "collision_freeze": "cb2510c84fde5772af2c7330f7b4fb6095a4e54556e8a6af87e354cd96e37d72",
+    "none": "6091f0c75a80eb212c493bc326f974060baca6efa4c6b34df9fe947898244679",
+    "perturb": "c5f4864db069dec6801e331a7c7a325ae71b175f90ff2878c21120d2eef74cb7",
+    "collision_freeze": "ea37474d048804dae55661a78958ecae122150a057d6626b66c2038a8e1ccb1d",
 }
 
 
@@ -573,11 +585,11 @@ def test_beliefs_golden_digest(small_bicycle, heuristic):
 
 # sha256 over (final beliefs bytes, correction, iterations) of 4 seeded
 # decodes per heuristic on the headline code, whose long qubit segments the
-# small_bicycle digests never reach; re-recorded for the log-domain qubit
-# update, with the (E, 4) kernel's corrections and iteration counts
+# small_bicycle digests never reach; re-recorded when the qubit update took
+# one log of a / b per edge, with the same corrections and iteration counts
 GOLDEN_BICYCLE_800_DIGESTS = {
-    "none": "bb4f379ff8c2213c2419075e192a258e61a9136cefffa1907a913d16eac6c578",
-    "collision_freeze": "61f30060208a503c7ecf5af44ef9847d37ef1434ef51c3b907cf361ecb4a4796",
+    "none": "59e676d25a9de6f8c09e270fc2a1aa20a1e216534b44ad344dd88bc3fa32b0bb",
+    "collision_freeze": "a61d998dd47871b2aa25ca78d1c50ab65ad1322f22af84e80610309811e27023",
 }
 
 

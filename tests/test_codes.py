@@ -407,8 +407,8 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
             assert code.tanner == want
             ea = code.edges
             assert ea.qubit.tolist() == [q for adj in want for q, _ in adj]
-            assert ea.check.tolist() == [c for c, adj in enumerate(want) for _ in adj]
-            assert ea.anti_index.tolist() == [4 * letter for adj in want for _, letter in adj]
+            assert ea.check_start.tolist() == [0, *itertools.accumulate(len(adj) for adj in want)]
+            assert ea.slot.tolist() == [(letter - 1) * code.n + q for adj in want for q, letter in adj]
             # the per-edge index arrays feed the BP kernels' gathers: keep them contiguous
-            for name in ("qubit", "check", "check_start", "anti_index", "slot"):
+            for name in ("qubit", "check_start", "slot"):
                 assert getattr(ea, name).flags.c_contiguous, name

@@ -188,11 +188,11 @@ def _structure_digest(code):
     return h.hexdigest()
 
 
-# re-recorded when EdgeArrays traded its qubit-sorted fields for `slot`; the
-# fields it kept, the Tanner rows and the basis hash as before
+# re-recorded when EdgeArrays dropped `check` and `anti_index`; the fields it
+# kept, the Tanner rows and the basis hash as before
 @pytest.mark.parametrize("spec, digest", [
-    ((800, 400, 30, 11), "727021bd0c2143f3569ed663d7ee63168465359cf572ac515b335c8407d05778"),
-    ((20, 10, 6, 42), "b0f12a4f434032eb58dcd8596fbdae5b1cf1c5b13d5086fd5c1c86a397303ee0"),
+    ((800, 400, 30, 11), "b5d46dfb54bf015c0d8f184809e7cd77feb01d83a94209b297de38c52415278a"),
+    ((20, 10, 6, 42), "8d582fd3ef9e1c5153f4018f134073144e6a4f7babbe03a8d26375e9dbaf4337"),
 ])
 def test_generate_bicycle_structure_pinned(spec, digest):
     assert _structure_digest(qbp.generate_bicycle(qbp.BicycleSpec(*spec))) == digest
