@@ -14,12 +14,11 @@ b = 1/4 - t on the other two letters.  Summed over a qubit's edges, log b
 is the same for all four letters, a per-qubit constant that the shift to a
 row maximum cancels, so it is dropped: the log-belief is log p_l + S_l for
 l != I, S_l the sum of log(a / b) over the edges labelled l (one bincount),
-and log p_I + S_X + S_Y + S_Z for I, since every edge has exactly one
-non-identity label.  The outgoing bias is d = tanh(x / 2), x = log(B_I +
-B_label) - log(B_other1 + B_other2) - log(a / b), the leave-one-out of the
-edge's own message with no division; one (3, n) table of the first two
-terms is gathered per edge.  No product is formed, so nothing underflows,
-whatever the degrees and priors.
+and log p_I + S_X + S_Y + S_Z for I, as every edge has one non-identity
+label.  The outgoing bias is d = tanh(x / 2), x = log(B_I + B_label) -
+log(B_other1 + B_other2) - log(a / b), the leave-one-out of the edge's own
+message with no division; one (3, n) table of the first two terms is
+gathered per edge.  No product is formed, so nothing underflows.
 
 EPS_FLOOR applies where the linear-domain kernel applied it: to a and b (a
 frozen t = +-1/4 gives log EPS_FLOOR, not -inf), the working prior and the
@@ -147,6 +146,8 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
     messages; zero biases are handled exactly.  Stores t = s_c * prod / 4; s_c
     multiplies each check's product before it is repeated over its edges.
     """
+    if np.shape(syndrome) != (code.m,):
+        raise ValueError(f"syndrome must have {code.m} bits, got shape {np.shape(syndrome)}")
     starts = code.edges.check_start
     degrees = np.diff(starts)
     d = state.d_qc
@@ -166,13 +167,12 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
 def _beliefs(state: MessageState, code: StabilizerCode):
     """Unnormalized letter-major (4, n) beliefs with a maximum of 1 per qubit
     (clipped below at exp(_LOG_CLIP)), and log(a / b) per edge."""
-    ea = code.edges
-    n = code.n
     t = state.t_cq
-    a = np.maximum(t + 0.25, EPS_FLOOR)
-    a /= np.maximum(0.25 - t, EPS_FLOOR)
-    log_ab = np.log(a, out=a)
-    per_label = np.bincount(ea.slot, log_ab, 3 * n).reshape(3, n)
+    a, b = t + 0.25, 0.25 - t
+    np.maximum(a, EPS_FLOOR, out=a)
+    np.maximum(b, EPS_FLOOR, out=b)
+    log_ab = np.log(np.divide(a, b, out=a), out=a)
+    per_label = np.bincount(code.edges.slot, log_ab, 3 * code.n).reshape(3, -1)
     logs = np.log(state.working_prior.T, order="C")
     logs[0] += per_label[0] + per_label[1] + per_label[2]
     logs[1:] += per_label

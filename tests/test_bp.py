@@ -67,6 +67,13 @@ def test_nan_prior_rejected(toy, entry):
         qbp.sample_error(prior, np.random.default_rng(0))
 
 
+def test_check_update_rejects_wrong_syndrome_length(five):
+    state = qbp.init_messages(five, qbp.depolarizing_prior(5, 0.1))
+    for bad in (np.array([-1], dtype=np.int8), np.ones(5, dtype=np.int8), np.int8(1)):
+        with pytest.raises(ValueError, match="syndrome must have 4 bits"):
+            qbp.check_update(state, five, bad)
+
+
 def test_check_update_toy_closed_form(toy):
     eps = 0.1
     state = qbp.init_messages(toy, qbp.depolarizing_prior(2, eps))
