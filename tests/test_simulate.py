@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qbp
+from qbp.bp import HEURISTICS
 from qbp.simulate import DETECTED, LOGICAL, SUCCESS, classify_residual
 
 
@@ -57,6 +58,50 @@ def test_detected_iff_not_converged(five):
         res, _ = qbp.decode_with_heuristics(five, prior, s, qbp.DecodeConfig(heuristic="freeze", seed=t))
         cls = classify_residual(five, e, res.correction)
         assert (cls == DETECTED) == (not res.converged)
+
+
+@pytest.mark.parametrize("heuristic", ["none", "collision_freeze"])
+def test_detected_iff_not_converged_bicycle_800(bicycle_800, heuristic):
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    cfg = qbp.DecodeConfig(heuristic=heuristic)
+    for t in range(6):
+        rng = np.random.default_rng([4, t])
+        e = qbp.sample_error(prior, rng)
+        res, _ = qbp.decode_with_heuristics(bicycle_800, prior, bicycle_800.syndrome(e), cfg, rng=rng)
+        cls = classify_residual(bicycle_800, e, res.correction)
+        assert (cls == DETECTED) == (not res.converged)
+
+
+def _public_trial(code, prior, config, rng):
+    """A trial by the public composition, as TrialOutcome fields."""
+    error = qbp.sample_error(prior, rng)
+    result, events = qbp.decode_with_heuristics(code, prior, code.syndrome(error), config, rng=rng)
+    return (classify_residual(code, error, result.correction), result.iterations_used,
+            len(events), error.weight)
+
+
+def _check_chunks_match_public_trials(code, config, epsilons, trials, seed=21):
+    qbp.simulate._init_worker(code, config, seed)
+    for i, eps in enumerate(epsilons):
+        prior = qbp.depolarizing_prior(code.n, eps)
+        outcomes = qbp.simulate._run_chunk((i, eps, 0, trials))
+        assert len(outcomes) == trials
+        for t, outcome in enumerate(outcomes):
+            want = _public_trial(code, prior, config, np.random.default_rng([seed, i, t]))
+            assert dataclasses.astuple(outcome) == want, (eps, t)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_sweep_trials_match_public_composition(small_bicycle, heuristic, monkeypatch):
+    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    _check_chunks_match_public_trials(small_bicycle, cfg, [0.05, 0.12], 60)
+
+
+def test_sweep_trials_match_public_composition_bicycle_800(bicycle_800, monkeypatch):
+    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+    cfg = qbp.DecodeConfig(heuristic="collision_freeze")
+    _check_chunks_match_public_trials(bicycle_800, cfg, [0.02, 0.04], 4)
 
 
 def test_wilson_interval():
