@@ -145,21 +145,25 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
     prod multiplies the commute/anticommute biases of all other incoming
     messages; zero biases are handled exactly.  Stores t = s_c * prod / 4; s_c
     multiplies each check's product before it is repeated over its edges.
+    Only a check whose full product is zero can hold a zero bias, so the
+    zero test runs only then; a product that underflowed with no zero bias
+    takes the same branch and gets the same t.
     """
     if np.shape(syndrome) != (code.m,):
         raise ValueError(f"syndrome must have {code.m} bits, got shape {np.shape(syndrome)}")
     starts = code.edges.check_start
     degrees = np.diff(starts)
     d = state.d_qc
-    zero = d == 0.0
-    if zero.any():
+    prod = np.multiply.reduceat(d, starts[:-1])
+    if prod.all():
+        t = np.repeat(syndrome * prod, degrees)
+        t /= d
+    else:
+        zero = d == 0.0
         d1 = np.where(zero, 1.0, d)
         total = np.repeat(syndrome * np.multiply.reduceat(d1, starts[:-1]), degrees)
         nzero = np.repeat(np.add.reduceat(zero.astype(np.int64), starts[:-1]), degrees)
         t = np.where(nzero == 0, total / d1, np.where((nzero == 1) & zero, total, 0.0))
-    else:
-        t = np.repeat(syndrome * np.multiply.reduceat(d, starts[:-1]), degrees)
-        t /= d
     t *= 0.25
     state.t_cq = t
 
@@ -202,29 +206,48 @@ def compute_beliefs(state: MessageState, code: StabilizerCode) -> np.ndarray:
     return _normalize_rows(_beliefs(state, code)[0].T)
 
 
+def _first_argmax(cols: np.ndarray) -> np.ndarray:
+    """int8 letter of each column's first maximum in letter-major (4, k)
+    values, as np.argmax over (k, 4) rows gives it: ties go to the lower letter."""
+    c0, c1, c2, c3 = cols
+    right = np.maximum(c2, c3) > np.maximum(c0, c1)
+    letters = np.where(right, c3 > c2, c1 > c0).view(np.int8)
+    letters += right
+    letters += right
+    return letters
+
+
 def hard_decision(beliefs: np.ndarray) -> PauliOperator:
     """Per-qubit argmax with deterministic tie-break order I < X < Y < Z."""
-    return PauliOperator.from_letters(np.argmax(beliefs, axis=1).astype(np.int8))
+    return PauliOperator.from_letters(_first_argmax(np.asarray(beliefs).T))
 
 
-def _run(code, prior, syndrome, config, intervene=None, trace=None) -> DecodeResult:
+def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) -> DecodeResult:
     """Flooding-schedule driver shared by the plain and heuristic decoders.
 
     intervene, when given, is called as intervene(state, iteration, frustrated)
     after every t_pert unconverged iterations, with frustrated listing the
     checks whose syndrome bit disagrees with the current hard decision (never
     empty, since the decode has not halted).
+
+    start, when given, is init_messages(code, prior), built once by the
+    caller; a sweep builds one per point.  Only its working prior is copied,
+    because the heuristics mutate it.  Its d_qc and t_cq are shared, since
+    the updates replace those arrays and never write into them.
     """
     syndrome = np.asarray(syndrome, dtype=np.int8)
     if syndrome.shape != (code.m,):
         raise ValueError(f"syndrome must have {code.m} bits, got shape {syndrome.shape}")
-    state = init_messages(code, prior)
+    if start is None:
+        state = init_messages(code, prior)
+    else:
+        state = MessageState(start.working_prior.copy(), start.d_qc, start.t_cq)
     target01 = ((1 - syndrome) // 2).astype(np.uint8)
     since_intervention = 0
     for iteration in range(1, config.max_iterations + 1):
         check_update(state, code, syndrome)
         beliefs = qubit_update(state, code)
-        letters = np.argmax(beliefs, axis=1).astype(np.int8)
+        letters = _first_argmax(beliefs.T)
         if trace is not None:
             trace.append((iteration, beliefs.copy()))
         violated = code.syndrome01_of_letters(letters)

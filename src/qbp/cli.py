@@ -197,7 +197,13 @@ def _parse_epsilons(parser: _Parser, args) -> list:
     return args.epsilon
 
 
+def _check_trials(parser: _Parser, trials: int) -> None:
+    if trials < 1:
+        parser.error("--trials must be >= 1")
+
+
 def _cmd_simulate(parser: _Parser, args) -> int:
+    _check_trials(parser, args.trials)
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     epsilons = _parse_epsilons(parser, args)
@@ -226,6 +232,7 @@ def _cmd_simulate(parser: _Parser, args) -> int:
 
 def _cmd_oracle_check(parser: _Parser, args) -> int:
     _check_epsilons(parser, [args.epsilon])
+    _check_trials(parser, args.trials)
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)

@@ -158,13 +158,17 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
 
 
 def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
-                           config: bp.DecodeConfig | None = None, rng=None, trace=None, *, _log: bool = True):
+                           config: bp.DecodeConfig | None = None, rng=None, trace=None, *,
+                           _log: bool = True, _start: bp.MessageState | None = None):
     """BP decoding with the configured degeneracy-breaking schedule.
 
     Returns (DecodeResult, events).  With heuristic "none" this is exactly
     the plain decoder, no generator is built and the event log is empty.
     With _log=False, as sweeps call it, the decode and its draws are the
     same, but the second item is the number of interventions, len(events).
+    _start, when given, is bp.init_messages(code, prior), built once by the
+    caller (a sweep builds one per point): the decode starts from a copy of
+    its working prior and shares its read-only edge arrays.
     """
     config = config or bp.DecodeConfig()
     events: list[PerturbationEvent] = []
@@ -203,5 +207,5 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
             else:
                 count += perturbed
 
-    result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace)
+    result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace, start=_start)
     return result, events if _log else count

@@ -3,9 +3,16 @@
 Each trial draws a Pauli error, decodes its syndrome, and classifies the
 residual (error times correction): a nontrivial residual syndrome is a
 detected failure, a residual inside the stabilizer group is a success, and
-anything else is a logical (undetected) failure.  Trials use counter-based
-RNG streams derived from (master seed, epsilon index, trial index), so
-results are bit-identical regardless of how many workers run them.
+anything else is a logical (undetected) failure.  An identity residual, the
+usual case, is a success without a syndrome.  Trials use counter-based RNG
+streams derived from (master seed, epsilon index, trial index), so results
+are bit-identical regardless of how many workers run them.
+
+What depends only on the sweep point is built once per point in each
+worker: the prior, its sampling table and the decoder's initial message
+state.  Every trial of the point shares that state's edge arrays, which are
+read-only; each decode copies only its working prior, which the heuristics
+mutate.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bp import DecodeConfig, depolarizing_prior, validate_prior
-from . import codes
+from . import bp, codes
 from .codes import StabilizerCode
 from .heuristics import decode_with_heuristics
 from .pauli import PauliOperator
@@ -94,23 +101,34 @@ def sample_error(prior: np.ndarray, rng, table: np.ndarray | None = None) -> Pau
     if table is None:
         table = sampling_table(prior)
     r = rng.random(table.shape[0])
-    letters = (r[:, None] >= table).sum(axis=1, dtype=np.int8)
+    # the letter is the number of thresholds at or below r
+    letters = (r >= table[:, 0]).view(np.int8)
+    letters += r >= table[:, 1]
+    letters += r >= table[:, 2]
     return PauliOperator.from_letters(letters)
 
 
 def classify_residual(code: StabilizerCode, error: PauliOperator, correction: PauliOperator) -> str:
-    return _TRIAL_CLASS[code.residual_class(error * correction)]
+    """The trial class of the residual error * correction; an identity
+    residual, the usual one, is a success without computing its syndrome."""
+    residual = error * correction
+    if residual.is_identity:
+        return SUCCESS
+    return _TRIAL_CLASS[code.residual_class(residual)]
 
 
 def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng,
-              table: np.ndarray | None = None) -> TrialOutcome:
-    """One sampled error, decoded and classified; table is passed on to sample_error.
+              table: np.ndarray | None = None, start: bp.MessageState | None = None) -> TrialOutcome:
+    """One sampled error, decoded and classified.
 
-    The decode counts its heuristic interventions and builds no event log.
+    table is passed on to sample_error, and start, the prior's
+    bp.init_messages state, to the decoder.  The decode counts its heuristic
+    interventions and builds no event log.
     """
     error = sample_error(prior, rng, table)
     syndrome = code.syndrome(error)
-    result, interventions = decode_with_heuristics(code, prior, syndrome, config, rng=rng, _log=False)
+    result, interventions = decode_with_heuristics(code, prior, syndrome, config, rng=rng,
+                                                   _log=False, _start=start)
     return TrialOutcome(
         classification=classify_residual(code, error, result.correction),
         iterations_used=result.iterations_used,
@@ -139,10 +157,14 @@ def _run_chunk(args):
     point = _WORKER["points"].get(eps_index)
     if point is None:
         prior = depolarizing_prior(code.n, eps)
-        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior))
-    prior, table = point
+        begin = bp.init_messages(code, prior)
+        # every trial of the point shares these
+        begin.d_qc.flags.writeable = False
+        begin.t_cq.flags.writeable = False
+        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior), begin)
+    prior, table, begin = point
     return [
-        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]), table)
+        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]), table, begin)
         for t in range(start, stop)
     ]
 

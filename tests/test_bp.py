@@ -210,6 +210,23 @@ def test_hard_decision():
     assert str(qbp.hard_decision(beliefs)) == "Z"
 
 
+def test_first_argmax_matches_numpy_argmax():
+    rng = np.random.default_rng(8)
+    rows = []
+    for k in (2, 3, 4):
+        for tied in itertools.combinations(range(4), k):
+            row = rng.uniform(0.0, 0.1, size=4)
+            row[list(tied)] = 0.5
+            rows.append(row)
+    # normalised rows floored at EPS_FLOOR, many with floored ties
+    floored = bp._normalize_rows(rng.choice([1e-300, 1e-40, 0.25, 1.0], size=(256, 4)))
+    assert (floored == bp.EPS_FLOOR).any()
+    for block in (np.array(rows), floored):
+        want = np.argmax(block, axis=1)
+        assert np.array_equal(bp._first_argmax(np.ascontiguousarray(block.T)), want)
+        assert np.array_equal(bp.hard_decision(block).letters(), want)
+
+
 def test_decode_trivial_syndrome(five):
     res = qbp.decode(five, qbp.depolarizing_prior(5, 0.1), np.ones(4, dtype=np.int8))
     assert res.converged and res.iterations_used == 1 and res.correction.is_identity
@@ -423,6 +440,18 @@ def test_check_update_matches_reference_bitwise(toy, five, small_bicycle, bicycl
             qbp.check_update(state, code, syndrome)
             _reference_check_update(ref, code, syndrome)
             assert np.array_equal(state.t_cq, ref.t_cq), name
+    # a check whose product underflows to 0 with no zero bias
+    ea = bicycle_800.edges
+    state = qbp.init_messages(bicycle_800, qbp.depolarizing_prior(bicycle_800.n, 0.1))
+    state.d_qc = rng.uniform(-1.0, 1.0, size=len(ea.qubit))
+    lo, hi = ea.check_start[0], ea.check_start[1]
+    state.d_qc[lo:hi] = 1e-12
+    assert np.multiply.reduce(state.d_qc[lo:hi]) == 0.0 and (state.d_qc[lo:hi] != 0.0).all()
+    syndrome = rng.choice([-1, 1], size=bicycle_800.m).astype(np.int8)
+    ref = MessageState(state.working_prior, state.d_qc.copy(), state.t_cq.copy())
+    qbp.check_update(state, bicycle_800, syndrome)
+    _reference_check_update(ref, bicycle_800, syndrome)
+    assert np.array_equal(state.t_cq, ref.t_cq)
 
 
 def _equivalence_codes(toy, five, small_bicycle):

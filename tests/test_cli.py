@@ -152,6 +152,15 @@ def test_simulate_epsilon_out_of_range(capsys):
     assert run_cli(capsys, *base, "--epsilon", "0.0", "--epsilon", "1.0")[0] == 0
 
 
+def test_trials_below_one_rejected(capsys):
+    for base in (["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3"],
+                 ["oracle-check", "--builtin", "five_qubit", "--epsilon", "0.1"]):
+        for bad in ("0", "-3"):
+            code, stdout, err = run_cli(capsys, *base, "--trials", bad)
+            assert code == 1 and "--trials" in err and stdout == ""
+        assert run_cli(capsys, *base, "--trials", "1")[0] == 0
+
+
 def test_decode_and_oracle_check_epsilon_out_of_range(capsys):
     for base in (["decode", "--builtin", "two_qubit_toy", "--syndrome", "+-"],
                  ["oracle-check", "--builtin", "two_qubit_toy", "--trials", "2"]):

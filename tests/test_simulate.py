@@ -104,6 +104,41 @@ def test_sweep_trials_match_public_composition_bicycle_800(bicycle_800, monkeypa
     _check_chunks_match_public_trials(bicycle_800, cfg, [0.02, 0.04], 4)
 
 
+@pytest.mark.parametrize("heuristic", ["perturb", "collision_freeze"])
+def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatch):
+    # two decodes in a row from a sweep point's shared start state: the
+    # second equals a decode from a fresh init_messages, bit for bit
+    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
+    qbp.simulate._init_worker(small_bicycle, cfg, 21)
+    qbp.simulate._run_chunk((0, 0.12, 0, 1))
+    prior, _, start = qbp.simulate._WORKER["points"][0]
+    assert not start.d_qc.flags.writeable and not start.t_cq.flags.writeable
+    fresh = qbp.init_messages(small_bicycle, prior)
+    syndromes = [small_bicycle.syndrome(qbp.sample_error(prior, np.random.default_rng([6, t]))) for t in range(2)]
+    _, first = qbp.decode_with_heuristics(small_bicycle, prior, syndromes[0], cfg, rng=np.random.default_rng(1),
+                                          _log=False, _start=start)
+    assert first > 0  # the first decode mutated its working prior
+    second, _ = qbp.decode_with_heuristics(small_bicycle, prior, syndromes[1], cfg, rng=np.random.default_rng(2),
+                                           _start=start)
+    want, _ = qbp.decode_with_heuristics(small_bicycle, prior, syndromes[1], cfg, rng=np.random.default_rng(2))
+    assert (second.correction, second.converged, second.iterations_used) == \
+        (want.correction, want.converged, want.iterations_used)
+    assert second.final_beliefs.tobytes() == want.final_beliefs.tobytes()
+    for name in ("working_prior", "d_qc", "t_cq"):
+        assert getattr(start, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+def test_init_messages_built_once_per_point(small_bicycle, monkeypatch):
+    calls = []
+    real = qbp.bp.init_messages
+    monkeypatch.setattr(qbp.bp, "init_messages", lambda *a: calls.append(1) or real(*a))
+    cfg = qbp.DecodeConfig(max_iterations=20, heuristic="perturb")
+    stats = qbp.run_simulation(small_bicycle, [0.05, 0.12], 120, cfg, master_seed=3, jobs=1, max_failures=None)
+    assert [p.trials for p in stats.points] == [120, 120]  # three chunks per point
+    assert len(calls) == 2
+
+
 def test_wilson_interval():
     lo, hi = qbp.wilson_interval(0, 100)
     assert lo == 0.0 and 0 < hi < 0.05
