@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qbp
+from qbp import gf2
 from qbp.codes import DETECTABLE, LOGICAL, STABILIZER
 
 from conftest import random_pauli
@@ -73,6 +74,64 @@ def test_build_rejects_dependent():
         with pytest.raises(qbp.DependentChecksError) as err:
             qbp.StabilizerCode(["II"])
     assert err.value.index == 0
+
+
+def _first_dependent(rows):
+    """Index of the first row in the span of earlier ones, by a gf2.insert loop, or None."""
+    basis = []
+    return next((i for i, r in enumerate(rows) if not gf2.insert(basis, r)), None)
+
+
+def test_dependent_index_matches_insert_loop(five, small_bicycle, bicycle_800):
+    # a product of two checks, or the identity, spliced in at a random
+    # position: it commutes with every check, so only the elimination rejects it
+    rng = np.random.default_rng(41)
+    bases = [five, small_bicycle, bicycle_800,
+             qbp.generate_bicycle(qbp.BicycleSpec(60, 30, 10, seed=9), deletion="random")]
+    for base in bases:
+        for trial in range(12):
+            checks = list(base.checks)
+            if trial % 3 == 2:
+                extra = qbp.PauliOperator.identity(base.n)
+            else:
+                i, j = rng.choice(base.m, size=2, replace=False)
+                extra = checks[i] * checks[j]
+            checks.insert(int(rng.integers(0, base.m + 1)), extra)
+            want = _first_dependent([qbp.StabilizerCode._symplectic_row(op) for op in checks])
+            with pytest.raises(qbp.DependentChecksError) as err:
+                qbp.StabilizerCode(checks)
+            assert err.value.index == want
+
+
+# bicycle specs whose 2n is not a multiple of 64, so packed rows end in a
+# partial word; bicycle-800 has 2n = 1600 = 25 words exactly
+_BASIS_SPECS = [
+    ((20, 10, 6, 1), "balanced"), ((24, 12, 6, 2), "balanced"), ((28, 14, 6, 3), "balanced"),
+    ((36, 18, 8, 4), "balanced"), ((40, 20, 8, 5), "balanced"), ((44, 22, 8, 6), "balanced"),
+    ((48, 24, 8, 7), "balanced"), ((52, 26, 10, 8), "balanced"), ((60, 30, 10, 9), "balanced"),
+    ((68, 34, 10, 10), "balanced"), ((72, 36, 12, 11), "balanced"), ((76, 38, 12, 12), "balanced"),
+    ((84, 42, 12, 13), "balanced"), ((100, 50, 14, 14), "balanced"), ((120, 60, 14, 15), "balanced"),
+    ((150, 74, 16, 16), "balanced"), ((200, 100, 16, 17), "balanced"), ((430, 200, 24, 20), "balanced"),
+    ((40, 20, 8, 5), "random"), ((100, 50, 14, 14), "random"), ((200, 100, 16, 17), "random"),
+    ((36, 32, 8, 2), "balanced"), ((30, 28, 4, 9), "random"),
+]
+
+
+def test_basis_equals_echelon_of_rows(toy, five, small_bicycle, bicycle_800):
+    codes = [toy, five, small_bicycle, bicycle_800]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tiny codes may leave a qubit isolated
+        codes += [qbp.generate_bicycle(qbp.BicycleSpec(*spec), deletion=deletion) for spec, deletion in _BASIS_SPECS]
+    # non-CSS rows: relabel X/Y/Z per qubit, which keeps commutation
+    rng = np.random.default_rng(43)
+    for base in codes[2:6]:
+        perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(base.n)])
+        mat = perm[np.arange(base.n), np.stack([c.letters() for c in base.checks])]
+        codes.append(qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat]))
+    for code in codes:
+        assert code.rows == [qbp.StabilizerCode._symplectic_row(op) for op in code.checks]
+        assert code.basis == gf2.echelon(code.rows)
+        assert all(type(p) is int and type(r) is int for p, r in code.basis)
 
 
 def test_xx_yy_is_a_valid_code():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +197,56 @@ def _structure_digest(code):
 ])
 def test_generate_bicycle_structure_pinned(spec, digest):
     assert _structure_digest(qbp.generate_bicycle(qbp.BicycleSpec(*spec))) == digest
+
+
+# Tiny specs on which generation retries: a duplicate or zero-weight column
+# redraws (deletions > 1; these sizes rarely admit distinct columns, so most
+# draw until the relaxation at half the budget), and dependent rows rebuild
+# (builds > 1).  deletions counts _balanced_deletion calls, builds the
+# StabilizerCode constructions that generate_bicycle attempts; a digest of
+# None means the retry budget runs out.
+@pytest.mark.parametrize("spec, deletion, deletions, builds, digest", [
+    ((12, 6, 4, 0), "balanced", 52, 1, "25a3baf91592942ac22473b08c34675f879886ba43cff7aa47123fd02961fb86"),
+    ((12, 6, 4, 6), "balanced", 54, 1, "55f69a703b89db58a99f7124ef3e12db8a39ca62ea60ccee8fdc6e1f77a53878"),
+    ((16, 8, 4, 0), "balanced", 52, 1, "60f102492fa40556596ee78e48356e19947708704c45f7de39273e737b90d518"),
+    ((16, 8, 4, 6), "balanced", 52, 1, "44e2a27d3196b042c8ca866005d2d6fd82fae2455dcf4fdfa8a650daf7dccdb9"),
+    ((24, 12, 4, 2), "balanced", 57, 1, "84beef372b69aa82cbbca49a2bfbc689932d627127a7bf0bef2f16b6f94c5219"),
+    ((24, 12, 4, 9), "balanced", 52, 1, "5298c36c059d29529c6f3cc86df1a9139796ff026f5bcce28389cf58fce9e9eb"),
+    ((20, 10, 4, 6), "balanced", 56, 1, "143000f2f54d9aa9d9634a9204f80900264d6a571cfbc20e545ae05f7ca939c1"),
+    ((28, 14, 4, 6), "balanced", 69, 1, "9f4b4ef1fd0e61a5413d36acf987bd3f834cd595132279086397d40fef29ed2f"),
+    ((12, 10, 4, 6), "balanced", 55, 5, "36ba69a556f338ff9b879553b3f23ddbf678e749a8680f23da95028f547bb72d"),
+    ((12, 10, 4, 2), "random", 0, 21, "baaeb2bddcf8f918e4b550b97adee44fc1dee5b5910f36138ef478082a9e1af4"),
+    ((12, 10, 4, 7), "random", 0, 21, "baaeb2bddcf8f918e4b550b97adee44fc1dee5b5910f36138ef478082a9e1af4"),
+    ((30, 28, 4, 2), "balanced", 57, 7, "0f37d2487858027b55ada2a1ad0fa332d5fbe34be0dfac1b2bc15aee08d5632b"),
+    ((30, 28, 4, 9), "random", 0, 11, "a94d68dc09ffc8a1ca99b1cb0023627439c5459794888875105d6c0a4d3d573e"),
+    ((24, 20, 4, 8), "random", 0, 28, "8e04c50ff2c90819b18c57c1026d989b6f5a01a98e8cf59b5b72f2961f3caf18"),
+    ((24, 22, 8, 9), "balanced", 4, 3, "4eb42d5e9e95d54508ec6c1c5b8952858cc61caf3a7532192694077a0e5cca1f"),
+    ((36, 32, 8, 2), "balanced", 10, 4, "84d17d81c0d97a953209ace3e0deab230af2a0e0b63c161e4b0cb2f83a7a3564"),
+    ((36, 32, 8, 1), "balanced", 6, 5, "29164ebb266bd9945ff3874f6c6ce1ec1f335dfa40ac83877d0c0d4699778a69"),
+    ((32, 30, 8, 7), "random", 0, 21, "adc37108dbdb245df7771d7be6c9e5ebbdd61ceef5b6ced22084d4e285c00a1c"),
+    ((16, 14, 4, 5), "balanced", 54, 4, "ae06874a526a060134c48b0fd163fad0688adf88e1ebd3cb2739017ea24f7f13"),
+    ((36, 32, 8, 9), "random", 0, 16, "033f8d535f9aaa2799c064eb591dd2be205a28d36d9b775ef392f726806f78b7"),
+    ((24, 10, 6, 4), "random", 0, 5, "ce418dc001745947b59f6cc4abda50701f710525daa32889f7b52f196b8c09dc"),
+    ((28, 14, 4, 3), "random", 0, 0, None),
+])
+def test_generate_bicycle_retries_pinned(spec, deletion, deletions, builds, digest, monkeypatch):
+    from qbp import constructions
+
+    counts = {"deletions": 0, "builds": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(constructions, "_balanced_deletion", counted("deletions", constructions._balanced_deletion))
+    monkeypatch.setattr(constructions, "StabilizerCode", counted("builds", constructions.StabilizerCode))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tiny codes may leave a qubit isolated
+        if digest is None:
+            with pytest.raises(qbp.GenerationError):
+                qbp.generate_bicycle(qbp.BicycleSpec(*spec), deletion=deletion)
+        else:
+            assert qbp.generate_bicycle(qbp.BicycleSpec(*spec), deletion=deletion).fingerprint() == digest
+    assert counts == {"deletions": deletions, "builds": builds}
