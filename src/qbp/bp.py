@@ -235,9 +235,12 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     because the heuristics mutate it.  Its d_qc and t_cq are shared, since
     the updates replace those arrays and never write into them.
     """
-    syndrome = np.asarray(syndrome, dtype=np.int8)
+    syndrome = np.asarray(syndrome)
     if syndrome.shape != (code.m,):
         raise ValueError(f"syndrome must have {code.m} bits, got shape {syndrome.shape}")
+    if not ((syndrome == 1) | (syndrome == -1)).all():  # a 0/1 syndrome would decode as all +1
+        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
+    syndrome = syndrome.astype(np.int8)
     if start is None:
         state = init_messages(code, prior)
     else:

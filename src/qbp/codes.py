@@ -6,13 +6,15 @@ an edge (q, c) wherever check c acts non-trivially on qubit q, labelled with
 that Pauli factor.  Logical operators and pure errors are extracted by
 symplectic Gaussian elimination over GF(2) on the check matrix.
 
-The constructor is the one place a check set is validated and indexed: one
-scan of the letter matrix yields the edge lists, from which come the
-commutation test (over the check pairs that meet on a qubit), `tanner`,
-`edges` and the isolated-qubit warning, and one elimination rejects dependent
-checks and keeps `rows` and their echelon `basis`.  A code object is
-immutable after construction; canonical generators, `check_qubits` and the
-fingerprint are cached lazily.
+The constructor is the one place a check set is validated and indexed.  It
+packs all checks' symplectic rows into one uint64 word matrix and unpacks it
+once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
+those bits yields the edge lists, from which come the commutation test (over
+the check pairs that meet on a qubit), `tanner`, `edges` and the
+isolated-qubit warning.  One packed elimination (gf2.packed_echelon) rejects
+dependent checks and keeps the echelon `basis` of `rows`, as a gf2.insert
+loop would build it.  A code object is immutable after construction;
+canonical generators, `check_qubits` and the fingerprint are cached lazily.
 """
 
 from __future__ import annotations
@@ -109,22 +111,27 @@ class StabilizerCode:
         for i, op in enumerate(ops):
             if op.n != n:
                 raise ValueError(f"check {i} acts on {op.n} qubits, expected {n}")
+        # the symplectic rows as one (m, words) little-endian uint64 array,
+        # unpacked once into the (m, 2n) x|z bits
+        self.rows = [self._symplectic_row(op) for op in ops]
+        width = 8 * ((2 * n + 63) // 64)
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        packed = packed.reshape(len(ops), width)
+        bits = np.unpackbits(packed, axis=1, count=2 * n, bitorder="little")
         # one scan of the (m, n) letter matrix serves the commutation test
         # and the Tanner graph; its nonzeros are check-major with ascending
         # qubits, the edge order everywhere below
-        letters = np.stack([op.letters() for op in ops])
+        letters = (bits[:, :n] ^ (bits[:, n:] * np.uint8(3))).view(np.int8)  # x ^ 3z: I, X, Y, Z = 0-3
         flat = np.flatnonzero(letters)
         check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
         letter = letters.ravel()[flat]
         pair = _first_anticommuting_pair(qubit, check, letter, len(ops))
         if pair is not None:
             raise NonCommutingChecksError(*pair)
-        # symplectic rows and their reduced echelon basis, from one elimination
-        self.rows = [self._symplectic_row(op) for op in ops]
-        self.basis: list[tuple[int, int]] = []
-        for i, row in enumerate(self.rows):
-            if not gf2.insert(self.basis, row):
-                raise DependentChecksError(i)
+        # the rows' reduced echelon basis, from one elimination
+        self.basis = gf2.packed_echelon(packed.view("<u8"))
+        if len(self.basis) < len(ops):
+            raise DependentChecksError(len(self.basis))
 
         self.n = n
         self.m = len(ops)

@@ -3,7 +3,9 @@
 A bicycle code starts from a sparse cyclic matrix C built from a random
 weight-w/2 vector, forms the self-dual block H0 = (C | C^T), deletes rows
 down to the target check count, and emits one Z-type and one X-type check
-per remaining row.  Self-duality of H makes all checks commute.
+per remaining row.  Self-duality of H makes all checks commute.  Each draw
+works on whole arrays: C is built once, the greedy deletion keeps a mask of
+live rows, and duplicate columns are found among the packed columns.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import DependentChecksError, NonCommutingChecksError, StabilizerCode
 from .pauli import PauliOperator
@@ -53,12 +56,12 @@ def cyclic_matrix(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     if d < 1:
         raise ValueError("empty generating vector")
-    idx = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
-    return a[idx]
+    # window k of (a, a) is a shifted left by k, so row i is window d - i
+    return np.ascontiguousarray(sliding_window_view(np.concatenate([a, a]), d)[d:0:-1])
 
 
 def _checks_from_matrix(h: np.ndarray) -> list[PauliOperator]:
-    rows = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in h]
+    rows = [int.from_bytes(row, "little") for row in np.packbits(h, axis=1, bitorder="little")]
     n = h.shape[1]
     checks = [PauliOperator(n, 0, r) for r in rows]       # Z-type
     checks += [PauliOperator(n, r, 0) for r in rows]      # X-type
@@ -88,22 +91,30 @@ def _balanced_deletion(h0: np.ndarray, keep: int) -> np.ndarray:
 
     The variance of colw - h0[r] comes from exact integer sums (colw, colw**2,
     row weights, h0 @ colw) in np.mean's float steps, so ties match np.mean.
+    Deleted rows read inf, so argmin picks the same first live row.
     """
     n = h0.shape[1]
     colw = h0.sum(axis=0, dtype=np.int64)
     weight = h0.sum(axis=1, dtype=np.int64)
     dot = h0 @ colw
     s1, s2 = int(colw.sum()), int(colw @ colw)
-    remaining = np.arange(h0.shape[0], dtype=np.int64)
-    while len(remaining) > keep:
-        w = weight[remaining]
-        variances = (s2 - 2 * dot[remaining] + w) / n - ((s1 - w) / n) ** 2
-        drop = int(np.argmin(variances))
-        row = remaining[drop]
+    columns = np.ascontiguousarray(h0.T)
+    deleted = np.zeros(h0.shape[0], dtype=bool)
+    for _ in range(h0.shape[0] - keep):
+        variances = (s2 - 2 * dot + weight) / n - ((s1 - weight) / n) ** 2
+        variances[deleted] = np.inf
+        row = int(np.argmin(variances))
+        deleted[row] = True
         s1, s2 = s1 - int(weight[row]), s2 + int(weight[row]) - 2 * int(dot[row])
-        dot -= h0[:, h0[row] == 1].sum(axis=1, dtype=np.int64)
-        remaining = np.delete(remaining, drop)
-    return remaining
+        dot -= columns[h0[row] == 1].sum(axis=0, dtype=np.int32)  # each sum is at most n
+    return np.flatnonzero(~deleted)
+
+
+def _has_duplicate_columns(h: np.ndarray) -> bool:
+    """Whether two columns of the binary matrix are equal, compared as packed bytes."""
+    packed = np.ascontiguousarray(np.packbits(h, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return len(np.unique(keys)) < h.shape[1]
 
 
 def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts: int = 100) -> StabilizerCode:
@@ -126,7 +137,8 @@ def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts
     for attempt in range(max_attempts):
         a = np.zeros(d, dtype=np.uint8)
         a[rng.choice(d, size=spec.w // 2, replace=False)] = 1
-        h0 = np.hstack([cyclic_matrix(a), cyclic_matrix(a).T])
+        c = cyclic_matrix(a)
+        h0 = np.hstack([c, c.T])
         deletion_tries = 1 if deletion == "balanced" else 5
         for _ in range(deletion_tries):
             if deletion == "balanced":
@@ -140,7 +152,7 @@ def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts
             # avoid them while fresh draws remain; tiny instances may not
             # admit distinct columns at all, so relax once the budget is half
             # spent rather than failing outright.
-            if attempt < max_attempts // 2 and len({tuple(col) for col in h.T}) < spec.n:
+            if attempt < max_attempts // 2 and _has_duplicate_columns(h):
                 continue
             try:
                 return StabilizerCode(_checks_from_matrix(h))

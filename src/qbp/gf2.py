@@ -2,14 +2,40 @@
 
 Rows are Python ints; column j is bit j.  Pivots are chosen at the lowest
 set bit, so for symplectic (x|z) layouts with x in the low half the X block
-is eliminated first.
+is eliminated first.  packed_echelon runs the same elimination on a whole
+matrix of rows held as little-endian uint64 words, with the same result.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def lowest_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
+
+
+def packed_echelon(words: np.ndarray) -> list[tuple[int, int]]:
+    """echelon() of the rows of an (m, w) uint64 array, column j at bit j % 64 of word j // 64.
+
+    Gauss-Jordan in input order: each row, reduced by the pivots before it,
+    takes its lowest set bit as pivot and is XORed into every other row
+    holding that bit.  The reduced echelon form of a span for this pivot rule
+    is unique, so the (pivot, row) pairs equal echelon's, as Python ints.
+    Stops at the first row that reduces to zero, so the basis is shorter
+    than m exactly when that row, at index len(basis), is dependent.
+    """
+    w = np.array(words, dtype="<u8")  # a copy: the rows are reduced in place
+    pivots = []
+    for i in range(len(w)):
+        row = w[i].copy()
+        p = lowest_bit(int.from_bytes(row.tobytes(), "little"))
+        if p < 0:
+            break
+        w[np.flatnonzero(w[:, p >> 6] & np.uint64(1 << (p & 63)))] ^= row
+        w[i] = row
+        pivots.append(p)
+    return [(p, int.from_bytes(r.tobytes(), "little")) for p, r in zip(pivots, w)]
 
 
 def insert(basis: list[tuple[int, int]], v: int) -> int:

@@ -78,6 +78,8 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must lie in [0, trials] = [0, {trials}], got {failures}")
     p = failures / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -89,7 +91,8 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
 
 def sampling_table(prior: np.ndarray) -> np.ndarray:
     """The validated prior's cumulative I, X, Y columns, (n, 3): the letter thresholds of sample_error."""
-    prior = validate_prior(prior, prior.shape[0])
+    prior = np.asarray(prior, dtype=np.float64)
+    prior = validate_prior(prior, prior.shape[0] if prior.ndim else 0)
     return np.ascontiguousarray(np.cumsum(prior, axis=1)[:, :3])
 
 

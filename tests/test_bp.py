@@ -232,6 +232,19 @@ def test_decode_trivial_syndrome(five):
     assert res.converged and res.iterations_used == 1 and res.correction.is_identity
 
 
+@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2], [1, 0, -1, 1], [1.0, 1.0, -1.0, 0.5]])
+def test_decode_rejects_syndrome_values_other_than_plus_minus_one(five, bad):
+    # a 0/1 syndrome read as signs would decode as trivial and converge on the identity
+    prior = qbp.depolarizing_prior(5, 0.1)
+    with pytest.raises(ValueError, match=r"\+1 .* or -1"):
+        qbp.decode(five, prior, np.array(bad))
+    for heuristic in ("none", "collision_freeze"):
+        with pytest.raises(ValueError, match=r"\+1 .* or -1"):
+            qbp.decode_with_heuristics(five, prior, np.array(bad), qbp.DecodeConfig(heuristic=heuristic, seed=1))
+    # the same values as signs are accepted in any numeric dtype
+    assert qbp.decode(five, prior, np.array([1.0, -1.0, 1.0, 1.0])).iterations_used >= 1
+
+
 def test_decode_rejects_heuristic_config(toy):
     prior = qbp.depolarizing_prior(2, 0.1)
     s = np.array([1, -1], dtype=np.int8)

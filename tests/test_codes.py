@@ -430,9 +430,7 @@ def test_pickle_roundtrip(small_bicycle):
 
 
 def test_construction_eliminates_once(monkeypatch):
-    from qbp import gf2
-
-    counts = {"insert": 0, "echelon": 0}
+    counts = {"packed_echelon": 0, "insert": 0, "echelon": 0}
     for name in counts:
         real = getattr(gf2, name)
 
@@ -444,7 +442,7 @@ def test_construction_eliminates_once(monkeypatch):
     code = qbp.generate_bicycle(qbp.BicycleSpec(800, 400, 30, 11))
     code.edges
     code.residual_class(qbp.PauliOperator.identity(code.n))
-    assert counts == {"insert": code.m, "echelon": 0}
+    assert counts == {"packed_echelon": 1, "insert": 0, "echelon": 0}
 
 
 def test_letter_scan_matches_per_letter_reference(five, small_bicycle):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qbp
-from qbp.constructions import _balanced_deletion, check_matrix
+from qbp.constructions import _balanced_deletion, _has_duplicate_columns, check_matrix
 
 
 def _gf2_matmul(a, b):
@@ -163,6 +163,20 @@ def test_balanced_deletion_matches_reference_greedy():
         got = _balanced_deletion(h0, keep)
         assert got.dtype == np.int64
         assert np.array_equal(got, _balanced_deletion_reference(h0, keep))
+
+
+def test_duplicate_columns_match_tuple_set():
+    # the generator's packed-column test against distinct column tuples, with
+    # row counts on both sides of a byte boundary and mostly low-weight rows
+    rng = np.random.default_rng(12)
+    found = 0
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 30))
+        h = (rng.random((rows, cols)) < rng.choice([0.1, 0.3, 0.5])).astype(np.uint8)
+        want = len({tuple(col) for col in h.T}) < cols
+        assert _has_duplicate_columns(h) == want
+        found += want
+    assert 50 < found < 300
 
 
 @pytest.mark.parametrize("spec, digest", [

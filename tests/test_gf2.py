@@ -74,3 +74,29 @@ def test_solve_unit_targets():
         for c, v in enumerate(sols):
             for j, r in enumerate(rows):
                 assert (r & v).bit_count() % 2 == (1 if j == c else 0)
+
+
+def _to_words(mat):
+    """Rows of a 0/1 matrix as little-endian uint64 words, column j at bit j % 64 of word j // 64."""
+    packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
+
+
+def test_packed_echelon_matches_insert_loop():
+    # against echelon() of the independent prefix, with rows spanning one to
+    # three words; a low rank makes the first dependent row come early
+    rng = np.random.default_rng(4)
+    stopped = 0
+    for _ in range(300):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 150))
+        mat = rng.integers(0, 2, size=(m, n))
+        if rng.random() < 0.3:
+            mat = (mat[:, :1] @ rng.integers(0, 2, size=(1, n)) + rng.integers(0, 2, size=(m, 1)) * mat[:1]) % 2
+        rows = _to_rows(mat)
+        first = _first_dependent(rows)
+        got = gf2.packed_echelon(_to_words(mat))
+        assert got == gf2.echelon(rows[:first])
+        assert len(got) == (m if first is None else first)
+        assert all(type(p) is int and type(r) is int for p, r in got)
+        stopped += first is not None
+    assert 50 < stopped < 300

@@ -29,6 +29,19 @@ def test_sample_error_frequencies():
         assert abs(counts[v] - p * draws) <= 3 * sigma
 
 
+def test_list_prior_validated_like_an_array():
+    prior = qbp.depolarizing_prior(6, 0.2)
+    table = qbp.sampling_table(prior.tolist())
+    assert table.tobytes() == qbp.sampling_table(prior).tobytes()
+    a = qbp.sample_error(prior.tolist(), np.random.default_rng(5))
+    assert a == qbp.sample_error(prior, np.random.default_rng(5))
+    for bad in ([[1.0, 0, 0, 0.5]], [[1.0, 0, 0]], [1.0, 0, 0, 0], 1.0):
+        with pytest.raises(ValueError):
+            qbp.sampling_table(bad)
+        with pytest.raises(ValueError):
+            qbp.sample_error(bad, np.random.default_rng(0))
+
+
 def test_classify_residual(toy, five):
     assert classify_residual(toy, qbp.PauliOperator.from_string("IX"), qbp.PauliOperator.from_string("II")) == DETECTED
     assert classify_residual(toy, qbp.PauliOperator.from_string("IX"), qbp.PauliOperator.from_string("XI")) == SUCCESS
@@ -156,6 +169,9 @@ def test_wilson_interval():
     assert lo < 5 / 50 < hi
     with pytest.raises(ValueError):
         qbp.wilson_interval(0, 0)
+    for failures in (5, -1, 4):
+        with pytest.raises(ValueError, match=r"failures must lie in \[0, trials\]"):
+            qbp.wilson_interval(failures, 3)
 
 
 def test_run_simulation_zero_eps(five):
