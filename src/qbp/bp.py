@@ -238,9 +238,9 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     syndrome = np.asarray(syndrome)
     if syndrome.shape != (code.m,):
         raise ValueError(f"syndrome must have {code.m} bits, got shape {syndrome.shape}")
-    if not ((syndrome == 1) | (syndrome == -1)).all():  # a 0/1 syndrome would decode as all +1
+    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
         raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
-    syndrome = syndrome.astype(np.int8)
+    syndrome = syndrome.astype(np.int8, copy=False)
     if start is None:
         state = init_messages(code, prior)
     else:
