@@ -656,6 +656,34 @@ def test_beliefs_golden_digest_bicycle_800(bicycle_800, heuristic):
     assert digest.hexdigest() == GOLDEN_BICYCLE_800_DIGESTS[heuristic]
 
 
+# sha256 over every traced (iteration, beliefs bytes) of 3 seeded decodes per
+# heuristic on the headline code, each running 50-90 iterations: the trace
+# holds normalized beliefs of every iteration, not only the last
+GOLDEN_TRACE_DIGESTS = {
+    "none": "ecc823aa35cc1eb8d22aec166912f2337d732815f445de70753e3224086ea3ee",
+    "collision_freeze": "61fb00707a6a3b8994a227580e626b060eb07325635e5ff49a1792d7a9eae58c",
+}
+
+
+@pytest.mark.parametrize("heuristic", sorted(GOLDEN_TRACE_DIGESTS))
+def test_trace_golden_digest_bicycle_800(bicycle_800, heuristic):
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    cfg = qbp.DecodeConfig(heuristic=heuristic)
+    digest = hashlib.sha256()
+    for trial in range(3):
+        rng = np.random.default_rng([15, trial])
+        error = qbp.sample_error(prior, rng)
+        trace = []
+        res, _ = qbp.decode_with_heuristics(bicycle_800, prior, bicycle_800.syndrome(error), cfg, rng=rng,
+                                            trace=trace)
+        assert [it for it, _ in trace] == list(range(1, res.iterations_used + 1))
+        assert trace[-1][1].tobytes() == res.final_beliefs.tobytes()
+        for iteration, beliefs in trace:
+            digest.update(repr(iteration).encode())
+            digest.update(beliefs.tobytes())
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[heuristic]
+
+
 def _weight_errors(n, weight, rng):
     letters = np.zeros(n, dtype=np.int8)
     letters[rng.choice(n, size=weight, replace=False)] = rng.integers(1, 4, size=weight)

@@ -136,6 +136,65 @@ def test_perturb_event_fields(toy):
             assert all(0 <= d <= 0.3 for d in d3)
 
 
+def _reference_perturb_step(state, code, frustrated, rng, delta, iteration=0, targets=None, trigger=None):
+    """perturb_step as it gathered incidences by per-check slices and took
+    per-qubit factors by np.unique and np.multiply.at; returns its events."""
+    ea = code.edges
+    if targets is not None:
+        touched = np.asarray(targets, dtype=ea.qubit.dtype)
+    else:
+        bounds = ea.check_start
+        touched = np.concatenate([ea.qubit[:0], *(ea.qubit[bounds[c]:bounds[c + 1]] for c in frustrated)])
+    shape = (len(touched), 3)
+    draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
+    if delta > 0 and len(touched):
+        idx, where = np.unique(touched, return_inverse=True)
+        factors = np.ones((len(idx), 3))
+        np.multiply.at(factors, where, 1.0 + draws)
+        wp = state.working_prior
+        rows = wp[idx]
+        rows[:, 1:] *= factors
+        wp[idx] = bp._normalize_rows(rows)
+    groups = [(trigger, tuple(targets))] if targets is not None else [
+        (("check", c), code.check_qubits[c]) for c in frustrated
+    ]
+    deltas = iter(map(tuple, draws.tolist()))
+    return [qbp.PerturbationEvent("perturb", iteration, trig, qubits,
+                                  tuple(next(deltas) for _ in qubits)) for trig, qubits in groups]
+
+
+def test_perturb_step_matches_reference(small_bicycle, bicycle_800):
+    # random frustrated lists (unsorted, repeated checks, empty), delta = 0
+    # and explicit targets; working prior bytes, events, counts and draws
+    rng = np.random.default_rng(41)
+    cases = 0
+    for code in (small_bicycle, bicycle_800):
+        state = qbp.init_messages(code, rng.dirichlet(np.ones(4), size=code.n))
+        for delta in (0.1, 0.0, 0.7):
+            for size in (0, 1, 3, code.m // 3):
+                frustrated = rng.integers(0, code.m, size=size).tolist()
+                if size > 1:
+                    frustrated[1] = frustrated[0]  # a repeated check
+                targets = None
+                if size == 3:
+                    targets = rng.choice(code.n, size=5).tolist()
+                for log in (True, False):
+                    seed = int(rng.integers(1 << 30))
+                    ref_prior = state.working_prior.copy()
+                    ref_rng = np.random.default_rng(seed)
+                    ref = bp.MessageState(ref_prior, state.d_qc, state.t_cq)
+                    want = _reference_perturb_step(ref, code, frustrated, ref_rng, delta, iteration=9,
+                                                   targets=targets, trigger=("collision", 0, 1))
+                    got_rng = np.random.default_rng(seed)
+                    got = qbp.perturb_step(state, code, frustrated, got_rng, delta, iteration=9,
+                                           targets=targets, trigger=("collision", 0, 1), log=log)
+                    assert got == (want if log else len(want))
+                    assert state.working_prior.tobytes() == ref_prior.tobytes()
+                    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+                    cases += 1
+    assert cases == 2 * 3 * 4 * 2
+
+
 def test_decode_none_matches_plain_bitexact(five):
     rng = np.random.default_rng(3)
     prior = qbp.depolarizing_prior(5, 0.15)
