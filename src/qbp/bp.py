@@ -28,7 +28,15 @@ Floored ones would divide a floored letter by its floored message to 1 and
 hand back a letter that the other checks rule out.
 
 The schedule is synchronous flooding: all checks update, then all qubits,
-then beliefs, hard decision, and the halting test, once per iteration.
+then beliefs, hard decision, and the halting test, once per iteration.  The
+decode loop redoes no work whose inputs are unchanged, and stays bit for bit
+the decode that redoes it.  It takes the hard decision from the
+unnormalized beliefs (their column maximum is exactly 1, and normalizing can
+only tie a letter within a few ulp of it, which is checked) and normalizes
+only the beliefs it returns or traces.  It keeps the log working prior
+between interventions.  It runs the halting test only when the hard
+decision changed.  After an intervention it refreshes the outgoing messages
+of the qubits whose prior changed, all of them only when that is most.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import EdgeArrays, StabilizerCode
+from .codes import StabilizerCode, segment_positions
 from .pauli import PauliOperator
 
 # Strictly positive floor, applied where the module docstring says, so that
@@ -49,6 +57,15 @@ EPS_FLOOR = 1e-30
 # a normal float.  A clipped letter cannot move an outgoing bias, since an
 # edge's own |log(a / b)| is at most log(0.5 / EPS_FLOOR) < 70.
 _LOG_CLIP = -700.0
+
+# The smallest check product whose quarter is a normal float: scaling such a
+# product by 1/4 before the division by a bias |d| <= 1 rounds as scaling
+# the quotient would.
+_NORMAL_PROD = 2.0 ** -1020
+
+# A letter whose unnormalized belief reaches this may divide to a tie with
+# the row maximum of 1; below it, normalizing cannot change the argmax.
+_NEAR_ONE = 1.0 - 2.0 ** -48
 
 HEURISTICS = ("none", "freeze", "perturb", "collision_freeze", "collision_perturb")
 
@@ -115,15 +132,20 @@ class DecodeResult:
     final_beliefs: np.ndarray = field(repr=False)
 
 
-def _outgoing(cols: np.ndarray, ea: EdgeArrays, log_ab: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge bias d = tanh(x / 2) from positive letter-major (4, n) beliefs B of any scale.
+def _outgoing(cols: np.ndarray, slot: np.ndarray, log_ab: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge bias d = tanh(x / 2) from positive letter-major (4, k) beliefs B of any scale.
 
     x = log(B_I + B_label) - log(B_other1 + B_other2), less the edge's own
-    log(a / b) when given: the leave-one-out of its incoming message.
+    log(a / b) when given: the leave-one-out of its incoming message.  slot
+    places each edge in the flattened (3, k) table of its label and qubit.
     """
     x = np.log(cols[1:] + cols[0])
-    x -= np.log(cols[[2, 1, 1]] + cols[[3, 3, 2]])  # the letters anticommuting with X, Y, Z
-    x = x.ravel().take(ea.slot)
+    anti = np.empty_like(x)  # the letters anticommuting with X, Y, Z
+    np.add(cols[2], cols[3], out=anti[0])
+    np.add(cols[1], cols[3], out=anti[1])
+    np.add(cols[1], cols[2], out=anti[2])
+    x -= np.log(anti, out=anti)
+    x = x.ravel().take(slot)
     if log_ab is not None:
         x -= log_ab
     x *= 0.5
@@ -134,29 +156,44 @@ def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     """Each qubit opens by sending its prior; check messages start uniform (t = 0)."""
     prior = validate_prior(prior, code.n)
     wp = np.maximum(prior, EPS_FLOOR)
-    d_qc = _outgoing(wp.T, code.edges)
+    d_qc = _outgoing(wp.T, code.edges.slot)
     return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(d_qc)))
 
 
-def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray) -> None:
-    """Refresh every check-to-qubit message for the given syndrome.
+def _checked_syndrome(syndrome, m: int) -> np.ndarray:
+    """The syndrome as an int8 array of m signs; anything else is a ValueError."""
+    syndrome = np.asarray(syndrome)
+    if syndrome.shape != (m,):
+        raise ValueError(f"syndrome must have {m} bits, got shape {syndrome.shape}")
+    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
+        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
+    return syndrome.astype(np.int8, copy=False)
+
+
+def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray, *,
+                 _checked: bool = False) -> None:
+    """Refresh every check-to-qubit message for the given +-1 syndrome.
 
     The outgoing value for letter E is (1 + s_c * sign(E) * prod) / 4 where
     prod multiplies the commute/anticommute biases of all other incoming
     messages; zero biases are handled exactly.  Stores t = s_c * prod / 4; s_c
-    multiplies each check's product before it is repeated over its edges.
-    Only a check whose full product is zero can hold a zero bias, so the
-    zero test runs only then; a product that underflowed with no zero bias
-    takes the same branch and gets the same t.
+    and the 1/4 multiply each check's product before it is repeated over its
+    edges, which is exact unless the scaled product is subnormal.  Only a
+    check whose full product is zero or that small takes the zero test, with
+    the 1/4 applied per edge; a product that underflowed with no zero bias
+    gets the same t there.  _checked=True, as the decode loop passes it,
+    skips the syndrome's validation.
     """
-    if np.shape(syndrome) != (code.m,):
-        raise ValueError(f"syndrome must have {code.m} bits, got shape {np.shape(syndrome)}")
+    if not _checked:
+        syndrome = _checked_syndrome(syndrome, code.m)
     starts = code.edges.check_start
-    degrees = np.diff(starts)
+    degrees = code._cached("check_degrees", lambda: np.diff(starts))
     d = state.d_qc
     prod = np.multiply.reduceat(d, starts[:-1])
-    if prod.all():
-        t = np.repeat(syndrome * prod, degrees)
+    if np.abs(prod).min() >= _NORMAL_PROD:
+        scaled = syndrome * prod
+        scaled *= 0.25
+        t = np.repeat(scaled, degrees)
         t /= d
     else:
         zero = d == 0.0
@@ -164,25 +201,34 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
         total = np.repeat(syndrome * np.multiply.reduceat(d1, starts[:-1]), degrees)
         nzero = np.repeat(np.add.reduceat(zero.astype(np.int64), starts[:-1]), degrees)
         t = np.where(nzero == 0, total / d1, np.where((nzero == 1) & zero, total, 0.0))
-    t *= 0.25
+        t *= 0.25
     state.t_cq = t
 
 
-def _beliefs(state: MessageState, code: StabilizerCode):
-    """Unnormalized letter-major (4, n) beliefs with a maximum of 1 per qubit
-    (clipped below at exp(_LOG_CLIP)), and log(a / b) per edge."""
-    t = state.t_cq
+def _beliefs(t: np.ndarray, slot: np.ndarray, log_prior: np.ndarray):
+    """Unnormalized letter-major (4, k) beliefs with a maximum of exactly 1
+    per qubit (clipped below at exp(_LOG_CLIP)), and log(a / b) per edge.
+
+    t holds the check messages of the edges that slot places in the (3, k)
+    table, log_prior the (4, k) log working prior of the same k qubits.  Each
+    qubit's column depends only on its own edges, in their given order.
+    """
     a, b = t + 0.25, 0.25 - t
     np.maximum(a, EPS_FLOOR, out=a)
     np.maximum(b, EPS_FLOOR, out=b)
     log_ab = np.log(np.divide(a, b, out=a), out=a)
-    per_label = np.bincount(code.edges.slot, log_ab, 3 * code.n).reshape(3, -1)
-    logs = np.log(state.working_prior.T, order="C")
-    logs[0] += per_label[0] + per_label[1] + per_label[2]
-    logs[1:] += per_label
+    per_label = np.bincount(slot, log_ab, 3 * log_prior.shape[1]).reshape(3, -1)
+    logs = np.empty_like(log_prior)
+    np.add(log_prior[0], per_label[0] + per_label[1] + per_label[2], out=logs[0])
+    np.add(log_prior[1:], per_label, out=logs[1:])
     logs -= np.maximum(np.maximum(logs[0], logs[1]), np.maximum(logs[2], logs[3]))
     np.maximum(logs, _LOG_CLIP, out=logs)
     return np.exp(logs, out=logs), log_ab
+
+
+def _log_working_prior(state: MessageState) -> np.ndarray:
+    """The letter-major (4, n) log working prior."""
+    return np.log(state.working_prior.T, order="C")
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -194,16 +240,49 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
-    """Refresh every qubit-to-check message; returns the fresh beliefs."""
-    cols, log_ab = _beliefs(state, code)
-    state.d_qc = _outgoing(cols, code.edges, log_ab)
-    return _normalize_rows(cols.T)
+def qubit_update(state: MessageState, code: StabilizerCode, *, _log_prior: np.ndarray | None = None,
+                 _normalize: bool = True) -> np.ndarray:
+    """Refresh every qubit-to-check message; returns the fresh beliefs.
+
+    The decode loop passes its cached log working prior as _log_prior and
+    _normalize=False, for the letter-major (4, n) beliefs with a column
+    maximum of 1 that the hard decision reads.
+    """
+    log_prior = _log_working_prior(state) if _log_prior is None else _log_prior
+    cols, log_ab = _beliefs(state.t_cq, code.edges.slot, log_prior)
+    state.d_qc = _outgoing(cols, code.edges.slot, log_ab)
+    return _normalize_rows(cols.T) if _normalize else cols
+
+
+def _qubit_major(code: StabilizerCode):
+    """The edges in qubit-major order, checks ascending within each qubit:
+    (order, per-qubit segment offsets, label - 1 per ordered edge)."""
+    ea = code.edges
+    order = np.argsort(ea.qubit, kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(ea.qubit, minlength=code.n))))
+    return order, start, ea.slot[order] // code.n
+
+
+def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray, log_prior: np.ndarray) -> None:
+    """Refresh the qubit-to-check messages of the ascending `qubits` only.
+
+    The same kernel as qubit_update, on those qubits' edges in qubit-major
+    order: each (label, qubit) slot sums its edges in ascending check order,
+    as the check-major full update does, so every refreshed d_qc is the one
+    qubit_update would give, bit for bit.  log_prior is the (4, n) table.
+    """
+    order, start, label = code._cached("qubit_major", lambda: _qubit_major(code))
+    pos = segment_positions(start, qubits)
+    edges = order[pos]
+    k = len(qubits)
+    slot = label[pos] * k + np.repeat(np.arange(k), start[qubits + 1] - start[qubits])
+    cols, log_ab = _beliefs(state.t_cq[edges], slot, log_prior[:, qubits])
+    state.d_qc[edges] = _outgoing(cols, slot, log_ab)
 
 
 def compute_beliefs(state: MessageState, code: StabilizerCode) -> np.ndarray:
     """Normalized per-qubit beliefs from the current check messages."""
-    return _normalize_rows(_beliefs(state, code)[0].T)
+    return _normalize_rows(_beliefs(state.t_cq, code.edges.slot, _log_working_prior(state))[0].T)
 
 
 def _first_argmax(cols: np.ndarray) -> np.ndarray:
@@ -222,6 +301,19 @@ def hard_decision(beliefs: np.ndarray) -> PauliOperator:
     return PauliOperator.from_letters(_first_argmax(np.asarray(beliefs).T))
 
 
+def _hard_letters(cols: np.ndarray) -> np.ndarray:
+    """The first argmax of the normalized beliefs, from letter-major (4, n)
+    beliefs with a column maximum of exactly 1.
+
+    Dividing a column by its sum is monotone, so it can only turn a letter
+    within a few ulp of the maximum into a tie; only when some column has
+    such a letter is a normalized copy decided on.
+    """
+    if np.count_nonzero(cols >= _NEAR_ONE) != cols.shape[1]:
+        cols = _normalize_rows(cols.T.copy()).T
+    return _first_argmax(cols)
+
+
 def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) -> DecodeResult:
     """Flooding-schedule driver shared by the plain and heuristic decoders.
 
@@ -233,40 +325,52 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     start, when given, is init_messages(code, prior), built once by the
     caller; a sweep builds one per point.  Only its working prior is copied,
     because the heuristics mutate it.  Its d_qc and t_cq are shared, since
-    the updates replace those arrays and never write into them.
+    the updates replace those arrays and never write into them before the
+    first iteration has replaced them.
+
+    The loop skips work whose inputs did not change.  The log working prior
+    is taken once and refreshed only on the qubits an intervention touched.
+    Beliefs are normalized only when returned or traced.  An iteration whose
+    hard decision equals the last one has the same violated checks, so it
+    cannot halt and runs no halting test.
     """
-    syndrome = np.asarray(syndrome)
-    if syndrome.shape != (code.m,):
-        raise ValueError(f"syndrome must have {code.m} bits, got shape {syndrome.shape}")
-    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
-        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
-    syndrome = syndrome.astype(np.int8, copy=False)
+    syndrome = _checked_syndrome(syndrome, code.m)
     if start is None:
         state = init_messages(code, prior)
     else:
         state = MessageState(start.working_prior.copy(), start.d_qc, start.t_cq)
+    log_prior = _log_working_prior(state)
     target01 = ((1 - syndrome) // 2).astype(np.uint8)
+    letters = None
     since_intervention = 0
     for iteration in range(1, config.max_iterations + 1):
-        check_update(state, code, syndrome)
-        beliefs = qubit_update(state, code)
-        letters = _first_argmax(beliefs.T)
+        check_update(state, code, syndrome, _checked=True)
+        cols = qubit_update(state, code, _log_prior=log_prior, _normalize=False)
         if trace is not None:
-            trace.append((iteration, beliefs.copy()))
-        violated = code.syndrome01_of_letters(letters)
-        if np.array_equal(violated, target01):
-            return DecodeResult(correction=PauliOperator.from_letters(letters), converged=True,
-                                iterations_used=iteration, final_beliefs=beliefs)
+            trace.append((iteration, _normalize_rows(cols.T.copy())))
+        decided = _hard_letters(cols)
+        if letters is None or not np.array_equal(decided, letters):
+            letters = decided
+            violated = code.syndrome01_of_letters(letters)
+            if np.array_equal(violated, target01):
+                return DecodeResult(correction=PauliOperator.from_letters(letters), converged=True,
+                                    iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
         since_intervention += 1
         if intervene is not None and since_intervention >= config.t_pert and iteration < config.max_iterations:
             frustrated = np.flatnonzero(violated != target01)
+            before = state.working_prior.copy()
             intervene(state, iteration, [int(c) for c in frustrated])
             # outgoing qubit messages must reflect the mutated priors in the
-            # very next iteration (a no-op for untouched qubits)
-            qubit_update(state, code)
+            # very next iteration; untouched qubits' messages would not change
+            touched = np.flatnonzero((state.working_prior != before).any(axis=1))
+            log_prior[:, touched] = np.log(state.working_prior[touched].T)
+            if 3 * len(touched) < code.n:
+                _update_qubits(state, code, touched, log_prior)
+            else:
+                qubit_update(state, code, _log_prior=log_prior, _normalize=False)
             since_intervention = 0
     return DecodeResult(correction=PauliOperator.from_letters(letters), converged=False,
-                        iterations_used=iteration, final_beliefs=beliefs)
+                        iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
 
 
 def decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,

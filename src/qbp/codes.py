@@ -80,20 +80,42 @@ class EdgeArrays:
     slot: np.ndarray        # (E,) (label - 1) * n + qubit
 
 
+def segment_positions(bounds: np.ndarray, picks) -> np.ndarray:
+    """Positions of the segments [bounds[i], bounds[i + 1]) for i in picks,
+    concatenated in pick order (repeats included)."""
+    picks = np.asarray(picks, dtype=np.intp)
+    lo = bounds[picks]
+    lengths = bounds[picks + 1] - lo
+    ends = np.cumsum(lengths)
+    return np.repeat(lo - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _edge_pairs_on_qubits(qubit: np.ndarray):
+    """Every pair of edges on one qubit, from check-major edge lists.
+
+    Returns the qubit-major edge order (stable, so checks ascend within a
+    qubit) and the positions (first, second), first < second, of each pair
+    in it, qubit by qubit: sum over qubits of degree * (degree - 1) / 2
+    pairs, not m * (m - 1) / 2 check pairs.
+    """
+    order = np.argsort(qubit, kind="stable")
+    qubit = qubit[order]
+    # pair each edge with every later edge on its qubit
+    later = np.searchsorted(qubit, qubit, side="right") - np.arange(1, len(qubit) + 1)
+    first = np.repeat(np.arange(len(qubit)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return order, first, second
+
+
 def _first_anticommuting_pair(qubit, check, letter, m: int) -> tuple[int, int] | None:
     """First check pair (i, j), i < j in row-major order, that anticommutes, or None.
 
     Takes the check-major edge lists.  Two checks anticommute when an odd
     number of the qubits they share carry anticommuting letters, so only
-    pairs of edges on one qubit are visited: sum over qubits of
-    degree * (degree - 1) / 2 pairs, not m * (m - 1) / 2.
+    pairs of edges on one qubit are visited.
     """
-    order = np.argsort(qubit, kind="stable")  # by qubit; checks ascend within one
-    qubit, check, letter = qubit[order], check[order], letter[order]
-    # pair each edge with every later edge on its qubit
-    later = np.searchsorted(qubit, qubit, side="right") - np.arange(1, len(qubit) + 1)
-    first = np.repeat(np.arange(len(qubit)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    order, first, second = _edge_pairs_on_qubits(qubit)
+    check, letter = check[order], letter[order]
     anti = ANTI_TABLE[letter[first], letter[second]].astype(bool)
     keys, counts = np.unique(check[first[anti]] * m + check[second[anti]], return_counts=True)
     odd = keys[counts % 2 == 1]
@@ -190,14 +212,19 @@ class StabilizerCode:
     def four_loop_census(self):
         """All unordered check pairs sharing >= 2 qubits, with the shared sets.
 
-        Every such pair closes a 4-loop in the Tanner graph.
+        Every such pair closes a 4-loop in the Tanner graph.  Pairs come in
+        ascending (i, j) order, each with its shared qubits ascending.
         """
-        loops = []
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                shared = self.shared_qubits(i, j)
-                if len(shared) >= 2:
-                    loops.append((i, j, shared))
+        ea = self.edges
+        order, first, second = _edge_pairs_on_qubits(ea.qubit)
+        check = np.repeat(np.arange(self.m), np.diff(ea.check_start))[order]
+        keys = check[first] * self.m + check[second]
+        # stable, so each check pair keeps its qubits ascending
+        by_pair = np.argsort(keys, kind="stable")
+        shared = ea.qubit[order][first][by_pair].tolist()
+        keys, heads, sizes = np.unique(keys[by_pair], return_index=True, return_counts=True)
+        loops = [(*divmod(key, self.m), tuple(shared[h:h + size]))
+                 for key, h, size in zip(keys.tolist(), heads.tolist(), sizes.tolist()) if size >= 2]
         return len(loops), loops
 
     def shared_qubits(self, i: int, j: int) -> tuple[int, ...]:

@@ -18,7 +18,9 @@ Perturbations accumulate on the working prior and keep no other state.  The
 freeze schedule keeps one FreezeRegistry per decode call: the qubits tried
 for each trigger, the qubits frozen now, and the active freeze, which the
 next step retries while its trigger stays frustrated and keeps once it is
-satisfied.
+satisfied.  No step reports which priors it changed: the decode loop finds
+them by comparing the working prior with its copy from before the step, and
+refreshes only those qubits' outgoing messages.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bp
-from .codes import StabilizerCode
+from .codes import StabilizerCode, segment_positions
 
 _FROZEN_PRIOR = np.maximum(np.array([1.0, 0.0, 0.0, 0.0]), bp.EPS_FLOOR)
 
@@ -72,18 +74,20 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     if targets is not None:
         touched = np.asarray(targets, dtype=ea.qubit.dtype)
     else:
-        # each frustrated check's qubits in group order; the empty head keeps
-        # the dtype when there are none
-        bounds = ea.check_start
-        touched = np.concatenate([ea.qubit[:0], *(ea.qubit[bounds[c]:bounds[c + 1]] for c in frustrated)])
+        # each frustrated check's qubits in group order
+        touched = ea.qubit[segment_positions(ea.check_start, frustrated)]
     shape = (len(touched), 3)
     # one draw for all incidences consumes the generator exactly as one
     # draw per group would, in group order
     draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
     if delta > 0 and len(touched):
-        idx, where = np.unique(touched, return_inverse=True)
-        factors = np.ones((len(idx), 3))
-        np.multiply.at(factors, where, 1.0 + draws)
+        # each qubit's factors multiplied in incidence order, as a running
+        # product from 1 would take them
+        order = np.argsort(touched, kind="stable")
+        ordered = touched[order]
+        heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        factors = np.multiply.reduceat(1.0 + draws[order], heads, axis=0)
+        idx = ordered[heads]
         wp = state.working_prior
         rows = wp[idx]
         rows[:, 1:] *= factors

@@ -74,6 +74,16 @@ def test_check_update_rejects_wrong_syndrome_length(five):
             qbp.check_update(state, five, bad)
 
 
+@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2]])
+def test_check_update_rejects_values_other_than_plus_minus_one(five, bad):
+    # [1, 1, 1, 2] would set a t_cq of 0.325, a message with a negative entry
+    state = qbp.init_messages(five, qbp.depolarizing_prior(5, 0.1))
+    before = state.t_cq
+    with pytest.raises(ValueError, match=r"\+1 .* or -1"):
+        qbp.check_update(state, five, np.array(bad))
+    assert state.t_cq is before
+
+
 def test_check_update_toy_closed_form(toy):
     eps = 0.1
     state = qbp.init_messages(toy, qbp.depolarizing_prior(2, eps))
@@ -225,6 +235,106 @@ def test_first_argmax_matches_numpy_argmax():
         want = np.argmax(block, axis=1)
         assert np.array_equal(bp._first_argmax(np.ascontiguousarray(block.T)), want)
         assert np.array_equal(bp.hard_decision(block).letters(), want)
+
+
+def test_hard_letters_match_normalized_argmax_near_ties():
+    # unnormalized columns with a maximum of exactly 1, as the decode loop
+    # decides on them: a second letter at 1 - k * 2**-53 (k = 1..64), exact
+    # ties, and entries at the clip and the floor
+    low = [np.exp(bp._LOG_CLIP), bp.EPS_FLOOR, 1e-3, 0.5]
+
+    def columns(values):
+        cols = []
+        for top, second in itertools.permutations(range(4), 2):
+            for value in values:
+                for fill in low:
+                    col = np.full(4, fill)
+                    col[top], col[second] = 1.0, value
+                    cols.append(col)
+        return np.ascontiguousarray(np.array(cols).T)
+
+    def normalized_argmax(cols):
+        return np.argmax(bp._normalize_rows(cols.T.copy()), axis=1)
+
+    cols = columns([1.0 - k * 2.0 ** -53 for k in range(1, 65)] + [1.0])
+    cols = np.concatenate([cols, np.ones((4, 1))], axis=1)
+    # normalizing does turn some near-ties into ties that the lower letter wins
+    assert not np.array_equal(np.argmax(cols, axis=0), normalized_argmax(cols))
+    assert np.array_equal(bp._hard_letters(cols), normalized_argmax(cols))
+    # below 1 - 2**-48 no column is normalized first, and none needs to be
+    clear = columns([1.0 - k * 2.0 ** -53 for k in range(33, 65)])
+    assert np.count_nonzero(clear >= bp._NEAR_ONE) == clear.shape[1]
+    assert np.array_equal(bp._hard_letters(clear), normalized_argmax(clear))
+
+
+def _started_state(code, seed, iterations=3):
+    """A state after a few iterations of a sampled syndrome at eps 0.05."""
+    rng = np.random.default_rng(seed)
+    prior = qbp.depolarizing_prior(code.n, 0.05)
+    syndrome = code.syndrome(qbp.sample_error(prior, rng))
+    state = qbp.init_messages(code, prior)
+    for _ in range(iterations):
+        qbp.check_update(state, code, syndrome)
+        qbp.qubit_update(state, code)
+    return state, rng
+
+
+def test_update_qubits_matches_full_update_bitwise(toy, five, small_bicycle, bicycle_800):
+    # after the working prior of some qubits changes, refreshing only those
+    # qubits leaves d_qc as a full qubit update sets it, bit for bit
+    for name, code in (("toy", toy), ("five", five), ("small_bicycle", small_bicycle),
+                       ("bicycle_800", bicycle_800)):
+        sizes = sorted({0, 1, min(2, code.n), code.n // 3, code.n})
+        for k in sizes:
+            state, rng = _started_state(code, [42, k])
+            qubits = np.sort(rng.choice(code.n, size=k, replace=False))
+            rows = state.working_prior[qubits] * rng.uniform(0.5, 2.0, size=(k, 4))
+            state.working_prior[qubits] = bp._normalize_rows(rows)
+            full = MessageState(state.working_prior, state.d_qc.copy(), state.t_cq)
+            qbp.qubit_update(full, code)
+            log_prior = bp._log_working_prior(state)
+            bp._update_qubits(state, code, qubits, log_prior)
+            assert state.d_qc.tobytes() == full.d_qc.tobytes(), (name, k)
+
+
+def test_decode_loop_call_counts(bicycle_800, monkeypatch):
+    # per iteration one check update and one qubit update; after an
+    # intervention one more qubit update only when it touched >= n / 3
+    # qubits; a halting test only on iterations whose hard decision changed
+    calls = {"check_update": 0, "qubit_update": 0, "_update_qubits": 0, "halting": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("check_update", "qubit_update", "_update_qubits"):
+        monkeypatch.setattr(bp, name, counted(name, getattr(bp, name)))
+    monkeypatch.setattr(qbp.StabilizerCode, "syndrome01_of_letters",
+                        counted("halting", qbp.StabilizerCode.syndrome01_of_letters))
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    cfg = qbp.DecodeConfig(heuristic="collision_freeze")
+    totals = dict.fromkeys(("unchanged", "small", "large"), 0)
+    for trial in range(3):
+        rng = np.random.default_rng([15, trial])
+        syndrome = bicycle_800.syndrome(qbp.sample_error(prior, rng))
+        trace = []
+        for key in calls:
+            calls[key] = 0
+        res, events = qbp.decode_with_heuristics(bicycle_800, prior, syndrome, cfg, rng=rng, trace=trace)
+        letters = [np.argmax(beliefs, axis=1) for _, beliefs in trace]
+        changed = 1 + sum(not np.array_equal(a, b) for a, b in zip(letters, letters[1:]))
+        touched = {}
+        for e in events:
+            touched.setdefault(e.iteration, set()).update(e.qubits)
+        large = sum(3 * len(qubits) >= bicycle_800.n for qubits in touched.values())
+        assert calls == {"check_update": res.iterations_used, "qubit_update": res.iterations_used + large,
+                         "_update_qubits": len(touched) - large, "halting": changed}
+        totals["unchanged"] += res.iterations_used - changed
+        totals["small"] += len(touched) - large
+        totals["large"] += large
+    assert all(totals.values()), totals
 
 
 def test_decode_trivial_syndrome(five):

@@ -214,6 +214,12 @@ def test_four_loop_census(toy, five, small_bicycle):
         qi = {q for q, _ in small_bicycle.tanner[i]}
         qj = {q for q, _ in small_bicycle.tanner[j]}
         assert shared == tuple(sorted(qi & qj))
+    bicycle = qbp.generate_bicycle(qbp.BicycleSpec(n=60, m=30, w=10, seed=5))
+    countc, loopsc = bicycle.four_loop_census()
+    assert countc == _census_oracle(bicycle) == len(loopsc) > 0
+    assert [(i, j) for i, j, _ in loopsc] == sorted((i, j) for i, j, _ in loopsc)
+    for i, j, shared in loopsc:
+        assert i < j and shared == tuple(sorted(set(bicycle.check_qubits[i]) & set(bicycle.check_qubits[j])))
     single = qbp.StabilizerCode(["XXX"])
     assert single.four_loop_census() == (0, [])
 
