@@ -269,7 +269,8 @@ def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray
     The same kernel as qubit_update, on those qubits' edges in qubit-major
     order: each (label, qubit) slot sums its edges in ascending check order,
     as the check-major full update does, so every refreshed d_qc is the one
-    qubit_update would give, bit for bit.  log_prior is the (4, n) table.
+    qubit_update would give, bit for bit.  log_prior is the (4, n) log
+    working prior, already current on those qubits.
     """
     order, start, label = code._cached("qubit_major", lambda: _qubit_major(code))
     pos = segment_positions(start, qubits)
@@ -324,9 +325,9 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
 
     start, when given, is init_messages(code, prior), built once by the
     caller; a sweep builds one per point.  Only its working prior is copied,
-    because the heuristics mutate it.  Its d_qc and t_cq are shared, since
-    the updates replace those arrays and never write into them before the
-    first iteration has replaced them.
+    because the heuristics mutate it.  Its d_qc and t_cq are shared: the
+    first iteration replaces both arrays, and only a post-intervention
+    refresh, which comes later, writes into d_qc in place.
 
     The loop skips work whose inputs did not change.  The log working prior
     is taken once and refreshed only on the qubits an intervention touched.
