@@ -36,6 +36,13 @@ def random_single_check_code(rng, max_weight=6):
     return qbp.StabilizerCode([qbp.PauliOperator.from_letters(letters)])
 
 
+def tanner_rows(code):
+    """Per check, its (qubit, letter) pairs with qubits ascending, read from
+    the check's own letters."""
+    return tuple(tuple((q, letter) for q, letter in enumerate(check.letters().tolist()) if letter)
+                 for check in code.checks)
+
+
 def edge_signs(code):
     """(E, 4) commutation signs of each letter against each edge label, check-major."""
     return SIGN_TABLE[[letter for adj in code.tanner for _, letter in adj]].astype(np.float64)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import pickle
 import re
@@ -12,7 +13,7 @@ import qbp
 from qbp import gf2
 from qbp.codes import DETECTABLE, LOGICAL, STABILIZER
 
-from conftest import random_pauli
+from conftest import random_pauli, tanner_rows
 
 
 def test_build_toy_and_five(toy, five):
@@ -231,6 +232,13 @@ def test_check_qubits(five, small_bicycle):
     assert five.check_qubits[0] == (0, 1, 2, 3)
 
 
+def test_check_qubits_match_check_letters(toy, five, small_bicycle, bicycle_800):
+    for code in (toy, five, small_bicycle, bicycle_800):
+        want = tuple(tuple(np.flatnonzero(check.letters()).tolist()) for check in code.checks)
+        assert code.check_qubits == want
+        assert all(type(q) is int for qubits in code.check_qubits for q in qubits)
+
+
 def test_four_loops_unavoidable_on_bicycles(small_bicycle):
     rng = np.random.default_rng(9)
     codes = [small_bicycle]
@@ -248,6 +256,47 @@ def test_degree_distribution_toy(toy):
     assert lam == [Fraction(0), Fraction(1)]
     assert rho == [Fraction(0), Fraction(1)]
     assert qbp.design_rate(lam, rho) == 0.0
+
+
+def _degree_distribution_reference(code):
+    """(lambda, rho) by a per-check loop over the checks' (qubit, letter) rows."""
+    qdeg = [0] * code.n
+    cdeg = [0] * code.m
+    for c, adj in enumerate(tanner_rows(code)):
+        cdeg[c] = len(adj)
+        for q, _ in adj:
+            qdeg[q] += 1
+    edges = sum(cdeg)
+    lam = [Fraction(0)] * max(qdeg)
+    for d in qdeg:
+        if d:
+            lam[d - 1] += Fraction(d, edges)
+    rho = [Fraction(0)] * max(cdeg)
+    for d in cdeg:
+        rho[d - 1] += Fraction(d, edges)
+    return lam, rho
+
+
+def _assert_exact_fractions(lam, rho):
+    for f in (*lam, *rho):
+        assert type(f) is Fraction and type(f.numerator) is int and type(f.denominator) is int
+
+
+def test_degree_distribution_matches_per_check_reference(toy, five, small_bicycle, bicycle_800):
+    for code in (toy, five, small_bicycle, bicycle_800):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, rho = code.degree_distribution()
+        assert (lam, rho) == _degree_distribution_reference(code)
+        _assert_exact_fractions(lam, rho)
+    with pytest.warns(UserWarning, match="isolated"):
+        isolated = qbp.StabilizerCode(["XXXXI", "ZZZZI"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lam, rho = isolated.degree_distribution()
+    assert [str(w.message) for w in caught] == ["isolated qubits are excluded from the degree distribution"]
+    assert (lam, rho) == _degree_distribution_reference(isolated) == ([0, Fraction(1)], [0, 0, 0, Fraction(1)])
+    _assert_exact_fractions(lam, rho)
 
 
 def test_design_rate_regular():
@@ -368,6 +417,21 @@ def test_dot_export(toy, five):
         for q, letter in adj
     }
     assert _parse_dot_edges(dot5) == want and len(want) == 16
+
+
+# sha256 of to_dot(), recorded while the DOT edges were read from per-check
+# (qubit, letter) tuples
+DOT_DIGESTS = {
+    "five": "28b836839c7c8b8a84cf97a070dd27d37ca8a26694693799a0a3178273a47b13",
+    "small_bicycle": "f92ae7c9c5f45babf741df588785656245894bffc789f447809f93624a17a7e4",
+    "bicycle_800": "eefc6e4603b41ef9a36a3f55fab12a8826a1822e1ea3d7b44b3f04074c513257",
+}
+
+
+def test_dot_export_pinned(five, small_bicycle, bicycle_800):
+    codes = {"five": five, "small_bicycle": small_bicycle, "bicycle_800": bicycle_800}
+    got = {name: hashlib.sha256(code.to_dot().encode()).hexdigest() for name, code in codes.items()}
+    assert got == DOT_DIGESTS
 
 
 def test_save_load_roundtrip(tmp_path, five):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +192,68 @@ def test_coset_size_guards():
     tall = qbp.StabilizerCode(["ZZZZZZ"])
     with pytest.raises(ValueError, match="logical"):
         qbp.coset_decode(tall, qbp.depolarizing_prior(6, 0.1), np.ones(1, dtype=np.int8))
+
+
+def _oracle_code(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # bicycle (10, 8, 4, 3) and XXXXI/ZZZZI leave a qubit isolated
+        if name == "bicycle_10":
+            return qbp.generate_bicycle(qbp.BicycleSpec(n=10, m=8, w=4, seed=3))
+        if name == "xxxxi_zzzzi":
+            return qbp.StabilizerCode(["XXXXI", "ZZZZI"])
+        return qbp.builtin(name)
+
+
+# sha256 over every syndrome (bits in itertools.product((1, -1)) order) of
+# (exact_marginals bytes, str(exact_map)) and of (coset_decode raw_mass bytes,
+# its logicals), recorded while the consistency test read the constructor's
+# (qubit, letter) rows and coset_decode summed over symplectic bit rows.  The
+# 4^10-operator enumeration of bicycle (10, 8, 4, 3) takes ~0.4 s a syndrome,
+# so its marginals and MAP cover 16 seeded syndromes of its 256.
+ORACLE_DIGESTS = {
+    ("five_qubit", 0.05): (
+        "1cddb4282c73fea883b3ce75424a957f4f9614790d03f0335c93c9c82a5f0797",
+        "66f2b0a3390ecaced1d0bce2eda3e053925bd839f6fa39ca90b0a846184236ae"),
+    ("five_qubit", 0.2): (
+        "10641ed85aaea85eb57b2884097e2a2bdc157441a993ce3e8b8bacf29a9fddf8",
+        "c1118abb95bab3653ad82fc3252a27cee2083d1b53a2cdbc686d4e6b9fe2b96f"),
+    ("two_qubit_toy", 0.05): (
+        "47b093eb9cac9262c0459f205271b68a6af25af991bd01e8307d2051bd06615d",
+        "e4df61cb5f134f6b98b8f79467a08e137f043657d560097ad9a27bf704a298d1"),
+    ("two_qubit_toy", 0.2): (
+        "444757f5ef81a469262da48e54571d4d2d0c19f739afa22e5bb98daef13cc43d",
+        "84fc11f01440c58a89e1592f43ef348263fe093b9078c587c3c54030434bf992"),
+    ("bicycle_10", 0.05): (
+        "82ce381e589b83266812a0569f255a13c28c9b6a70c9d3c07885b205ec7f2614",
+        "a024d266e94084576e87fd9a5eac8c25edb6fdc46bf8fc15a1bf1c1bdc780623"),
+    ("bicycle_10", 0.2): (
+        "f7313370471c222f80ad07bca996fa85ce9368c4f7a699748a9d634920aa1a38",
+        "03bd25c5b63a9e5ed1cd54dbd8e88741f52cd230098db12747c6be5a60169d44"),
+    ("xxxxi_zzzzi", 0.05): (
+        "4094fc03741ddded357d3210485c9d0ad5082be5e524d48e78c923d82156de98",
+        "2a445fe2d9b957618cd60a815258b6f1fdfd40c1cab5111a14af46fc7bfe1ea9"),
+    ("xxxxi_zzzzi", 0.2): (
+        "531157317bd27704263f6e4ff23aa7a7a76bb06b8ca70274cc5e10a258bfc542",
+        "2b941def2e1abf09420388926bf7e65e42094ed751cdfdaa62ec8106d0c4d3da"),
+}
+
+
+@pytest.mark.parametrize("name, eps", list(ORACLE_DIGESTS))
+def test_oracle_outputs_pinned(name, eps):
+    code = _oracle_code(name)
+    prior = qbp.depolarizing_prior(code.n, eps)
+    syndromes = [np.array(bits, dtype=np.int8) for bits in itertools.product((1, -1), repeat=code.m)]
+    enumerated = syndromes
+    if name == "bicycle_10":
+        picks = np.random.default_rng(0).choice(len(syndromes), size=16, replace=False)
+        enumerated = [syndromes[i] for i in sorted(picks.tolist())]
+    enum_digest, coset_digest = hashlib.sha256(), hashlib.sha256()
+    for s in enumerated:
+        enum_digest.update(qbp.exact_marginals(code, prior, s).tobytes())
+        enum_digest.update(str(qbp.exact_map(code, prior, s)).encode())
+    for s in syndromes:
+        _, table = qbp.coset_decode(code, prior, s)
+        coset_digest.update(table.raw_mass.tobytes())
+        coset_digest.update(repr([str(op) for op in table.logicals]).encode())
+    got = (enum_digest.hexdigest(), coset_digest.hexdigest())
+    assert got == ORACLE_DIGESTS[name, eps]
