@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import StabilizerCode, segment_positions
+from .codes import StabilizerCode, checked_syndrome, segment_positions
 from .pauli import PauliOperator
 
 # Strictly positive floor, applied where the module docstring says, so that
@@ -160,16 +160,6 @@ def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(d_qc)))
 
 
-def _checked_syndrome(syndrome, m: int) -> np.ndarray:
-    """The syndrome as an int8 array of m signs; anything else is a ValueError."""
-    syndrome = np.asarray(syndrome)
-    if syndrome.shape != (m,):
-        raise ValueError(f"syndrome must have {m} bits, got shape {syndrome.shape}")
-    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
-        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
-    return syndrome.astype(np.int8, copy=False)
-
-
 def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray, *,
                  _checked: bool = False) -> None:
     """Refresh every check-to-qubit message for the given +-1 syndrome.
@@ -185,9 +175,9 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
     skips the syndrome's validation.
     """
     if not _checked:
-        syndrome = _checked_syndrome(syndrome, code.m)
+        syndrome = checked_syndrome(syndrome, code.m)
     starts = code.edges.check_start
-    degrees = code._cached("check_degrees", lambda: np.diff(starts))
+    degrees = code.check_degrees
     d = state.d_qc
     prod = np.multiply.reduceat(d, starts[:-1])
     if np.abs(prod).min() >= _NORMAL_PROD:
@@ -254,15 +244,6 @@ def qubit_update(state: MessageState, code: StabilizerCode, *, _log_prior: np.nd
     return _normalize_rows(cols.T) if _normalize else cols
 
 
-def _qubit_major(code: StabilizerCode):
-    """The edges in qubit-major order, checks ascending within each qubit:
-    (order, per-qubit segment offsets, label - 1 per ordered edge)."""
-    ea = code.edges
-    order = np.argsort(ea.qubit, kind="stable")
-    start = np.concatenate(([0], np.cumsum(np.bincount(ea.qubit, minlength=code.n))))
-    return order, start, ea.slot[order] // code.n
-
-
 def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray, log_prior: np.ndarray) -> None:
     """Refresh the qubit-to-check messages of the ascending `qubits` only.
 
@@ -272,7 +253,7 @@ def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray
     qubit_update would give, bit for bit.  log_prior is the (4, n) log
     working prior, already current on those qubits.
     """
-    order, start, label = code._cached("qubit_major", lambda: _qubit_major(code))
+    order, start, label = code.qubit_major
     pos = segment_positions(start, qubits)
     edges = order[pos]
     k = len(qubits)
@@ -335,7 +316,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     hard decision equals the last one has the same violated checks, so it
     cannot halt and runs no halting test.
     """
-    syndrome = _checked_syndrome(syndrome, code.m)
+    syndrome = checked_syndrome(syndrome, code.m)
     if start is None:
         state = init_messages(code, prior)
     else:

@@ -10,17 +10,21 @@ The constructor is the one place a check set is validated and indexed.  It
 packs all checks' symplectic rows into one uint64 word matrix and unpacks it
 once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
 those bits yields the edge lists, from which come the commutation test (over
-the check pairs that meet on a qubit), `tanner`, `edges` and the
-isolated-qubit warning.  One packed elimination (gf2.packed_echelon) rejects
-dependent checks and keeps the echelon `basis` of `rows`, as a gf2.insert
-loop would build it.  A code object is immutable after construction;
-canonical generators, `check_qubits` and the fingerprint are cached lazily.
+the check pairs that meet on a qubit), `edges` and the isolated-qubit
+warning.  One packed elimination (gf2.packed_echelon) rejects dependent
+checks and keeps the echelon `basis` of `rows`, as a gf2.insert loop would
+build it.
+
+`edges` is the one stored Tanner graph: every graph fact (check qubits,
+degrees, the DOT export, the 4-loop census) is read from it.  A code object
+is immutable after construction; canonical generators, `check_qubits`,
+`check_degrees`, the qubit-major edge order and the fingerprint are cached lazily.  `checked_syndrome` is the one
+syndrome validation, used by BP, pure errors and the oracles.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +66,16 @@ def syndrome_from_string(text: str) -> np.ndarray:
 
 def syndrome_to_string(s: np.ndarray) -> str:
     return "".join("+" if b > 0 else "-" for b in s)
+
+
+def checked_syndrome(syndrome, m: int) -> np.ndarray:
+    """The syndrome as an int8 array of m signs; anything else is a ValueError."""
+    syndrome = np.asarray(syndrome)
+    if syndrome.shape != (m,):
+        raise ValueError(f"syndrome must have {m} bits, got shape {syndrome.shape}")
+    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
+        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
+    return syndrome.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -159,12 +173,6 @@ class StabilizerCode:
         self.m = len(ops)
         self.checks = ops
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
-        # rows share one (qubit, letter) tuple per label rather than one per
-        # edge: 4n tuples in place of E, which keeps a code's memory down
-        labels = np.fromiter(itertools.product(range(n), range(4)), dtype=object, count=4 * n)
-        pairs = labels[4 * qubit + letter].tolist()
-        bounds = check_start.tolist()
-        self.tanner = tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
         isolated = np.flatnonzero(~letters.any(axis=0))
         if isolated.size:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
@@ -217,7 +225,7 @@ class StabilizerCode:
         """
         ea = self.edges
         order, first, second = _edge_pairs_on_qubits(ea.qubit)
-        check = np.repeat(np.arange(self.m), np.diff(ea.check_start))[order]
+        check = np.repeat(np.arange(self.m), self.check_degrees)[order]
         keys = check[first] * self.m + check[second]
         # stable, so each check pair keeps its qubits ascending
         by_pair = np.argsort(keys, kind="stable")
@@ -237,7 +245,26 @@ class StabilizerCode:
     @property
     def check_qubits(self) -> tuple[tuple[int, ...], ...]:
         """Per check, the qubits it acts on, ascending."""
-        return self._cached("check_qubits", lambda: tuple(tuple(q for q, _ in adj) for adj in self.tanner))
+        def build():
+            qubits, bounds = self.edges.qubit.tolist(), self.edges.check_start.tolist()
+            return tuple(tuple(qubits[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._cached("check_qubits", build)
+
+    @property
+    def check_degrees(self) -> np.ndarray:
+        """(m,) number of edges of each check."""
+        return self._cached("check_degrees", lambda: np.diff(self.edges.check_start))
+
+    @property
+    def qubit_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges in qubit-major order, checks ascending within each qubit:
+        (order, (n+1,) per-qubit segment offsets, label - 1 per ordered edge)."""
+        def build():
+            ea = self.edges
+            order = np.argsort(ea.qubit, kind="stable")
+            start = np.concatenate(([0], np.cumsum(np.bincount(ea.qubit, minlength=self.n))))
+            return order, start, ea.slot[order] // self.n
+        return self._cached("qubit_major", build)
 
     def degree_distribution(self):
         """Edge-perspective degree distributions (lambda, rho) as coefficient lists.
@@ -245,23 +272,18 @@ class StabilizerCode:
         Entry j of each list is the exact fraction of edges incident to
         degree-(j+1) nodes, i.e. the coefficient of x^j.
         """
-        qdeg = [0] * self.n
-        cdeg = [0] * self.m
-        for c, adj in enumerate(self.tanner):
-            cdeg[c] = len(adj)
-            for q, _ in adj:
-                qdeg[q] += 1
-        edges = sum(cdeg)
-        if any(d == 0 for d in qdeg):
+        edges = len(self.edges.qubit)
+        qdeg = np.bincount(self.edges.qubit, minlength=self.n)
+        if not qdeg.all():
             warnings.warn("isolated qubits are excluded from the degree distribution", stacklevel=2)
-        lam = [Fraction(0)] * max(qdeg)
-        for d in qdeg:
-            if d:
-                lam[d - 1] += Fraction(d, edges)
-        rho = [Fraction(0)] * max(cdeg)
-        for d in cdeg:
-            rho[d - 1] += Fraction(d, edges)
-        return lam, rho
+        qdeg = qdeg[qdeg > 0]
+
+        def coefficients(degrees):
+            # the degree-d nodes' d * count edges, over all edges, for d = 1..max
+            counts = np.bincount(degrees).tolist()
+            return [Fraction(d * count, edges) for d, count in enumerate(counts)][1:]
+
+        return coefficients(qdeg), coefficients(self.check_degrees)
 
     # -- symplectic structure ---------------------------------------------
 
@@ -375,8 +397,7 @@ class StabilizerCode:
 
     def pure_error_for_syndrome(self, s: np.ndarray) -> PauliOperator:
         """An operator whose syndrome equals s: product of pure errors on the -1 bits."""
-        if len(s) != self.m:
-            raise ValueError(f"syndrome has {len(s)} bits, expected {self.m}")
+        s = checked_syndrome(s, self.m)
         pure, _ = self.canonical_generators()
         out = PauliOperator.identity(self.n)
         for c, bit in enumerate(s):
@@ -395,7 +416,9 @@ class StabilizerCode:
     # -- flat edge arrays for message passing ------------------------------
 
     def syndrome01_of_letters(self, letters: np.ndarray) -> np.ndarray:
-        """Violation bits (1 = anticommute) of a per-qubit letter assignment."""
+        """Violation bits (1 = anticommute) of a per-qubit (n,) letter assignment."""
+        if letters.shape != (self.n,):
+            raise ValueError(f"letters must have shape ({self.n},), got {letters.shape}")
         ea = self.edges
         # a letter anticommutes with label l unless it is I or l; read per edge by slot
         anti = (letters != 0) & (letters != _LABELS)
@@ -409,9 +432,11 @@ class StabilizerCode:
             lines.append(f'  q{q} [shape=circle,label="q{q}"];')
         for c in range(self.m):
             lines.append(f'  c{c} [shape=box,label="c{c}"];')
-        for c, adj in enumerate(self.tanner):
-            for q, letter in adj:
-                lines.append(f'  q{q} -- c{c} [label="{LETTERS[letter]}"];')
+        ea = self.edges
+        checks = np.repeat(np.arange(self.m), self.check_degrees).tolist()
+        labels = (ea.slot // self.n + 1).tolist()
+        for q, c, letter in zip(ea.qubit.tolist(), checks, labels):
+            lines.append(f'  q{q} -- c{c} [label="{LETTERS[letter]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

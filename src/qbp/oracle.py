@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import StabilizerCode
+from .codes import StabilizerCode, checked_syndrome
 from .bp import validate_prior
 from .pauli import ANTI_TABLE, PauliOperator
 
@@ -42,30 +42,36 @@ def _block_probs(letters: np.ndarray, prior: np.ndarray) -> np.ndarray:
 
 def _block_consistent(letters: np.ndarray, code: StabilizerCode, target01: np.ndarray) -> np.ndarray:
     ok = np.ones(letters.shape[0], dtype=bool)
-    for c, adj in enumerate(code.tanner):
+    for c, check in enumerate(code.checks):
+        row = check.letters()
         acc = np.zeros(letters.shape[0], dtype=np.uint8)
-        for q, letter in adj:
-            acc ^= ANTI_TABLE[letter, letters[:, q]]
+        for q in np.flatnonzero(row):
+            acc ^= ANTI_TABLE[row[q], letters[:, q]]
         ok &= acc == target01[c]
     return ok
 
 
-def _check_enum_size(code: StabilizerCode):
+def _consistent_blocks(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
+    """Enumerate every n-qubit operator in chunks, in lexicographic order.
+
+    Yields (letters, probs, consistent): each chunk's letter codes, their
+    prior probabilities and whether their syndrome equals the given one.
+    """
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
+    prior = validate_prior(prior, code.n)
+    target01 = ((1 - checked_syndrome(syndrome, code.m)) // 2).astype(np.uint8)
+    total = 1 << (2 * code.n)
+    for start in range(0, total, _CHUNK):
+        letters = _letters_block(code.n, start, min(start + _CHUNK, total))
+        yield letters, _block_probs(letters, prior), _block_consistent(letters, code, target01)
 
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
     """Exact conditional marginals p_q(E_q | s) by full enumeration."""
-    _check_enum_size(code)
-    prior = validate_prior(prior, code.n)
-    target01 = ((1 - np.asarray(syndrome, dtype=np.int8)) // 2).astype(np.uint8)
     mass = np.zeros((code.n, 4))
-    total = 1 << (2 * code.n)
-    for start in range(0, total, _CHUNK):
-        letters = _letters_block(code.n, start, min(start + _CHUNK, total))
-        probs = _block_probs(letters, prior)
-        probs[~_block_consistent(letters, code, target01)] = 0.0
+    for letters, probs, consistent in _consistent_blocks(code, prior, syndrome):
+        probs[~consistent] = 0.0
         for q in range(code.n):
             for v in range(4):
                 mass[q, v] += probs[letters[:, q] == v].sum()
@@ -77,16 +83,10 @@ def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarra
 
 def exact_map(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> PauliOperator:
     """A most likely syndrome-consistent error; ties go to the lexicographically first."""
-    _check_enum_size(code)
-    prior = validate_prior(prior, code.n)
-    target01 = ((1 - np.asarray(syndrome, dtype=np.int8)) // 2).astype(np.uint8)
     best_p = -1.0
     best_letters = None
-    total = 1 << (2 * code.n)
-    for start in range(0, total, _CHUNK):
-        letters = _letters_block(code.n, start, min(start + _CHUNK, total))
-        probs = _block_probs(letters, prior)
-        probs[~_block_consistent(letters, code, target01)] = -1.0
+    for letters, probs, consistent in _consistent_blocks(code, prior, syndrome):
+        probs[~consistent] = -1.0
         i = int(np.argmax(probs))
         if probs[i] > best_p:
             best_p = probs[i]
@@ -108,17 +108,6 @@ class CosetTable:
         return self.raw_mass / self.raw_mass.sum()
 
 
-def _prob_of_row(row: int, code: StabilizerCode, prior: np.ndarray) -> float:
-    mask = (1 << code.n) - 1
-    x, z = row & mask, row >> code.n
-    p = 1.0
-    for q in range(code.n):
-        xb = (x >> q) & 1
-        zb = (z >> q) & 1
-        p *= prior[q, xb + zb * (3 - 2 * xb)]
-    return p
-
-
 def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
     """Most likely logical class given the syndrome, with the full class table.
 
@@ -131,25 +120,25 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
     if code.k > MAX_COSET_LOGICALS:
         raise ValueError(f"coset enumeration is limited to {MAX_COSET_LOGICALS} logical qubits, code has {code.k}")
     prior = validate_prior(prior, code.n)
-    rows = [code._symplectic_row(op) for op in code.checks]
-    stab_elems = [0]
-    for r in rows:
-        stab_elems += [e ^ r for e in stab_elems]
+    t_letters = code.pure_error_for_syndrome(syndrome).letters()
+    # the stabilizer group as one (2^m, n) letter block, element i the
+    # product of the checks on the set bits of i
+    group = np.zeros((1, code.n), dtype=np.int8)
+    for check in code.checks:
+        group = np.concatenate((group, group ^ check.letters()))
     _, logicals = code.canonical_generators()
-    logical_rows = [code._symplectic_row(op) for op in logicals]
-    t_row = code._symplectic_row(code.pure_error_for_syndrome(np.asarray(syndrome, dtype=np.int8)))
+    logical_letters = [op.letters() for op in logicals]
 
-    n_classes = 1 << (2 * code.k)
-    mass = np.zeros(n_classes)
+    mass = np.zeros(1 << (2 * code.k))
     reps = []
-    for ell in range(n_classes):
-        l_row = 0
-        for b in range(2 * code.k):
+    for ell in range(len(mass)):
+        l_letters = np.zeros(code.n, dtype=np.int8)
+        for b, row in enumerate(logical_letters):
             if (ell >> b) & 1:
-                l_row ^= logical_rows[b]
-        base = t_row ^ l_row
-        mass[ell] = sum(_prob_of_row(base ^ s, code, prior) for s in stab_elems)
-        reps.append(code._op_from_row(l_row))
+                l_letters ^= row
+        # summed in group order, one element at a time
+        mass[ell] = sum(_block_probs(group ^ (t_letters ^ l_letters), prior).tolist())
+        reps.append(PauliOperator.from_letters(l_letters))
     table = CosetTable(logicals=tuple(reps), raw_mass=mass)
     best = int(np.argmax(mass))
     return reps[best], table

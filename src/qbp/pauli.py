@@ -86,6 +86,8 @@ class PauliOperator:
         letters = np.asarray(letters)
         if letters.ndim != 1:
             raise ValueError(f"letter codes must form a 1-D array, got shape {letters.shape}")
+        if letters.dtype.kind not in "iu":  # 1.5 would compare as X or Y, True as X
+            raise ValueError(f"letter codes must be integers, got dtype {letters.dtype}")
         if ((letters < 0) | (letters > 3)).any():
             raise ValueError("letter codes must lie in 0..3")
         n = letters.shape[0]

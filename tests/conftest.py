@@ -45,7 +45,7 @@ def tanner_rows(code):
 
 def edge_signs(code):
     """(E, 4) commutation signs of each letter against each edge label, check-major."""
-    return SIGN_TABLE[[letter for adj in code.tanner for _, letter in adj]].astype(np.float64)
+    return SIGN_TABLE[[letter for adj in tanner_rows(code) for _, letter in adj]].astype(np.float64)
 
 
 def edge_bias(code, vectors):

@@ -16,7 +16,7 @@ import pytest
 import qbp
 
 from test_bp import naive_check_message
-from conftest import check_messages, random_single_check_code, set_incoming
+from conftest import check_messages, random_single_check_code, set_incoming, tanner_rows
 
 
 def report(num, ok, text, elapsed):
@@ -99,7 +99,7 @@ def test_criterion_3_oracle_equivalence():
         state = qbp.init_messages(code, qbp.depolarizing_prior(code.n, 0.1))
         set_incoming(state, code, incoming)
         qbp.check_update(state, code, np.array([s_c], dtype=np.int8))
-        labels = [letter for _, letter in code.tanner[0]]
+        labels = [letter for _, letter in tanner_rows(code)[0]]
         ref = naive_check_message(labels, incoming, s_c)
         worst_msg = max(worst_msg, float(np.abs(check_messages(state, code) - ref).max()))
     elapsed = time.time() - t0

@@ -10,7 +10,7 @@ from qbp import bp
 from qbp.bp import MessageState
 from qbp.pauli import SIGN_TABLE
 
-from conftest import check_messages, edge_bias, edge_signs, random_single_check_code, set_incoming
+from conftest import check_messages, edge_bias, edge_signs, random_single_check_code, set_incoming, tanner_rows
 
 
 def naive_check_message(labels, incoming, s_c):
@@ -135,7 +135,7 @@ def test_check_update_matches_naive_enumeration():
         state = qbp.init_messages(code, qbp.depolarizing_prior(deg, 0.1))
         set_incoming(state, code, incoming)
         qbp.check_update(state, code, np.array([s_c], dtype=np.int8))
-        labels = [letter for _, letter in code.tanner[0]]
+        labels = [letter for _, letter in tanner_rows(code)[0]]
         ref = naive_check_message(labels, incoming, s_c)
         worst = max(worst, float(np.abs(check_messages(state, code) - ref).max()))
     assert worst <= 1e-12
@@ -452,7 +452,7 @@ def test_decode_config_validation():
 
 def test_edge_state_is_one_scalar_per_edge(small_bicycle):
     ea = small_bicycle.edges
-    labels = np.array([letter for adj in small_bicycle.tanner for _, letter in adj])
+    labels = np.array([letter for adj in tanner_rows(small_bicycle) for _, letter in adj])
     assert np.array_equal(ea.slot, (labels - 1) * small_bicycle.n + ea.qubit)
     assert ea.slot.flags.c_contiguous
     state = qbp.init_messages(small_bicycle, qbp.depolarizing_prior(small_bicycle.n, 0.05))

@@ -5,6 +5,8 @@ import qbp
 from qbp.bp import HEURISTICS
 from qbp.cli import _HEURISTIC_FLAGS, _decode_config, build_parser, main
 
+from conftest import tanner_rows
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -23,7 +25,7 @@ def test_generate_and_inspect(tmp_path, capsys):
     h_lines = [l for l in (tmp_path / "b.code.h").read_text().splitlines() if not l.startswith("#")]
     assert len(h_lines) == 5
     for c, line in enumerate(h_lines):
-        assert [int(x) for x in line.split()] == [q for q, _ in loaded.tanner[c]]
+        assert [int(x) for x in line.split()] == [q for q, _ in tanner_rows(loaded)[c]]
 
     code, stdout, _ = run_cli(capsys, "inspect", "--code", str(out))
     assert code == 0

@@ -195,8 +195,8 @@ def _census_oracle(code):
     count = 0
     for i in range(code.m):
         for j in range(i + 1, code.m):
-            qi = {q for q, _ in code.tanner[i]}
-            qj = {q for q, _ in code.tanner[j]}
+            qi = {q for q, _ in tanner_rows(code)[i]}
+            qj = {q for q, _ in tanner_rows(code)[j]}
             if len(qi & qj) >= 2:
                 count += 1
     return count
@@ -212,8 +212,8 @@ def test_four_loop_census(toy, five, small_bicycle):
     countb, loopsb = small_bicycle.four_loop_census()
     assert countb == _census_oracle(small_bicycle) and countb == len(loopsb)
     for i, j, shared in loopsb:
-        qi = {q for q, _ in small_bicycle.tanner[i]}
-        qj = {q for q, _ in small_bicycle.tanner[j]}
+        qi = {q for q, _ in tanner_rows(small_bicycle)[i]}
+        qj = {q for q, _ in tanner_rows(small_bicycle)[j]}
         assert shared == tuple(sorted(qi & qj))
     bicycle = qbp.generate_bicycle(qbp.BicycleSpec(n=60, m=30, w=10, seed=5))
     countc, loopsc = bicycle.four_loop_census()
@@ -225,18 +225,12 @@ def test_four_loop_census(toy, five, small_bicycle):
     assert single.four_loop_census() == (0, [])
 
 
-def test_check_qubits(five, small_bicycle):
-    for code in (five, small_bicycle):
-        assert code.check_qubits == tuple(tuple(q for q, _ in adj) for adj in code.tanner)
+def test_check_qubits(toy, five, small_bicycle, bicycle_800):
+    for code in (toy, five, small_bicycle, bicycle_800):
+        assert code.check_qubits == tuple(tuple(q for q, _ in adj) for adj in tanner_rows(code))
+        assert all(type(q) is int for qubits in code.check_qubits for q in qubits)
         assert code.check_qubits is code.check_qubits
     assert five.check_qubits[0] == (0, 1, 2, 3)
-
-
-def test_check_qubits_match_check_letters(toy, five, small_bicycle, bicycle_800):
-    for code in (toy, five, small_bicycle, bicycle_800):
-        want = tuple(tuple(np.flatnonzero(check.letters()).tolist()) for check in code.checks)
-        assert code.check_qubits == want
-        assert all(type(q) is int for qubits in code.check_qubits for q in qubits)
 
 
 def test_four_loops_unavoidable_on_bicycles(small_bicycle):
@@ -374,6 +368,15 @@ def test_pure_error_for_syndrome(toy, five):
         assert list(five.syndrome(five.pure_error_for_syndrome(s))) == list(s)
 
 
+def test_syndrome01_of_letters_rejects_wrong_length(five):
+    letters = np.array([0, 1, 2, 3, 1, 2], dtype=np.int8)
+    want = (five.syndrome(qbp.PauliOperator.from_letters(letters[:5])) < 0).astype(np.uint8)
+    assert np.array_equal(five.syndrome01_of_letters(letters[:5]), want)
+    for bad in (letters, letters[:4], letters[:5].reshape(1, 5)):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            five.syndrome01_of_letters(bad)
+
+
 def test_pure_error_map_is_injective(toy, five, small_bicycle):
     for code in (toy, five, small_bicycle):
         seen = set()
@@ -413,7 +416,7 @@ def test_dot_export(toy, five):
     dot5 = five.to_dot()
     want = {
         (q, c, "IXYZ"[letter])
-        for c, adj in enumerate(five.tanner)
+        for c, adj in enumerate(tanner_rows(five))
         for q, letter in adj
     }
     assert _parse_dot_edges(dot5) == want and len(want) == 16
@@ -467,7 +470,12 @@ def test_load_skips_comments(tmp_path, toy):
 
 
 def _assert_same_code(a, b):
-    assert a.checks == b.checks and a.tanner == b.tanner and (a.n, a.m) == (b.n, b.m)
+    assert a.checks == b.checks and (a.n, a.m) == (b.n, b.m)
+    assert a.check_qubits == b.check_qubits and a.to_dot() == b.to_dot()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the isolated-qubit code warns
+        assert a.degree_distribution() == b.degree_distribution()
+    assert "tanner" not in a.__dict__ and "tanner" not in b.__dict__
     assert a.rows == b.rows and a.basis == b.basis
     assert a.fingerprint() == b.fingerprint()
     for field in dataclasses.fields(a.edges):
@@ -531,7 +539,7 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
             assert [str(w.message) for w in caught] == (
                 [f"qubits {isolated} are isolated (degree 0)"] if isolated else [])
             want = tuple(tuple((q, int(letter)) for q, letter in enumerate(row) if letter != 0) for row in mat)
-            assert code.tanner == want
+            assert code.check_qubits == tuple(tuple(q for q, _ in adj) for adj in want)
             ea = code.edges
             assert ea.qubit.tolist() == [q for adj in want for q, _ in adj]
             assert ea.check_start.tolist() == [0, *itertools.accumulate(len(adj) for adj in want)]

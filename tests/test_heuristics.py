@@ -8,6 +8,8 @@ import qbp
 from qbp import bp
 from qbp.heuristics import _FROZEN_PRIOR, FreezeRegistry, freeze_step
 
+from conftest import tanner_rows
+
 VALID_TOY_RECOVERIES = {"XI", "IX", "YZ", "ZY"}
 
 
@@ -266,7 +268,7 @@ def test_locality_of_interventions(five):
                 checks = e.trigger[1:]
                 allowed = set()
                 for c in checks:
-                    allowed |= {q for q, _ in five.tanner[c]}
+                    allowed |= {q for q, _ in tanner_rows(five)[c]}
                 assert set(e.qubits) <= allowed
 
 

@@ -257,3 +257,23 @@ def test_oracle_outputs_pinned(name, eps):
         coset_digest.update(repr([str(op) for op in table.logicals]).encode())
     got = (enum_digest.hexdigest(), coset_digest.hexdigest())
     assert got == ORACLE_DIGESTS[name, eps]
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([0, 1], r"\+1 .* or -1"),      # 0/1 bits: read as signs, 0 would pass as +1
+    ([1], "must have 2 bits"),
+    ([1, -1, -1], "must have 2 bits"),  # an extra bit was ignored
+])
+def test_syndrome_values_and_length_checked_everywhere(toy, bad, match):
+    prior = qbp.depolarizing_prior(2, 0.1)
+    calls = {
+        "decode": lambda s: qbp.decode(toy, prior, s),
+        "pure_error_for_syndrome": toy.pure_error_for_syndrome,
+        "exact_marginals": lambda s: qbp.exact_marginals(toy, prior, s),
+        "exact_map": lambda s: qbp.exact_map(toy, prior, s),
+        "coset_decode": lambda s: qbp.coset_decode(toy, prior, s),
+    }
+    for name, call in calls.items():
+        for s in (bad, np.array(bad, dtype=np.int8)):
+            with pytest.raises(ValueError, match=match):
+                call(s)

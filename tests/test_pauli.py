@@ -142,3 +142,11 @@ def test_from_letters_rejects_bad_input():
     with pytest.raises(ValueError, match="1-D"):
         PauliOperator.from_letters(np.int8(1))
     assert str(PauliOperator.from_letters(np.array([0, 1, 2, 3]))) == "IXYZ"
+
+
+def test_from_letters_rejects_non_integer_codes():
+    # [1.5, 2.0] used to compare as IY
+    for bad in ([1.5, 2.0], np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="integers"):
+            PauliOperator.from_letters(bad)
+    assert str(PauliOperator.from_letters(np.array([1, 2], dtype=np.uint8))) == "XY"
