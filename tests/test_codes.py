@@ -193,10 +193,11 @@ def test_stabilizer_factor_preserves_syndrome(five):
 
 def _census_oracle(code):
     count = 0
+    rows = tanner_rows(code)
     for i in range(code.m):
         for j in range(i + 1, code.m):
-            qi = {q for q, _ in tanner_rows(code)[i]}
-            qj = {q for q, _ in tanner_rows(code)[j]}
+            qi = {q for q, _ in rows[i]}
+            qj = {q for q, _ in rows[j]}
             if len(qi & qj) >= 2:
                 count += 1
     return count
@@ -211,9 +212,10 @@ def test_four_loop_census(toy, five, small_bicycle):
         assert len(shared) >= 2
     countb, loopsb = small_bicycle.four_loop_census()
     assert countb == _census_oracle(small_bicycle) and countb == len(loopsb)
+    rows = tanner_rows(small_bicycle)
     for i, j, shared in loopsb:
-        qi = {q for q, _ in tanner_rows(small_bicycle)[i]}
-        qj = {q for q, _ in tanner_rows(small_bicycle)[j]}
+        qi = {q for q, _ in rows[i]}
+        qj = {q for q, _ in rows[j]}
         assert shared == tuple(sorted(qi & qj))
     bicycle = qbp.generate_bicycle(qbp.BicycleSpec(n=60, m=30, w=10, seed=5))
     countc, loopsc = bicycle.four_loop_census()
