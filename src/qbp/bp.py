@@ -33,10 +33,14 @@ decode loop redoes no work whose inputs are unchanged, and stays bit for bit
 the decode that redoes it.  It takes the hard decision from the
 unnormalized beliefs (their column maximum is exactly 1, and normalizing can
 only tie a letter within a few ulp of it, which is checked) and normalizes
-only the beliefs it returns or traces.  It keeps the log working prior
-between interventions.  It runs the halting test only when the hard
-decision changed.  After an intervention it refreshes the outgoing messages
-of the qubits whose prior changed, all of them only when that is most.
+only the beliefs it returns or traces.  The decision is the positions of its
+non-identity letters, a few dozen at low noise, not n letters.  The halting
+test runs only when those positions changed, and XORs the code's packed
+anticommutation rows at them into a few syndrome words, compared with the
+packed target word for word; it touches no per-edge array.  The loop keeps
+the log working prior between interventions.  After an intervention it
+refreshes the outgoing messages of the qubits whose prior changed, all of
+them only when that is most.
 """
 
 from __future__ import annotations
@@ -66,6 +70,12 @@ _NORMAL_PROD = 2.0 ** -1020
 # A letter whose unnormalized belief reaches this may divide to a tie with
 # the row maximum of 1; below it, normalizing cannot change the argmax.
 _NEAR_ONE = 1.0 - 2.0 ** -48
+
+_LETTER_ROWS = np.arange(4).reshape(4, 1)  # I, X, Y, Z against (k,) letters
+
+# The six letter pairs whose sums the outgoing bias reads, as two row gathers.
+_PAIR_FIRST = np.array([1, 2, 3, 2, 1, 1])
+_PAIR_SECOND = np.array([0, 0, 0, 3, 3, 2])
 
 HEURISTICS = ("none", "freeze", "perturb", "collision_freeze", "collision_perturb")
 
@@ -139,12 +149,11 @@ def _outgoing(cols: np.ndarray, slot: np.ndarray, log_ab: np.ndarray | None = No
     log(a / b) when given: the leave-one-out of its incoming message.  slot
     places each edge in the flattened (3, k) table of its label and qubit.
     """
-    x = np.log(cols[1:] + cols[0])
-    anti = np.empty_like(x)  # the letters anticommuting with X, Y, Z
-    np.add(cols[2], cols[3], out=anti[0])
-    np.add(cols[1], cols[3], out=anti[1])
-    np.add(cols[1], cols[2], out=anti[2])
-    x -= np.log(anti, out=anti)
+    # rows I+X, I+Y, I+Z, then the letters anticommuting with X, Y, Z
+    sums = cols[_PAIR_FIRST]
+    sums += cols[_PAIR_SECOND]
+    logs = np.log(sums, out=sums)
+    x = logs[:3] - logs[3:]
     x = x.ravel().take(slot)
     if log_ab is not None:
         x -= log_ab
@@ -204,14 +213,17 @@ def _beliefs(t: np.ndarray, slot: np.ndarray, log_prior: np.ndarray):
     qubit's column depends only on its own edges, in their given order.
     """
     a, b = t + 0.25, 0.25 - t
-    np.maximum(a, EPS_FLOOR, out=a)
-    np.maximum(b, EPS_FLOOR, out=b)
+    # inside (-1/4, 1/4) both are at least 2**-55, and the floor changes
+    # nothing; an empty t, NaN or +-1/4 takes the floored path
+    if not (len(t) and -0.25 < t.min() and t.max() < 0.25):
+        np.maximum(a, EPS_FLOOR, out=a)
+        np.maximum(b, EPS_FLOOR, out=b)
     log_ab = np.log(np.divide(a, b, out=a), out=a)
     per_label = np.bincount(slot, log_ab, 3 * log_prior.shape[1]).reshape(3, -1)
     logs = np.empty_like(log_prior)
     np.add(log_prior[0], per_label[0] + per_label[1] + per_label[2], out=logs[0])
     np.add(log_prior[1:], per_label, out=logs[1:])
-    logs -= np.maximum(np.maximum(logs[0], logs[1]), np.maximum(logs[2], logs[3]))
+    logs -= logs.max(axis=0)
     np.maximum(logs, _LOG_CLIP, out=logs)
     return np.exp(logs, out=logs), log_ab
 
@@ -283,17 +295,29 @@ def hard_decision(beliefs: np.ndarray) -> PauliOperator:
     return PauliOperator.from_letters(_first_argmax(np.asarray(beliefs).T))
 
 
-def _hard_letters(cols: np.ndarray) -> np.ndarray:
-    """The first argmax of the normalized beliefs, from letter-major (4, n)
-    beliefs with a column maximum of exactly 1.
+def _hard_positions(cols: np.ndarray) -> np.ndarray:
+    """Ascending positions (l - 1) * k + q of the non-identity letters of the
+    first argmax of the normalized beliefs, from letter-major (4, k) beliefs
+    with a column maximum of exactly 1.  Two decisions are equal exactly
+    when their positions are.
 
     Dividing a column by its sum is monotone, so it can only turn a letter
     within a few ulp of the maximum into a tie; only when some column has
     such a letter is a normalized copy decided on.
     """
-    if np.count_nonzero(cols >= _NEAR_ONE) != cols.shape[1]:
-        cols = _normalize_rows(cols.T.copy()).T
-    return _first_argmax(cols)
+    top = cols >= _NEAR_ONE
+    if np.count_nonzero(top) != cols.shape[1]:
+        letters = _first_argmax(_normalize_rows(cols.T.copy()).T)
+        top = letters == _LETTER_ROWS
+    return np.flatnonzero(top[1:])
+
+
+def _letters_at(positions: np.ndarray, n: int) -> np.ndarray:
+    """The (n,) int8 letters whose non-identity ones sit at `positions`."""
+    letters = np.zeros(n, dtype=np.int8)
+    label, qubit = np.divmod(positions, n)
+    letters[qubit] = label + 1
+    return letters
 
 
 def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) -> DecodeResult:
@@ -313,8 +337,9 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     The loop skips work whose inputs did not change.  The log working prior
     is taken once and refreshed only on the qubits an intervention touched.
     Beliefs are normalized only when returned or traced.  An iteration whose
-    hard decision equals the last one has the same violated checks, so it
-    cannot halt and runs no halting test.
+    hard decision (its positions) equals the last one has the same violated
+    checks, so it cannot halt and runs no halting test.  Syndrome bits are
+    unpacked only to list frustrated checks, letters only for the correction.
     """
     syndrome = checked_syndrome(syndrome, code.m)
     if start is None:
@@ -322,24 +347,28 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     else:
         state = MessageState(start.working_prior.copy(), start.d_qc, start.t_cq)
     log_prior = _log_working_prior(state)
-    target01 = ((1 - syndrome) // 2).astype(np.uint8)
-    letters = None
+    target = code.pack_checks(syndrome < 0)
+    # arrays of one dtype compare as their bytes, at a tenth of np.array_equal's cost
+    target_bytes = target.tobytes()
+    decided = None
     since_intervention = 0
     for iteration in range(1, config.max_iterations + 1):
         check_update(state, code, syndrome, _checked=True)
         cols = qubit_update(state, code, _log_prior=log_prior, _normalize=False)
         if trace is not None:
             trace.append((iteration, _normalize_rows(cols.T.copy())))
-        decided = _hard_letters(cols)
-        if letters is None or not np.array_equal(decided, letters):
-            letters = decided
-            violated = code.syndrome01_of_letters(letters)
-            if np.array_equal(violated, target01):
-                return DecodeResult(correction=PauliOperator.from_letters(letters), converged=True,
-                                    iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
+        positions = _hard_positions(cols)
+        key = positions.tobytes()
+        if key != decided:
+            decided = key
+            words = code.syndrome_words(positions)
+            if words.tobytes() == target_bytes:
+                return DecodeResult(correction=PauliOperator.from_letters(_letters_at(positions, code.n)),
+                                    converged=True, iterations_used=iteration,
+                                    final_beliefs=_normalize_rows(cols.T))
         since_intervention += 1
         if intervene is not None and since_intervention >= config.t_pert and iteration < config.max_iterations:
-            frustrated = np.flatnonzero(violated != target01)
+            frustrated = np.flatnonzero(code.unpack_checks(words ^ target))
             before = state.working_prior.copy()
             intervene(state, iteration, [int(c) for c in frustrated])
             # outgoing qubit messages must reflect the mutated priors in the
@@ -351,7 +380,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
             else:
                 qubit_update(state, code, _log_prior=log_prior, _normalize=False)
             since_intervention = 0
-    return DecodeResult(correction=PauliOperator.from_letters(letters), converged=False,
+    return DecodeResult(correction=PauliOperator.from_letters(_letters_at(positions, code.n)), converged=False,
                         iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
 
 

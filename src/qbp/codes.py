@@ -18,8 +18,17 @@ build it.
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
 is immutable after construction; canonical generators, `check_qubits`,
-`check_degrees`, the qubit-major edge order and the fingerprint are cached lazily.  `checked_syndrome` is the one
-syndrome validation, used by BP, pure errors and the oracles.
+`check_degrees`, the qubit-major edge order and the fingerprint are cached
+lazily.  `checked_syndrome` is the one syndrome validation, used by BP, pure
+errors and the oracles.
+
+There is one syndrome path.  The constructor also packs, from the edge
+lists, the checks that anticommute with each non-identity letter on each
+qubit into a (3n, ceil(m / 64)) uint64 table, two set bits per edge.
+`syndrome_words` XORs the rows of an operator's non-identity letters into
+its packed syndrome; `syndrome01_of_letters`, `syndrome` and
+`residual_class` all go through it, and the BP decode loop calls it directly
+on the positions of its hard decision.
 """
 
 from __future__ import annotations
@@ -37,8 +46,6 @@ from .pauli import ANTI_TABLE, LETTERS, PauliOperator
 STABILIZER = "stabilizer"
 LOGICAL = "logical"
 DETECTABLE = "detectable"
-
-_LABELS = np.arange(1, 4).reshape(3, 1)  # X, Y, Z as a column, against (n,) letters
 
 
 class CodeFormatError(ValueError):
@@ -86,7 +93,7 @@ class EdgeArrays:
     values reach a check's edges by np.repeat over the check_start segments.
     `slot` places each edge in a letter-major (3, n) per-qubit table, one row
     per non-identity letter, flattened: the BP qubit update sums per-edge
-    terms into it by bincount and gathers from it, as does the halting test.
+    terms into it by bincount and gathers from it.
     """
 
     qubit: np.ndarray       # (E,) qubit index per edge
@@ -136,6 +143,20 @@ def _first_anticommuting_pair(qubit, check, letter, m: int) -> tuple[int, int] |
     return tuple(map(int, divmod(odd[0], m))) if len(odd) else None
 
 
+def _anticommutation_table(qubit, check, letter, n: int, m: int) -> np.ndarray:
+    """(3n, ceil(m / 64)) little-endian uint64 rows from check-major edge lists:
+    row (l - 1) * n + q has bit c set when letter l on qubit q anticommutes
+    with check c, that is when l is neither I nor c's letter on q."""
+    table = np.zeros((3 * n, 8 * ((m + 63) // 64)), dtype=np.uint8)
+    # 32-bit copies, so that no per-edge temporary below is 64-bit wide
+    check, qubit = check.astype(np.int32), qubit.astype(np.int32)
+    byte, bit = check >> 3, np.left_shift(1, check & 7).astype(np.uint8)
+    # l - 1 of the two letters anticommuting with each edge's label
+    for row in (letter % 3, (letter + 1) % 3):
+        np.bitwise_or.at(table, (row * np.int32(n) + qubit, byte), bit)
+    return table.view("<u8")
+
+
 class StabilizerCode:
     """Validated stabilizer code; treat instances as immutable."""
 
@@ -178,6 +199,7 @@ class StabilizerCode:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
         self.edges = EdgeArrays(qubit=qubit, check_start=check_start,
                                 slot=(letter.astype(np.int64) - 1) * n + qubit)
+        self.anti_words = _anticommutation_table(qubit, check, letter, n, self.m)
         self._cache: dict = {}
 
     # pickling: everything built in __init__ travels; lazy caches are rebuilt on demand
@@ -208,6 +230,36 @@ class StabilizerCode:
         return PauliOperator(self.n, row & mask, row >> self.n)
 
     # -- syndromes -------------------------------------------------------
+
+    def syndrome_words(self, positions: np.ndarray) -> np.ndarray:
+        """The packed violation bits, (ceil(m / 64),) little-endian uint64 with
+        check c at bit c % 64 of word c // 64, of the operator whose
+        non-identity letters sit at `positions`, (l - 1) * n + q each."""
+        return np.bitwise_xor.reduce(self.anti_words.take(positions, axis=0), axis=0)
+
+    def pack_checks(self, bits: np.ndarray) -> np.ndarray:
+        """(m,) 0/1 or bool per-check bits packed as syndrome_words packs them."""
+        words = np.zeros(self.anti_words.shape[1], dtype="<u8")
+        packed = np.packbits(bits, bitorder="little")
+        words.view(np.uint8)[:len(packed)] = packed
+        return words
+
+    def unpack_checks(self, words: np.ndarray) -> np.ndarray:
+        """(m,) uint8 bits from words packed as syndrome_words packs them."""
+        return np.unpackbits(words.view(np.uint8), count=self.m, bitorder="little")
+
+    def syndrome01_of_letters(self, letters) -> np.ndarray:
+        """Violation bits (1 = anticommute) of a per-qubit (n,) letter assignment."""
+        letters = np.asarray(letters)
+        if letters.shape != (self.n,):
+            raise ValueError(f"letters must have shape ({self.n},), got {letters.shape}")
+        if letters.dtype.kind not in "iu":  # 1.5 would be truncated to X and read its row
+            raise ValueError(f"letter codes must be integers, got dtype {letters.dtype}")
+        qubits = np.flatnonzero(letters)
+        codes = letters[qubits]
+        if ((codes < 0) | (codes > 3)).any():
+            raise ValueError("letter codes must lie in 0..3")
+        return self.unpack_checks(self.syndrome_words((codes.astype(np.intp) - 1) * self.n + qubits))
 
     def syndrome(self, error: PauliOperator) -> np.ndarray:
         """Vector of commutation signs of the error with every check."""
@@ -412,17 +464,6 @@ class StabilizerCode:
         if gf2.in_rowspan(self._symplectic_row(op), self.basis):
             return STABILIZER
         return LOGICAL
-
-    # -- flat edge arrays for message passing ------------------------------
-
-    def syndrome01_of_letters(self, letters: np.ndarray) -> np.ndarray:
-        """Violation bits (1 = anticommute) of a per-qubit (n,) letter assignment."""
-        if letters.shape != (self.n,):
-            raise ValueError(f"letters must have shape ({self.n},), got {letters.shape}")
-        ea = self.edges
-        # a letter anticommutes with label l unless it is I or l; read per edge by slot
-        anti = (letters != 0) & (letters != _LABELS)
-        return np.bitwise_xor.reduceat(anti.view(np.uint8).ravel().take(ea.slot), ea.check_start[:-1])
 
     # -- I/O -----------------------------------------------------------------
 

@@ -82,8 +82,9 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     draws = rng.uniform(0.0, delta, size=shape) if delta > 0 else np.zeros(shape)
     if delta > 0 and len(touched):
         # each qubit's factors multiplied in incidence order, as a running
-        # product from 1 would take them
-        order = np.argsort(touched, kind="stable")
+        # product from 1 would take them; a stable sort on the narrowest
+        # unsigned type is a radix sort for n <= 65 536, in the same order
+        order = np.argsort(touched.astype(np.min_scalar_type(code.n - 1)), kind="stable")
         ordered = touched[order]
         heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
         factors = np.multiply.reduceat(1.0 + draws[order], heads, axis=0)

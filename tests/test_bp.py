@@ -237,7 +237,7 @@ def test_first_argmax_matches_numpy_argmax():
         assert np.array_equal(bp.hard_decision(block).letters(), want)
 
 
-def test_hard_letters_match_normalized_argmax_near_ties():
+def test_hard_positions_match_normalized_argmax_near_ties():
     # unnormalized columns with a maximum of exactly 1, as the decode loop
     # decides on them: a second letter at 1 - k * 2**-53 (k = 1..64), exact
     # ties, and entries at the clip and the floor
@@ -256,15 +256,24 @@ def test_hard_letters_match_normalized_argmax_near_ties():
     def normalized_argmax(cols):
         return np.argmax(bp._normalize_rows(cols.T.copy()), axis=1)
 
+    def positions(letters):
+        # ascending (l - 1) * k + q over the non-identity letters
+        qubits = np.flatnonzero(letters)
+        return np.sort((letters[qubits] - 1) * len(letters) + qubits)
+
     cols = columns([1.0 - k * 2.0 ** -53 for k in range(1, 65)] + [1.0])
     cols = np.concatenate([cols, np.ones((4, 1))], axis=1)
     # normalizing does turn some near-ties into ties that the lower letter wins
     assert not np.array_equal(np.argmax(cols, axis=0), normalized_argmax(cols))
-    assert np.array_equal(bp._hard_letters(cols), normalized_argmax(cols))
+    assert np.array_equal(bp._hard_positions(cols), positions(normalized_argmax(cols)))
     # below 1 - 2**-48 no column is normalized first, and none needs to be
     clear = columns([1.0 - k * 2.0 ** -53 for k in range(33, 65)])
     assert np.count_nonzero(clear >= bp._NEAR_ONE) == clear.shape[1]
-    assert np.array_equal(bp._hard_letters(clear), normalized_argmax(clear))
+    assert np.array_equal(bp._hard_positions(clear), positions(normalized_argmax(clear)))
+    # the letters rebuilt from the positions are the decision
+    for block in (cols, clear):
+        letters = bp._letters_at(bp._hard_positions(block), block.shape[1])
+        assert np.array_equal(letters, normalized_argmax(block))
 
 
 def _started_state(code, seed, iterations=3):
@@ -311,8 +320,8 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
 
     for name in ("check_update", "qubit_update", "_update_qubits"):
         monkeypatch.setattr(bp, name, counted(name, getattr(bp, name)))
-    monkeypatch.setattr(qbp.StabilizerCode, "syndrome01_of_letters",
-                        counted("halting", qbp.StabilizerCode.syndrome01_of_letters))
+    monkeypatch.setattr(qbp.StabilizerCode, "syndrome_words",
+                        counted("halting", qbp.StabilizerCode.syndrome_words))
     prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
     cfg = qbp.DecodeConfig(heuristic="collision_freeze")
     totals = dict.fromkeys(("unchanged", "small", "large"), 0)

@@ -379,6 +379,53 @@ def test_syndrome01_of_letters_rejects_wrong_length(five):
             five.syndrome01_of_letters(bad)
 
 
+def test_syndrome01_of_letters_rejects_non_letters(five):
+    # a list is read as an array; a float or out-of-range code would read a
+    # wrong table row, so it is rejected
+    letters = [0, 1, 2, 3, 1]
+    want = (five.syndrome(qbp.PauliOperator.from_letters(np.array(letters))) < 0).astype(np.uint8)
+    assert np.array_equal(five.syndrome01_of_letters(letters), want)
+    with pytest.raises(ValueError, match="integers"):
+        five.syndrome01_of_letters(np.array(letters, dtype=np.float64))
+    for bad in ([0, 1, 2, 4, 1], [0, -1, 2, 3, 1]):
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            five.syndrome01_of_letters(np.array(bad, dtype=np.int8))
+
+
+def _per_edge_syndrome01(code, letters):
+    """Violation bits read edge by edge: a letter anticommutes with an edge's
+    label unless it is I or that label; each check XORs over its edges."""
+    ea = code.edges
+    anti = (letters != 0) & (letters != np.arange(1, 4).reshape(3, 1))
+    return np.bitwise_xor.reduceat(anti.view(np.uint8).ravel().take(ea.slot), ea.check_start[:-1])
+
+
+def test_packed_syndrome_matches_per_edge_scan(toy, five, small_bicycle, bicycle_800):
+    for code in (toy, five, small_bicycle, bicycle_800):
+        n, m = code.n, code.m
+        words = code.anti_words
+        # two set bits per edge, none past check m - 1
+        assert words.shape == (3 * n, -(-m // 64))
+        assert sum(int(w).bit_count() for w in words.ravel().tolist()) == 2 * len(code.edges.qubit)
+        assert not np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, m:].any()
+        assert np.array_equal(code.unpack_checks(code.pack_checks(np.ones(m, bool))), np.ones(m, np.uint8))
+        rng = np.random.default_rng([60, n])
+        cases = [np.zeros(n, dtype=np.int8)] + [np.full(n, letter, dtype=np.int8) for letter in (1, 2, 3)]
+        cases += [rng.integers(0, 4, size=n).astype(np.int8) for _ in range(20)]  # random
+        cases += [rng.integers(1, 4, size=n).astype(np.int8) for _ in range(5)]   # dense: no identity
+        cases += [np.where(rng.random(n) < 0.05, rng.integers(1, 4, size=n), 0).astype(np.int8) for _ in range(5)]
+        for letters in cases:
+            want = _per_edge_syndrome01(code, letters)
+            got = code.syndrome01_of_letters(letters)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (n, letters)
+            op = qbp.PauliOperator.from_letters(letters)
+            assert np.array_equal(code.syndrome(op), 1 - 2 * want.astype(np.int8))
+            assert (code.residual_class(op) == DETECTABLE) == bool(want.any())
+            qubits = np.flatnonzero(letters)
+            packed = code.syndrome_words((letters[qubits].astype(np.intp) - 1) * n + qubits)
+            assert np.array_equal(packed, code.pack_checks(want))
+
+
 def test_pure_error_map_is_injective(toy, five, small_bicycle):
     for code in (toy, five, small_bicycle):
         seen = set()
