@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .pauli import PauliOperator, commute_single
+from .pauli import PauliOperator
 from .codes import (
     DETECTABLE,
     LOGICAL,
@@ -39,6 +39,8 @@ from .bp import (
     validate_prior,
 )
 from .heuristics import (
+    EventLog,
+    Intervention,
     PerturbationEvent,
     collision_targets,
     decode_with_heuristics,

@@ -45,6 +45,8 @@ them only when that is most.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,12 +110,15 @@ class DecodeConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("max_iterations", "t_pert"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 1 <= self.t_pert <= self.max_iterations:
             raise ValueError("need 1 <= t_pert <= max_iterations")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}; choose from {HEURISTICS}")
 

@@ -9,10 +9,12 @@ narrows either intervention to the shared qubits of a pair of frustrated
 checks.  All randomness flows through one per-decode generator, so a seed
 replays the exact event sequence.
 
-The event log is built only when asked for: `decode_with_heuristics`
-returns it to `qbp decode`, the tests and replay.  A Monte Carlo sweep only
-counts interventions; its steps make the same draws and prior updates but
-build no PerturbationEvent and no per-qubit delta tuple.
+Each step returns one compact Intervention record: its kind, iteration,
+trigger and qubits or the frustrated checks, and its draws array.  A decode
+returns its records as an EventLog, whose len() counts the events without
+building any; a Monte Carlo sweep reads only that.  Reading the log expands
+the records into PerturbationEvents, with their per-qubit delta tuples, for
+`qbp decode`, the tests and replay.
 
 Perturbations accumulate on the working prior and keep no other state.  The
 freeze schedule keeps one FreezeRegistry per decode call: the qubits tried
@@ -26,7 +28,9 @@ refreshes only those qubits' outgoing messages.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +51,64 @@ class PerturbationEvent:
     deltas: tuple[tuple[float, float, float], ...] | None = None  # per qubit, perturb only
 
 
+@dataclass(eq=False, slots=True)
+class Intervention:
+    """One heuristic step as it ran, kept compact until its events are read.
+
+    A freeze, or a perturbation of given targets, is one group: trigger and
+    qubits.  A perturbation over every frustrated check keeps those checks
+    instead (trigger and qubits None), each one its own ("check", c) group
+    over the check's qubits.  draws holds a perturbation's (incidences, 3)
+    uniform draws in group order.
+    """
+
+    kind: str                      # "freeze" | "perturb"
+    iteration: int
+    trigger: tuple | None = None
+    qubits: tuple | None = None
+    checks: tuple | None = None
+    draws: np.ndarray | None = None
+
+    def events(self, code: StabilizerCode) -> list[PerturbationEvent]:
+        """One PerturbationEvent per group, in group order."""
+        if self.checks is None:
+            groups = [(self.trigger, self.qubits)]
+        else:
+            groups = [(("check", c), code.check_qubits[c]) for c in self.checks]
+        if self.draws is None:
+            return [PerturbationEvent(self.kind, self.iteration, trig, qubits) for trig, qubits in groups]
+        deltas = map(tuple, self.draws.tolist())
+        return [PerturbationEvent(self.kind, self.iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
+                for trig, qubits in groups]
+
+
+class EventLog(Sequence):
+    """A decode's PerturbationEvents, expanded from its Intervention records on first read.
+
+    len() counts the events without building any.  Indexing, iteration and
+    == (with another log or a list) read the expanded events.
+    """
+
+    def __init__(self, code: StabilizerCode, records: list[Intervention]):
+        self.code = code
+        self.records = records
+
+    def __len__(self) -> int:
+        return sum(1 if r.checks is None else len(r.checks) for r in self.records)
+
+    @cached_property
+    def _events(self) -> list[PerturbationEvent]:
+        return [event for r in self.records for event in r.events(self.code)]
+
+    def __getitem__(self, index):
+        return self._events[index]
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            other = other._events
+        return self._events == other if isinstance(other, list) else NotImplemented
+
+
 def collision_targets(code: StabilizerCode, frustrated) -> tuple[int, int, tuple[int, ...]] | None:
     """First (lexicographic) pair of frustrated checks sharing at least one qubit."""
     return next(_colliding_pairs(code, frustrated), None)
@@ -61,14 +123,14 @@ def _colliding_pairs(code: StabilizerCode, frustrated):
 
 
 def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
-                 delta: float, iteration: int = 0, targets=None, trigger=None,
-                 log: bool = True) -> list[PerturbationEvent] | int:
+                 delta: float, iteration: int = 0, targets=None, trigger=None) -> Intervention:
     """Scale the X/Y/Z prior entries of the target qubits by independent (1 + U[0, delta]).
 
     With no explicit targets, every qubit of every frustrated check is
     perturbed once per (check, qubit) incidence.  Perturbations accumulate on
-    the working prior for the rest of the decode call.  Returns one event per
-    target group; with log=False only their number, from the same draws.
+    the working prior for the rest of the decode call.  Returns the step's
+    record: the given trigger and targets, or the frustrated checks, and the
+    draws.
     """
     ea = code.edges
     if targets is not None:
@@ -93,14 +155,9 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         rows = wp[idx]
         rows[:, 1:] *= factors
         wp[idx] = bp._normalize_rows(rows)
-    if not log:
-        return 1 if targets is not None else len(frustrated)
-    groups = [(trigger, tuple(targets))] if targets is not None else [
-        (("check", c), code.check_qubits[c]) for c in frustrated
-    ]
-    deltas = map(tuple, draws.tolist())
-    return [PerturbationEvent("perturb", iteration, trig, qubits, tuple(itertools.islice(deltas, len(qubits))))
-            for trig, qubits in groups]
+    if targets is not None:
+        return Intervention("perturb", iteration, trigger, tuple(targets), draws=draws)
+    return Intervention("perturb", iteration, checks=tuple(frustrated), draws=draws)
 
 
 @dataclass
@@ -120,8 +177,8 @@ class FreezeRegistry:
 
 def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
                 registry: FreezeRegistry, iteration: int = 0,
-                collision: bool = False, log: bool = True) -> PerturbationEvent | bool | None:
-    """One step of the freeze schedule; returns its event (True with log=False), or None to escalate.
+                collision: bool = False) -> Intervention | None:
+    """One step of the freeze schedule; returns its record, or None to escalate.
 
     While the active trigger stays frustrated, its frozen qubit is restored
     and an untried candidate is frozen instead; when the trigger runs out of
@@ -142,7 +199,7 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         registry.frozen.add(q)
         registry.active = (trigger, candidates, q, wp[q].copy())
         wp[q] = _FROZEN_PRIOR
-        return PerturbationEvent("freeze", iteration, trigger, (q,)) if log else True
+        return Intervention("freeze", iteration, trigger, (q,))
 
     if registry.active is not None:
         trigger, candidates, q, saved = registry.active
@@ -156,28 +213,27 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     for trigger, candidates in itertools.chain(
             ((("collision", c, c2), shared) for c, c2, shared in pairs),
             ((("check", c), code.check_qubits[c]) for c in frustrated)):
-        event = freeze(trigger, candidates)
-        if event is not None:
-            return event
+        record = freeze(trigger, candidates)
+        if record is not None:
+            return record
     return None
 
 
 def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
                            config: bp.DecodeConfig | None = None, rng=None, trace=None, *,
-                           _log: bool = True, _start: bp.MessageState | None = None):
+                           _start: bp.MessageState | None = None) -> tuple[bp.DecodeResult, EventLog]:
     """BP decoding with the configured degeneracy-breaking schedule.
 
-    Returns (DecodeResult, events).  With heuristic "none" this is exactly
+    Returns (DecodeResult, EventLog).  With heuristic "none" this is exactly
     the plain decoder, no generator is built and the event log is empty.
-    With _log=False, as sweeps call it, the decode and its draws are the
-    same, but the second item is the number of interventions, len(events).
+    The log holds one record per intervention: a sweep reads only its len(),
+    and reading it builds the events.
     _start, when given, is bp.init_messages(code, prior), built once by the
     caller (a sweep builds one per point): the decode starts from a copy of
     its working prior and shares its read-only edge arrays.
     """
     config = config or bp.DecodeConfig()
-    events: list[PerturbationEvent] = []
-    count = 0
+    records: list[Intervention] = []
     intervene = None
     if config.heuristic != "none":
         if rng is None:
@@ -187,16 +243,12 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
         freezing = config.heuristic.endswith("freeze")
 
         def intervene(state: bp.MessageState, iteration: int, frustrated: list):
-            nonlocal count
             targets = trigger = None
             if freezing:
-                event = freeze_step(state, code, frustrated, rng, iteration=iteration,
-                                    registry=registry, collision=collision, log=_log)
-                if event is not None:
-                    if _log:
-                        events.append(event)
-                    else:
-                        count += 1
+                record = freeze_step(state, code, frustrated, rng, iteration=iteration,
+                                     registry=registry, collision=collision)
+                if record is not None:
+                    records.append(record)
                     return
                 # exhausted freeze triggers escalate to the full random
                 # perturbation over every frustrated check
@@ -205,12 +257,8 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
                 if pair is not None:
                     c, c2, shared = pair
                     targets, trigger = shared, ("collision", c, c2)
-            perturbed = perturb_step(state, code, frustrated, rng, config.delta,
-                                     iteration=iteration, targets=targets, trigger=trigger, log=_log)
-            if _log:
-                events.extend(perturbed)
-            else:
-                count += perturbed
+            records.append(perturb_step(state, code, frustrated, rng, config.delta,
+                                        iteration=iteration, targets=targets, trigger=trigger))
 
     result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace, start=_start)
-    return result, events if _log else count
+    return result, EventLog(code, records)

@@ -34,11 +34,6 @@ SIGN_TABLE = np.array(
 ANTI_TABLE = ((1 - SIGN_TABLE) // 2).astype(np.uint8)
 
 
-def commute_single(a: str, b: str) -> int:
-    """Commutation sign (+1 or -1) of two single-qubit Pauli letters."""
-    return int(SIGN_TABLE[LETTERS.index(a), LETTERS.index(b)])
-
-
 class PauliOperator:
     """An n-qubit Pauli operator modulo phase."""
 
@@ -96,9 +91,6 @@ class PauliOperator:
         return cls(n, int.from_bytes(xb.tobytes(), "little"), int.from_bytes(zb.tobytes(), "little"))
 
     # -- views ---------------------------------------------------------
-
-    def x_array(self) -> np.ndarray:
-        return _bits_to_array(self.x_bits, self.n)
 
     def z_array(self) -> np.ndarray:
         return _bits_to_array(self.z_bits, self.n)

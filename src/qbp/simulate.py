@@ -125,17 +125,16 @@ def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng
     """One sampled error, decoded and classified.
 
     table is passed on to sample_error, and start, the prior's
-    bp.init_messages state, to the decoder.  The decode counts its heuristic
-    interventions and builds no event log.
+    bp.init_messages state, to the decoder.  Only the event log's len() is
+    read, so no event is built.
     """
     error = sample_error(prior, rng, table)
     syndrome = code.syndrome(error)
-    result, interventions = decode_with_heuristics(code, prior, syndrome, config, rng=rng,
-                                                   _log=False, _start=start)
+    result, events = decode_with_heuristics(code, prior, syndrome, config, rng=rng, _start=start)
     return TrialOutcome(
         classification=classify_residual(code, error, result.correction),
         iterations_used=result.iterations_used,
-        perturbations=interventions,
+        perturbations=len(events),
         error_weight=error.weight,
     )
 

@@ -455,6 +455,14 @@ def test_decode_config_validation():
         qbp.DecodeConfig(t_pert=100, max_iterations=90)
     with pytest.raises(ValueError):
         qbp.DecodeConfig(delta=-0.1)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta"):
+            qbp.DecodeConfig(delta=delta)
+    with pytest.raises(ValueError, match="max_iterations"):
+        qbp.DecodeConfig(max_iterations=10.5)
+    with pytest.raises(ValueError, match="t_pert"):
+        qbp.DecodeConfig(t_pert=2.5)
+    assert qbp.DecodeConfig(max_iterations=np.int64(10), t_pert=np.int64(2)).t_pert == 2
     with pytest.raises(ValueError):
         qbp.DecodeConfig(heuristic="annealing")
 

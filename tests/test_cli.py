@@ -108,6 +108,16 @@ def test_decode_trivial_syndrome(capsys):
     assert code == 0 and fields["correction"] == "IIIII" and fields["iterations"] == "1"
 
 
+def test_non_finite_delta_is_usage_error(capsys):
+    decode = ["decode", "--builtin", "two_qubit_toy", "--syndrome", "+-", "--heuristic", "perturb", "--t-pert", "2"]
+    simulate = ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.1", "--trials", "5",
+                "--heuristic", "perturb"]
+    for base, bad in ((decode, "inf"), (simulate, "nan")):
+        code, stdout, err = run_cli(capsys, *base, "--delta", bad)
+        assert code == 1 and stdout == ""
+        assert err.startswith("usage:") and "delta" in err and "Traceback" not in err
+
+
 def test_decode_syndrome_length_mismatch(capsys):
     code, _, err = run_cli(capsys, "decode", "--builtin", "five_qubit", "--syndrome", "+-")
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 
 import qbp
 from qbp import bp
-from qbp.heuristics import _FROZEN_PRIOR, FreezeRegistry, freeze_step
+from qbp.heuristics import _FROZEN_PRIOR, EventLog, FreezeRegistry, freeze_step
 
 from conftest import tanner_rows
 
@@ -17,6 +17,11 @@ def toy_setup(toy, eps=0.1):
     prior = qbp.depolarizing_prior(2, eps)
     syndrome = np.array([1, -1], dtype=np.int8)
     return prior, syndrome
+
+
+def events_of(code, *records):
+    """The steps' events, read through the event log a decode returns."""
+    return list(EventLog(code, list(records)))
 
 
 def frustrated_checks(code, correction, syndrome):
@@ -81,12 +86,12 @@ def test_freeze_step_restore_and_retry(toy):
     before = state.working_prior.copy()
     rng = np.random.default_rng(0)
     registry = FreezeRegistry()
-    event = freeze_step(state, toy, [1], rng, registry=registry)
+    (event,) = events_of(toy, freeze_step(state, toy, [1], rng, registry=registry))
     assert event.kind == "freeze" and event.trigger == ("check", 1)
     (q0,) = event.qubits
     assert registry.active[2] == q0
     # still frustrated: restore and freeze the other qubit
-    event = freeze_step(state, toy, [1], rng, registry=registry)
+    (event,) = events_of(toy, freeze_step(state, toy, [1], rng, registry=registry))
     assert event is not None and event.qubits != (q0,)
     assert np.array_equal(state.working_prior[q0], before[q0])
     # both candidates tried: escalate
@@ -98,10 +103,10 @@ def test_freeze_step_satisfied_trigger_stays_frozen(five):
     state = qbp.init_messages(five, qbp.depolarizing_prior(5, 0.1))
     rng = np.random.default_rng(0)
     registry = FreezeRegistry()
-    first = freeze_step(state, five, [0], rng, registry=registry)
+    (first,) = events_of(five, freeze_step(state, five, [0], rng, registry=registry))
     (q0,) = first.qubits
     # check 0 is satisfied now: its qubit stays pinned and check 1 triggers
-    second = freeze_step(state, five, [1], rng, registry=registry)
+    (second,) = events_of(five, freeze_step(state, five, [1], rng, registry=registry))
     assert second.trigger == ("check", 1) != first.trigger
     assert np.array_equal(state.working_prior[q0], _FROZEN_PRIOR)
     assert q0 in registry.frozen and q0 not in second.qubits
@@ -112,7 +117,7 @@ def test_perturb_zero_delta_is_noop(toy):
     prior, s = toy_setup(toy)
     state = qbp.init_messages(toy, prior)
     before = state.working_prior.copy()
-    events = qbp.perturb_step(state, toy, [1], np.random.default_rng(0), 0.0)
+    events = events_of(toy, qbp.perturb_step(state, toy, [1], np.random.default_rng(0), 0.0))
     assert np.array_equal(state.working_prior, before)
     assert events[0].deltas == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -129,7 +134,7 @@ def test_perturb_reduces_identity_mass(toy):
 
 def test_perturb_event_fields(toy):
     state = qbp.init_messages(toy, qbp.depolarizing_prior(2, 0.1))
-    events = qbp.perturb_step(state, toy, [0, 1], np.random.default_rng(2), 0.3, iteration=6)
+    events = events_of(toy, qbp.perturb_step(state, toy, [0, 1], np.random.default_rng(2), 0.3, iteration=6))
     assert [e.trigger for e in events] == [("check", 0), ("check", 1)]
     for e in events:
         assert e.kind == "perturb" and e.iteration == 6
@@ -167,7 +172,8 @@ def _reference_perturb_step(state, code, frustrated, rng, delta, iteration=0, ta
 
 def test_perturb_step_matches_reference(small_bicycle, bicycle_800):
     # random frustrated lists (unsorted, repeated checks, empty), delta = 0
-    # and explicit targets; working prior bytes, events, counts and draws
+    # and explicit targets; working prior bytes, expanded events, their
+    # count without expanding, and draws
     rng = np.random.default_rng(41)
     cases = 0
     for code in (small_bicycle, bicycle_800):
@@ -180,7 +186,7 @@ def test_perturb_step_matches_reference(small_bicycle, bicycle_800):
                 targets = None
                 if size == 3:
                     targets = rng.choice(code.n, size=5).tolist()
-                for log in (True, False):
+                for expand in (True, False):
                     seed = int(rng.integers(1 << 30))
                     ref_prior = state.working_prior.copy()
                     ref_rng = np.random.default_rng(seed)
@@ -188,9 +194,9 @@ def test_perturb_step_matches_reference(small_bicycle, bicycle_800):
                     want = _reference_perturb_step(ref, code, frustrated, ref_rng, delta, iteration=9,
                                                    targets=targets, trigger=("collision", 0, 1))
                     got_rng = np.random.default_rng(seed)
-                    got = qbp.perturb_step(state, code, frustrated, got_rng, delta, iteration=9,
-                                           targets=targets, trigger=("collision", 0, 1), log=log)
-                    assert got == (want if log else len(want))
+                    got = EventLog(code, [qbp.perturb_step(state, code, frustrated, got_rng, delta, iteration=9,
+                                                           targets=targets, trigger=("collision", 0, 1))])
+                    assert (got if expand else len(got)) == (want if expand else len(want))
                     assert state.working_prior.tobytes() == ref_prior.tobytes()
                     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
                     cases += 1
@@ -321,41 +327,34 @@ def test_event_log_golden_digest(small_bicycle, heuristic):
     assert digest.hexdigest() == GOLDEN_EVENT_DIGESTS[heuristic]
 
 
-def logged_and_counted(code, prior, cfg, seed):
-    """One seeded trial decoded twice, with the event log and counting only."""
-    runs = []
-    for log in (True, False):
+def _trial_path_cases():
+    for heuristic in bp.HEURISTICS:
+        for eps in (0.05, 0.12):
+            yield pytest.param("small_bicycle", heuristic, eps, {"max_iterations": 40, "t_pert": 3},
+                               [[9, trial] for trial in range(10)], id=f"small_bicycle-{eps}-{heuristic}")
+    for heuristic, seed in (("collision_freeze", 0), ("collision_freeze", 1), ("perturb", 2),
+                            ("collision_perturb", 3)):
+        yield pytest.param("bicycle_800", heuristic, 0.04, {}, [[31, seed]], id=f"bicycle_800-{heuristic}-{seed}")
+
+
+@pytest.mark.parametrize("code_name,heuristic,eps,limits,seeds", _trial_path_cases())
+def test_run_trial_matches_logged_decode(request, code_name, heuristic, eps, limits, seeds):
+    # a sweep trial's class, iterations and intervention count are those of
+    # the same seeded decode with its event log expanded
+    code = request.getfixturevalue(code_name)
+    prior = qbp.depolarizing_prior(code.n, eps)
+    cfg = qbp.DecodeConfig(heuristic=heuristic, **limits)
+    total = 0
+    for seed in seeds:
+        outcome = qbp.run_trial(code, prior, cfg, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         error = qbp.sample_error(prior, rng)
-        res, record = qbp.decode_with_heuristics(code, prior, code.syndrome(error), cfg, rng=rng, _log=log)
-        runs.append(((str(res.correction), res.converged, res.iterations_used, res.final_beliefs.tobytes(),
-                      rng.bit_generator.state), record))
-    (logged, events), (counted, count) = runs
-    return logged, counted, events, count
-
-
-@pytest.mark.parametrize("heuristic", bp.HEURISTICS)
-@pytest.mark.parametrize("eps", [0.05, 0.12])
-def test_counting_decode_matches_logging(small_bicycle, heuristic, eps):
-    prior = qbp.depolarizing_prior(small_bicycle.n, eps)
-    cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
-    total = 0
-    for trial in range(10):
-        logged, counted, events, count = logged_and_counted(small_bicycle, prior, cfg, [9, trial])
-        assert counted == logged
-        assert count == len(events)
+        res, events = qbp.decode_with_heuristics(code, prior, code.syndrome(error), cfg, rng=rng)
+        count = len(list(events))
+        assert (outcome.classification, outcome.iterations_used, outcome.perturbations) == \
+            (qbp.simulate.classify_residual(code, error, res.correction), res.iterations_used, count)
         total += count
     assert (total == 0) == (heuristic == "none")
-
-
-@pytest.mark.parametrize("heuristic,seed", [("collision_freeze", 0), ("collision_freeze", 1),
-                                            ("perturb", 2), ("collision_perturb", 3)])
-def test_counting_decode_matches_logging_bicycle_800(bicycle_800, heuristic, seed):
-    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
-    cfg = qbp.DecodeConfig(heuristic=heuristic)
-    logged, counted, events, count = logged_and_counted(bicycle_800, prior, cfg, [31, seed])
-    assert counted == logged
-    assert count == len(events) > 0
 
 
 @pytest.mark.parametrize("heuristic", ["collision_freeze", "perturb"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qbp.pauli import LETTERS, PauliOperator, commute_single
+from qbp.pauli import LETTERS, SIGN_TABLE, PauliOperator
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=48)
 
@@ -25,7 +25,7 @@ TABLE = {
 
 def test_commute_single_full_table():
     for (a, b), want in TABLE.items():
-        assert commute_single(a, b) == want
+        assert SIGN_TABLE[LETTERS.index(a), LETTERS.index(b)] == want
 
 
 @pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def test_weight(text, want):
 
 def test_parse_bit_layout():
     op = PauliOperator.from_string("XIIY")
-    assert list(op.x_array()) == [1, 0, 0, 1]
+    assert [(op.x_bits >> q) & 1 for q in range(op.n)] == [1, 0, 0, 1]
     assert list(op.z_array()) == [0, 0, 0, 1]
     assert list(op.letters()) == [1, 0, 0, 2]
 
