@@ -30,10 +30,8 @@ from .bp import (
     DecodeResult,
     MessageState,
     check_update,
-    compute_beliefs,
     decode,
     depolarizing_prior,
-    hard_decision,
     init_messages,
     qubit_update,
     validate_prior,

@@ -33,14 +33,14 @@ decode loop redoes no work whose inputs are unchanged, and stays bit for bit
 the decode that redoes it.  It takes the hard decision from the
 unnormalized beliefs (their column maximum is exactly 1, and normalizing can
 only tie a letter within a few ulp of it, which is checked) and normalizes
-only the beliefs it returns or traces.  The decision is the positions of its
-non-identity letters, a few dozen at low noise, not n letters.  The halting
-test runs only when those positions changed, and XORs the code's packed
-anticommutation rows at them into a few syndrome words, compared with the
-packed target word for word; it touches no per-edge array.  The loop keeps
-the log working prior between interventions.  After an intervention it
-refreshes the outgoing messages of the qubits whose prior changed, all of
-them only when that is most.
+only the beliefs it returns or traces.  The decision and the correction
+built from it are positions (pauli's one array layout), not n letters.  The
+halting test runs only when those positions changed, and XORs the code's
+packed anticommutation rows at them into a few syndrome words, compared
+with the packed target word for word; it touches no per-edge array.  The
+loop keeps the log working prior between interventions.  After an
+intervention it refreshes the outgoing messages of the qubits whose prior
+changed, all of them only when that is most.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ class DecodeConfig:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}; choose from {HEURISTICS}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
 
 
 @dataclass
@@ -279,11 +281,6 @@ def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray
     state.d_qc[edges] = _outgoing(cols, slot, log_ab)
 
 
-def compute_beliefs(state: MessageState, code: StabilizerCode) -> np.ndarray:
-    """Normalized per-qubit beliefs from the current check messages."""
-    return _normalize_rows(_beliefs(state.t_cq, code.edges.slot, _log_working_prior(state))[0].T)
-
-
 def _first_argmax(cols: np.ndarray) -> np.ndarray:
     """int8 letter of each column's first maximum in letter-major (4, k)
     values, as np.argmax over (k, 4) rows gives it: ties go to the lower letter."""
@@ -293,11 +290,6 @@ def _first_argmax(cols: np.ndarray) -> np.ndarray:
     letters += right
     letters += right
     return letters
-
-
-def hard_decision(beliefs: np.ndarray) -> PauliOperator:
-    """Per-qubit argmax with deterministic tie-break order I < X < Y < Z."""
-    return PauliOperator.from_letters(_first_argmax(np.asarray(beliefs).T))
 
 
 def _hard_positions(cols: np.ndarray) -> np.ndarray:
@@ -315,14 +307,6 @@ def _hard_positions(cols: np.ndarray) -> np.ndarray:
         letters = _first_argmax(_normalize_rows(cols.T.copy()).T)
         top = letters == _LETTER_ROWS
     return np.flatnonzero(top[1:])
-
-
-def _letters_at(positions: np.ndarray, n: int) -> np.ndarray:
-    """The (n,) int8 letters whose non-identity ones sit at `positions`."""
-    letters = np.zeros(n, dtype=np.int8)
-    label, qubit = np.divmod(positions, n)
-    letters[qubit] = label + 1
-    return letters
 
 
 def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) -> DecodeResult:
@@ -344,7 +328,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     Beliefs are normalized only when returned or traced.  An iteration whose
     hard decision (its positions) equals the last one has the same violated
     checks, so it cannot halt and runs no halting test.  Syndrome bits are
-    unpacked only to list frustrated checks, letters only for the correction.
+    unpacked only to list frustrated checks.
     """
     syndrome = checked_syndrome(syndrome, code.m)
     if start is None:
@@ -368,7 +352,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
             decided = key
             words = code.syndrome_words(positions)
             if words.tobytes() == target_bytes:
-                return DecodeResult(correction=PauliOperator.from_letters(_letters_at(positions, code.n)),
+                return DecodeResult(correction=PauliOperator._from_positions(code.n, positions),
                                     converged=True, iterations_used=iteration,
                                     final_beliefs=_normalize_rows(cols.T))
         since_intervention += 1
@@ -385,7 +369,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
             else:
                 qubit_update(state, code, _log_prior=log_prior, _normalize=False)
             since_intervention = 0
-    return DecodeResult(correction=PauliOperator.from_letters(_letters_at(positions, code.n)), converged=False,
+    return DecodeResult(correction=PauliOperator._from_positions(code.n, positions), converged=False,
                         iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -276,13 +277,13 @@ def build_parser() -> _Parser:
     p.add_argument("--deletion", choices=("balanced", "random"), default="balanced")
     p.add_argument("--out", required=True)
     p.add_argument("--h-out", default=None, help="sparse H output path (default: OUT.h)")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=functools.partial(_cmd_generate, p))
 
     p = sub.add_parser("inspect", help="report code structure")
     _add_code_source(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dot", default=None, help="write the decorated Tanner graph in DOT form")
-    p.set_defaults(func=_cmd_inspect)
+    p.set_defaults(func=functools.partial(_cmd_inspect, p))
 
     p = sub.add_parser("decode", help="decode one syndrome or injected error")
     _add_code_source(p)
@@ -293,7 +294,7 @@ def build_parser() -> _Parser:
     _add_decode_config(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="write per-iteration beliefs CSV")
-    p.set_defaults(func=_cmd_decode)
+    p.set_defaults(func=functools.partial(_cmd_decode, p))
 
     p = sub.add_parser("simulate", help="Monte Carlo block-error sweep")
     _add_code_source(p)
@@ -306,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-failures", type=int, default=100, help="early stop per point; 0 disables")
     p.add_argument("--out", default=None, help="results CSV path (default: stdout)")
     p.add_argument("--json", default=None, help="also write a JSON results file")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=functools.partial(_cmd_simulate, p))
 
     p = sub.add_parser("oracle-check", help="compare BP beliefs against exact marginals")
     _add_code_source(p)
@@ -315,7 +316,7 @@ def build_parser() -> _Parser:
     _add_decode_config(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_oracle_check)
+    p.set_defaults(func=functools.partial(_cmd_oracle_check, p))
 
     return parser
 
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(parser, args)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (CodeFormatError, GenerationError, OSError, ValueError) as exc:

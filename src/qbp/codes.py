@@ -12,8 +12,8 @@ once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
 those bits yields the edge lists, from which come the commutation test (over
 the check pairs that meet on a qubit), `edges` and the isolated-qubit
 warning.  One packed elimination (gf2.packed_echelon) rejects dependent
-checks and keeps the echelon `basis` of `rows`, as a gf2.insert loop would
-build it.
+checks and keeps the echelon `basis` of the symplectic rows, as a gf2.insert
+loop would build it; the rows themselves are not kept.
 
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
@@ -25,10 +25,10 @@ errors and the oracles.
 There is one syndrome path.  The constructor also packs, from the edge
 lists, the checks that anticommute with each non-identity letter on each
 qubit into a (3n, ceil(m / 64)) uint64 table, two set bits per edge.
-`syndrome_words` XORs the rows of an operator's non-identity letters into
-its packed syndrome; `syndrome01_of_letters`, `syndrome` and
-`residual_class` all go through it, and the BP decode loop calls it directly
-on the positions of its hard decision.
+`syndrome_words` XORs the rows at an operator's positions (pauli's one
+array layout) into its packed syndrome: `syndrome` and `residual_class` read
+them from the operator, the BP decode loop from its hard decision, and
+`syndrome01_of_letters` from letters that `from_letters` validates.
 """
 
 from __future__ import annotations
@@ -170,9 +170,8 @@ class StabilizerCode:
                 raise ValueError(f"check {i} acts on {op.n} qubits, expected {n}")
         # the symplectic rows as one (m, words) little-endian uint64 array,
         # unpacked once into the (m, 2n) x|z bits
-        self.rows = [self._symplectic_row(op) for op in ops]
         width = 8 * ((2 * n + 63) // 64)
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), dtype=np.uint8)
+        packed = np.frombuffer(b"".join(self._symplectic_row(op).to_bytes(width, "little") for op in ops), np.uint8)
         packed = packed.reshape(len(ops), width)
         bits = np.unpackbits(packed, axis=1, count=2 * n, bitorder="little")
         # one scan of the (m, n) letter matrix serves the commutation test
@@ -253,19 +252,13 @@ class StabilizerCode:
         letters = np.asarray(letters)
         if letters.shape != (self.n,):
             raise ValueError(f"letters must have shape ({self.n},), got {letters.shape}")
-        if letters.dtype.kind not in "iu":  # 1.5 would be truncated to X and read its row
-            raise ValueError(f"letter codes must be integers, got dtype {letters.dtype}")
-        qubits = np.flatnonzero(letters)
-        codes = letters[qubits]
-        if ((codes < 0) | (codes > 3)).any():
-            raise ValueError("letter codes must lie in 0..3")
-        return self.unpack_checks(self.syndrome_words((codes.astype(np.intp) - 1) * self.n + qubits))
+        return self.unpack_checks(self.syndrome_words(PauliOperator.from_letters(letters).positions()))
 
     def syndrome(self, error: PauliOperator) -> np.ndarray:
         """Vector of commutation signs of the error with every check."""
         if error.n != self.n:
             raise ValueError(f"error acts on {error.n} qubits, expected {self.n}")
-        return 1 - 2 * self.syndrome01_of_letters(error.letters()).astype(np.int8)
+        return 1 - 2 * self.unpack_checks(self.syndrome_words(error.positions())).astype(np.int8)
 
     # -- graph analytics ---------------------------------------------------
 
@@ -363,7 +356,7 @@ class StabilizerCode:
 
     def _compute_canonical(self):
         n2 = 2 * self.n
-        rows = self.rows
+        rows = [self._symplectic_row(op) for op in self.checks]
         # symplectic partner of a row: swap x and z halves
         mask = (1 << self.n) - 1
         swapped = [((r >> self.n) & mask) | ((r & mask) << self.n) for r in rows]

@@ -42,6 +42,8 @@ class BicycleSpec:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if not 0 < self.w // 2 <= self.n // 2:
             raise ValueError(f"row weight w={self.w} out of range for n={self.n}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def cyclic_matrix(a: np.ndarray) -> np.ndarray:
@@ -166,7 +168,8 @@ def check_matrix(code: StabilizerCode) -> np.ndarray:
     half = code.m // 2
     h = np.zeros((half, code.n), dtype=np.uint8)
     for c in range(half):
-        h[c] = code.checks[c].z_array()
+        positions = code.checks[c].positions()
+        h[c, positions[positions >= code.n] % code.n] = 1  # Y and Z, the z bits
     return h
 
 

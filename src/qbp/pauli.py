@@ -6,6 +6,11 @@ Z or Y.  Multiplication is then XOR and the commutation sign is a popcount
 parity, so group operations cost O(n / wordsize).  Phases are dropped at
 construction time; the represented group is the Pauli group modulo its
 center, which is all a Pauli channel can distinguish.
+
+The one array layout is `positions`: the ascending (l - 1) * n + q of the
+letters l (X = 1, Y = 2, Z = 3) on non-identity qubits q, which index the
+letter-major (3, n) tables of the syndrome and the decoder.  Letter arrays
+(`letters`, and `from_letters`, the checked way in) are built on it.
 """
 
 from __future__ import annotations
@@ -86,20 +91,36 @@ class PauliOperator:
         if ((letters < 0) | (letters > 3)).any():
             raise ValueError("letter codes must lie in 0..3")
         n = letters.shape[0]
-        xb = np.packbits((letters == 1) | (letters == 2), bitorder="little")
-        zb = np.packbits((letters == 2) | (letters == 3), bitorder="little")
-        return cls(n, int.from_bytes(xb.tobytes(), "little"), int.from_bytes(zb.tobytes(), "little"))
+        qubits = np.flatnonzero(letters)
+        return cls._from_positions(n, (letters[qubits].astype(np.intp) - 1) * n + qubits)
+
+    @classmethod
+    def _from_positions(cls, n: int, positions: np.ndarray) -> "PauliOperator":
+        """The n-qubit operator with letters at `positions`, at most one per
+        qubit in any order, unchecked: positions qbp computed itself."""
+        bits = np.zeros(3 * n, dtype=np.uint8)
+        bits[positions] = 1
+        stacked = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        mask = (1 << n) - 1
+        x_only, y, z_only = stacked & mask, (stacked >> n) & mask, stacked >> (2 * n)
+        return cls(n, x_only | y, z_only | y)
 
     # -- views ---------------------------------------------------------
 
-    def z_array(self) -> np.ndarray:
-        return _bits_to_array(self.z_bits, self.n)
+    def positions(self) -> np.ndarray:
+        """Ascending positions (l - 1) * n + q of the non-identity letters l
+        (X = 1, Y = 2, Z = 3) on qubits q."""
+        x, z, n = self.x_bits, self.z_bits, self.n
+        stacked = (x & ~z) | ((x & z) << n) | ((z & ~x) << (2 * n))
+        raw = np.frombuffer(stacked.to_bytes((3 * n + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little", count=3 * n))
 
     def letters(self) -> np.ndarray:
         """Per-qubit letter codes as an int8 array."""
-        xb = _bits_to_array(self.x_bits, self.n).astype(np.int8)
-        zb = _bits_to_array(self.z_bits, self.n).astype(np.int8)
-        return xb + zb * (3 - 2 * xb)
+        letters = np.zeros(self.n, dtype=np.int8)
+        label, qubit = np.divmod(self.positions(), self.n)
+        letters[qubit] = label + 1
+        return letters
 
     def support(self) -> int:
         """Bit mask of qubits with a non-identity factor."""
@@ -146,9 +167,3 @@ class PauliOperator:
 
     def __hash__(self) -> int:
         return hash((self.n, self.x_bits, self.z_bits))
-
-
-def _bits_to_array(bits: int, n: int) -> np.ndarray:
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=n)
-

@@ -8,6 +8,10 @@ usual case, is a success without a syndrome.  Trials use counter-based RNG
 streams derived from (master seed, epsilon index, trial index), so results
 are bit-identical regardless of how many workers run them.
 
+A trial's error is drawn as positions (pauli's one array layout) from a
+letter-major (3, n) sampling table, and its syndrome is read from them; no
+trial builds per-qubit letters.
+
 What depends only on the sweep point is built once per point in each
 worker: the prior, its sampling table and the decoder's initial message
 state.  Every trial of the point shares that state's edge arrays, which are
@@ -90,25 +94,24 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
 
 
 def sampling_table(prior: np.ndarray) -> np.ndarray:
-    """The validated prior's cumulative I, X, Y columns, (n, 3): the letter thresholds of sample_error."""
+    """The validated prior's cumulative I, X, Y sums, letter-major (3, n): row
+    l - 1 is the threshold a draw reaches for letter l or above in sample_error."""
     prior = np.asarray(prior, dtype=np.float64)
     prior = validate_prior(prior, prior.shape[0] if prior.ndim else 0)
-    return np.ascontiguousarray(np.cumsum(prior, axis=1)[:, :3])
+    return np.ascontiguousarray(np.cumsum(prior, axis=1)[:, :3].T)
 
 
 def sample_error(prior: np.ndarray, rng, table: np.ndarray | None = None) -> PauliOperator:
     """Independent per-qubit draw from the channel prior.
 
     A sweep passes table, the prior's sampling_table, built once per point.
+    A qubit's letter l is where its draw reaches threshold l - 1 but not l.
     """
     if table is None:
         table = sampling_table(prior)
-    r = rng.random(table.shape[0])
-    # the letter is the number of thresholds at or below r
-    letters = (r >= table[:, 0]).view(np.int8)
-    letters += r >= table[:, 1]
-    letters += r >= table[:, 2]
-    return PauliOperator.from_letters(letters)
+    reached = rng.random(table.shape[1]) >= table
+    reached[:2] &= ~reached[1:]
+    return PauliOperator._from_positions(table.shape[1], np.flatnonzero(reached))
 
 
 def classify_residual(code: StabilizerCode, error: PauliOperator, correction: PauliOperator) -> str:
@@ -206,6 +209,8 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
         raise ValueError("max_failures must be >= 1, or None to run every trial")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
         if not 0 <= eps <= 1:

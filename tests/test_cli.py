@@ -43,9 +43,9 @@ def test_generate_deterministic(tmp_path, capsys):
 
 def test_generate_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "generate", "--bicycle", "7,4,2", "--out", str(tmp_path / "x"))
-    assert code == 1
+    assert code == 1 and err.startswith("usage: qbp generate")
     code, _, err = run_cli(capsys, "generate", "--bicycle", "20,10", "--out", str(tmp_path / "x"))
-    assert code == 1
+    assert code == 1 and err.startswith("usage: qbp generate")
 
 
 def test_inspect_builtin_and_dot(tmp_path, capsys):
@@ -115,7 +115,20 @@ def test_non_finite_delta_is_usage_error(capsys):
     for base, bad in ((decode, "inf"), (simulate, "nan")):
         code, stdout, err = run_cli(capsys, *base, "--delta", bad)
         assert code == 1 and stdout == ""
-        assert err.startswith("usage:") and "delta" in err and "Traceback" not in err
+        assert err.startswith(f"usage: qbp {base[0]} ") and "delta" in err and "Traceback" not in err
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # numpy rejected these at decode or sweep time, as data errors (exit 2)
+    runs = [["decode", "--builtin", "two_qubit_toy", "--syndrome", "+-", "--heuristic", "freeze"],
+            ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.1", "--trials", "5"],
+            ["simulate", "--bicycle", "20,10,6", "--epsilon", "0.1", "--trials", "5"],
+            ["generate", "--bicycle", "20,10,6", "--out", str(tmp_path / "x")]]
+    for base in runs:
+        code, stdout, err = run_cli(capsys, *base, "--seed", "-1")
+        assert code == 1 and stdout == "", base
+        assert err.startswith(f"usage: qbp {base[0]} ") and "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_decode_syndrome_length_mismatch(capsys):
@@ -139,7 +152,7 @@ def test_simulate_csv(tmp_path, capsys):
 def test_simulate_max_failures(capsys):
     args = ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3", "--trials", "20"]
     code, _, err = run_cli(capsys, *args, "--max-failures", "-3")
-    assert code == 1 and "--max-failures" in err
+    assert code == 1 and "--max-failures" in err and err.startswith("usage: qbp simulate ")
     code, stdout, _ = run_cli(capsys, *args, "--max-failures", "0")
     assert code == 0
     row = [l for l in stdout.splitlines() if not l.startswith("#")][1].split(",")
@@ -149,13 +162,13 @@ def test_simulate_max_failures(capsys):
 def test_simulate_jobs_below_one(capsys):
     args = ["simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3", "--trials", "20"]
     code, _, err = run_cli(capsys, *args, "--jobs", "-2")
-    assert code == 1 and "--jobs" in err
+    assert code == 1 and "--jobs" in err and err.startswith("usage: qbp simulate ")
 
 
 def test_simulate_epsilon_out_of_range(capsys):
     base = ["simulate", "--builtin", "two_qubit_toy", "--trials", "20"]
     code, stdout, err = run_cli(capsys, *base, "--epsilon", "0.1", "--epsilon", "1.5")
-    assert code == 1 and "--epsilon" in err and stdout == ""
+    assert code == 1 and "--epsilon" in err and stdout == "" and err.startswith("usage: qbp simulate ")
     code, stdout, err = run_cli(capsys, *base, "--epsilon", "-0.1")
     assert code == 1 and "--epsilon" in err
     # the sweep's top point is checked too
@@ -169,7 +182,7 @@ def test_trials_below_one_rejected(capsys):
                  ["oracle-check", "--builtin", "five_qubit", "--epsilon", "0.1"]):
         for bad in ("0", "-3"):
             code, stdout, err = run_cli(capsys, *base, "--trials", bad)
-            assert code == 1 and "--trials" in err and stdout == ""
+            assert code == 1 and "--trials" in err and stdout == "" and err.startswith(f"usage: qbp {base[0]} ")
         assert run_cli(capsys, *base, "--trials", "1")[0] == 0
 
 
@@ -178,7 +191,7 @@ def test_decode_and_oracle_check_epsilon_out_of_range(capsys):
                  ["oracle-check", "--builtin", "two_qubit_toy", "--trials", "2"]):
         for bad in ("1.5", "-0.1", "nan"):
             code, stdout, err = run_cli(capsys, *base, "--epsilon", bad)
-            assert code == 1 and "--epsilon" in err and stdout == ""
+            assert code == 1 and "--epsilon" in err and stdout == "" and err.startswith(f"usage: qbp {base[0]} ")
         assert run_cli(capsys, *base, "--epsilon", "1.0")[0] == 0
 
 

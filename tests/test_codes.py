@@ -130,8 +130,7 @@ def test_basis_equals_echelon_of_rows(toy, five, small_bicycle, bicycle_800):
         mat = perm[np.arange(base.n), np.stack([c.letters() for c in base.checks])]
         codes.append(qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat]))
     for code in codes:
-        assert code.rows == [qbp.StabilizerCode._symplectic_row(op) for op in code.checks]
-        assert code.basis == gf2.echelon(code.rows)
+        assert code.basis == gf2.echelon([qbp.StabilizerCode._symplectic_row(op) for op in code.checks])
         assert all(type(p) is int and type(r) is int for p, r in code.basis)
 
 
@@ -525,7 +524,7 @@ def _assert_same_code(a, b):
         warnings.simplefilter("ignore")  # the isolated-qubit code warns
         assert a.degree_distribution() == b.degree_distribution()
     assert "tanner" not in a.__dict__ and "tanner" not in b.__dict__
-    assert a.rows == b.rows and a.basis == b.basis
+    assert a.basis == b.basis
     assert a.fingerprint() == b.fingerprint()
     for field in dataclasses.fields(a.edges):
         x, y = getattr(a.edges, field.name), getattr(b.edges, field.name)

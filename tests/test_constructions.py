@@ -43,6 +43,9 @@ def test_bicycle_spec_validation():
         qbp.BicycleSpec(n=8, m=4, w=10)
     with pytest.raises(ValueError):
         qbp.BicycleSpec(n=8, m=4, w=0)
+    with pytest.raises(ValueError, match="seed"):
+        qbp.BicycleSpec(n=8, m=4, w=2, seed=-1)
+    assert qbp.BicycleSpec(n=8, m=4, w=2, seed=0).seed == 0
 
 
 def test_generate_bicycle_structure():

@@ -67,7 +67,7 @@ def test_freeze_single_iteration_resolution(toy):
     beliefs = qbp.qubit_update(state, toy)
     assert beliefs[0, 1] >= 1 - 1e-9   # X dominant on qubit 0
     assert beliefs[1, 0] >= 1 - 1e-9   # I dominant on frozen qubit
-    assert str(qbp.hard_decision(beliefs)) == "XI"
+    assert np.argmax(beliefs, axis=1).tolist() == [1, 0]  # XI
 
 
 def test_frozen_qubit_outgoing_messages(toy):

@@ -67,7 +67,7 @@ def test_weight(text, want):
 def test_parse_bit_layout():
     op = PauliOperator.from_string("XIIY")
     assert [(op.x_bits >> q) & 1 for q in range(op.n)] == [1, 0, 0, 1]
-    assert list(op.z_array()) == [0, 0, 0, 1]
+    assert [(op.z_bits >> q) & 1 for q in range(op.n)] == [0, 0, 0, 1]
     assert list(op.letters()) == [1, 0, 0, 2]
 
 
@@ -150,3 +150,22 @@ def test_from_letters_rejects_non_integer_codes():
         with pytest.raises(ValueError, match="integers"):
             PauliOperator.from_letters(bad)
     assert str(PauliOperator.from_letters(np.array([1, 2], dtype=np.uint8))) == "XY"
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 800])
+def test_positions_layout(n):
+    # positions (l - 1) * n + q of the non-identity letters, ascending, read
+    # against the parsed string; both ways back give the operator
+    rng = np.random.default_rng([71, n])
+    texts = ["I" * n] + ["".join(rng.choice(list(LETTERS), size=n)) for _ in range(10)]
+    texts += ["".join(rng.choice(list(LETTERS), size=n, p=[0.9, 0.04, 0.03, 0.03])) for _ in range(5)]
+    for text in texts:
+        op = PauliOperator.from_string(text)
+        positions = op.positions()
+        want = [(LETTERS.index(ch) - 1) * n + q for q, ch in enumerate(text) if ch != "I"]
+        assert positions.tolist() == sorted(want)
+        assert (np.diff(positions) > 0).all() and ((0 <= positions) & (positions < 3 * n)).all()
+        assert len(positions) == op.weight == len(set((positions % n).tolist()))
+        assert PauliOperator._from_positions(n, positions) == op
+        assert op.letters().tolist() == [LETTERS.index(ch) for ch in text]
+        assert PauliOperator.from_letters(op.letters()) == op

@@ -17,6 +17,31 @@ def test_sample_error_extremes():
     assert full.weight == 20
 
 
+def _letter_count_sample(prior, rng):
+    """The earlier rule: each qubit's letter is the number of its cumulative
+    I, X, Y thresholds at or below its draw."""
+    table = np.cumsum(prior, axis=1)[:, :3]
+    r = rng.random(len(prior))
+    letters = (r >= table[:, 0]).view(np.int8)
+    letters += r >= table[:, 1]
+    letters += r >= table[:, 2]
+    return qbp.PauliOperator.from_letters(letters)
+
+
+def test_sample_error_tied_thresholds():
+    # zero prior entries make thresholds tie; a draw reaching a tie skips the
+    # letters in between, as the count of reached thresholds does
+    rows = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
+                     [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0.5, 0.5, 0, 0]], dtype=np.float64)
+    mixed = rows[np.random.default_rng(72).integers(0, len(rows), size=65)]
+    for prior in (qbp.depolarizing_prior(65, 0.0), qbp.depolarizing_prior(65, 1.0), mixed):
+        for seed in range(20):
+            got = qbp.sample_error(prior, np.random.default_rng([73, seed]))
+            assert got == _letter_count_sample(prior, np.random.default_rng([73, seed]))
+    letters = qbp.sample_error(mixed, np.random.default_rng(0)).letters()
+    assert (letters[mixed[:, 0] == 1] == 0).all() and (letters[mixed[:, 3] == 1] == 3).all()
+
+
 def test_sample_error_frequencies():
     rng = np.random.default_rng(1)
     prior = qbp.depolarizing_prior(1, 0.3)
@@ -83,6 +108,42 @@ def test_detected_iff_not_converged_bicycle_800(bicycle_800, heuristic):
         res, _ = qbp.decode_with_heuristics(bicycle_800, prior, bicycle_800.syndrome(e), cfg, rng=rng)
         cls = classify_residual(bicycle_800, e, res.correction)
         assert (cls == DETECTED) == (not res.converged)
+
+
+def _forbid_letter_paths(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a trial built or validated per-qubit letters")
+
+    monkeypatch.setattr(qbp.PauliOperator, "letters", forbidden)
+    monkeypatch.setattr(qbp.PauliOperator, "from_letters", classmethod(forbidden))
+    monkeypatch.setattr(qbp.StabilizerCode, "syndrome01_of_letters", forbidden)
+
+
+def test_trial_path_builds_no_letters(small_bicycle, bicycle_800, monkeypatch):
+    # a trial converts draws to positions to a bitset, and the bitset to
+    # positions for its syndrome; the decision's positions give the
+    # correction.  The same outcomes, with every letter path raising.
+    runs = [(small_bicycle, 0.12, qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=h),
+             [[74, t] for t in range(30)]) for h in HEURISTICS]
+    runs += [(bicycle_800, eps, qbp.DecodeConfig(heuristic=h), seeds)
+             for eps, seeds in ((0.02, [[40, 279], [40, 280]]), (0.04, [[40, t] for t in range(3)]))
+             for h in ("none", "collision_freeze")]
+
+    def outcomes():
+        return [[qbp.run_trial(code, qbp.depolarizing_prior(code.n, eps), cfg, np.random.default_rng(seed))
+                 for seed in seeds] for code, eps, cfg, seeds in runs]
+
+    logical = bicycle_800.logical_xs[0]
+    identity = qbp.PauliOperator.identity(bicycle_800.n)
+    want = outcomes()
+    with monkeypatch.context() as patched:
+        _forbid_letter_paths(patched)
+        assert outcomes() == want
+        assert classify_residual(bicycle_800, logical, identity) == LOGICAL
+    classes = {(code.n, o.classification) for (code, *_), run in zip(runs, want) for o in run}
+    assert classes == {(n, c) for n in (20, 800) for c in (SUCCESS, DETECTED, LOGICAL)} - {(800, LOGICAL)}
+    # every heuristic meets a logical failure on the small code
+    assert all(LOGICAL in {o.classification for o in run} for run in want[:len(HEURISTICS)])
 
 
 def _public_trial(code, prior, config, rng):
@@ -226,6 +287,12 @@ def test_max_failures_below_one_rejected(toy):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="max_failures"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, max_failures=bad)
+
+
+def test_negative_master_seed_rejected_before_any_trial(toy, monkeypatch):
+    monkeypatch.setattr(qbp.simulate, "_run_chunk", lambda args: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="master_seed"):
+        qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=-1)
 
 
 def test_jobs_below_one_rejected(toy):
