@@ -18,8 +18,8 @@ def test_sample_error_extremes():
 
 
 def _letter_count_sample(prior, rng):
-    """The earlier rule: each qubit's letter is the number of its cumulative
-    I, X, Y thresholds at or below its draw."""
+    """Reference draw by the letter-count rule: each qubit's letter is the
+    number of its cumulative I, X, Y thresholds at or below its draw."""
     table = np.cumsum(prior, axis=1)[:, :3]
     r = rng.random(len(prior))
     letters = (r >= table[:, 0]).view(np.int8)
@@ -122,7 +122,9 @@ def _forbid_letter_paths(monkeypatch):
 def test_trial_path_builds_no_letters(small_bicycle, bicycle_800, monkeypatch):
     # a trial converts draws to positions to a bitset, and the bitset to
     # positions for its syndrome; the decision's positions give the
-    # correction.  The same outcomes, with every letter path raising.
+    # correction.  The same outcomes, with every letter path raising.  The
+    # headline code fails no trial logically at these eps (criterion 6), so
+    # its logical class is checked on a logical residual.
     runs = [(small_bicycle, 0.12, qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=h),
              [[74, t] for t in range(30)]) for h in HEURISTICS]
     runs += [(bicycle_800, eps, qbp.DecodeConfig(heuristic=h), seeds)
