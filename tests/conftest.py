@@ -26,6 +26,36 @@ def bicycle_800():
     return qbp.generate_bicycle(qbp.BicycleSpec(n=800, m=400, w=30, seed=11))
 
 
+def insert(basis, v):
+    """Reduce the int row v (column j at bit j) against a reduced echelon basis
+    of (pivot, row) pairs, pivots at lowest set bits, and, if nonzero, add it
+    in place.  Returns the reduced v, 0 exactly when v was in the span.  The
+    int-row reference for qbp.gf2."""
+    for p, row in basis:
+        if (v >> p) & 1:
+            v ^= row
+    if v:
+        p = (v & -v).bit_length() - 1
+        for i, (p2, r2) in enumerate(basis):
+            if (r2 >> p) & 1:
+                basis[i] = (p2, r2 ^ v)
+        basis.append((p, v))
+    return v
+
+
+def echelon(rows):
+    """Reduced row-echelon basis of int rows as (pivot, row) pairs, by an insert loop."""
+    basis = []
+    for r in rows:
+        insert(basis, r)
+    return basis
+
+
+def symplectic_row(op):
+    """An operator's x|z bits as one int, x on the low n bits."""
+    return op.x_bits | (op.z_bits << op.n)
+
+
 def random_pauli(rng, n):
     return qbp.PauliOperator.from_letters(rng.integers(0, 4, size=n).astype(np.int8))
 

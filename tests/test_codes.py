@@ -13,7 +13,7 @@ import qbp
 from qbp import gf2
 from qbp.codes import DETECTABLE, LOGICAL, STABILIZER
 
-from conftest import random_pauli, tanner_rows
+from conftest import echelon, insert, random_pauli, symplectic_row, tanner_rows
 
 
 def test_build_toy_and_five(toy, five):
@@ -595,3 +595,99 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
             # the per-edge index arrays feed the BP kernels' gathers: keep them contiguous
             for name in ("qubit", "check_start", "slot"):
                 assert getattr(ea, name).flags.c_contiguous, name
+
+
+def _relabelled(code, seed):
+    """The code with X/Y/Z permuted per qubit (commutation is kept): non-CSS rows."""
+    rng = np.random.default_rng(seed)
+    perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(code.n)])
+    mat = perm[np.arange(code.n), np.stack([c.letters() for c in code.checks])]
+    return qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat])
+
+
+def _canonical_codes(toy, five, small_bicycle, bicycle_800):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ZZI and the tiny bicycle leave qubits isolated
+        codes = {
+            "toy": toy, "five": five, "ZZ": qbp.StabilizerCode(["ZZ"]), "ZZI": qbp.StabilizerCode(["ZZI"]),
+            "small_bicycle": small_bicycle,
+            "bicycle-10": qbp.generate_bicycle(qbp.BicycleSpec(10, 8, 4, 3)),
+            "bicycle-60-random": qbp.generate_bicycle(qbp.BicycleSpec(60, 30, 10, 9), deletion="random"),
+            "bicycle-200": qbp.generate_bicycle(qbp.BicycleSpec(200, 100, 16, 17)),
+            "bicycle-800": bicycle_800,
+        }
+        for name in ("five", "small_bicycle", "bicycle-60-random", "bicycle-200", "bicycle-800"):
+            codes[name + "-relabelled"] = _relabelled(codes[name], 44)
+    return codes
+
+
+_CANONICAL_DIGESTS = {
+    "toy": "fe36d0f8d33f790512dad5bc998e639cb5aa6dcf3c141cd7dc15bd814429a217",
+    "five": "6e90225a50ee8ea6185e9b9aa9bb10b7d78c89202531742042bf07f29894d5a2",
+    "ZZ": "ad4bd25ca89d15ddbed89b72ae46cd9364e5b3ee76499d9f2bea8deb33b829e4",
+    "ZZI": "7084fc8814975683a690ad41376154e5629a3fac51bf8c660ff8df963ae1867c",
+    "small_bicycle": "9d6e87477629b36de531f83e1a6dbfc5a3c73a0b9b69f7b38e771a417ed7d546",
+    "bicycle-10": "75c09c2ea21e97e33b971fd14eaef04436a91c1abb09b8d657a0c812c5c8401f",
+    "bicycle-60-random": "91b21ea50523a7df7e26266028b22a00e2775347890c276b6a0a3f591d257928",
+    "bicycle-200": "65a3bd89a8b3ed3d2eb87af89b064f72fc274b7f930b11292398a316e8d4f64e",
+    "bicycle-800": "61c54ae115b95e31dd0041cdd5dcb54953d4f6284e4131a3f86034d0d9d2afad",
+    "five-relabelled": "d1357b529d0ef1ca6de852b46ae22eda5cc0aa6434ae0d5970bfe503a7f23f20",
+    "small_bicycle-relabelled": "6b3b9dc80ea421a054218c415f57565aa3f284b8e5caf03000a8fd3d042491e2",
+    "bicycle-60-random-relabelled": "9f584700153e123347e74e9341be919f9efa372575f733d3d5f6e9ddbffb9aec",
+    "bicycle-200-relabelled": "2a8daf2341689c56fcba2fd2c3cc7599c1ce08dd10db10101434592a84a18244",
+    "bicycle-800-relabelled": "288ac2d7e8bca2fcdf50adee205c5ad62e2e6cf3b7881fac5be69482b6d03f3b",
+}
+
+
+def test_canonical_generators_pinned(toy, five, small_bicycle, bicycle_800):
+    # recorded before the canonical generators moved onto the packed elimination
+    got = {}
+    for name, code in _canonical_codes(toy, five, small_bicycle, bicycle_800).items():
+        pure, logicals = code.canonical_generators()
+        got[name] = hashlib.sha256(repr([str(op) for op in pure + logicals]).encode()).hexdigest()
+    assert got == _CANONICAL_DIGESTS
+
+
+def _reference_class(code, basis, op):
+    """residual_class by commute() and an int-row insert into the checks' echelon basis."""
+    if any(c.commute(op) != 1 for c in code.checks):
+        return DETECTABLE
+    return STABILIZER if insert(list(basis), symplectic_row(op)) == 0 else LOGICAL
+
+
+def test_residual_class_matches_int_row_reference(bicycle_800):
+    code = bicycle_800
+    basis = echelon(symplectic_row(c) for c in code.checks)
+    logicals = code.canonical_generators()[1]
+    rng = np.random.default_rng(45)
+    seen = set()
+    for trial in range(60):
+        op = qbp.PauliOperator.identity(code.n)
+        for c in rng.choice(code.m, size=int(rng.integers(0, 8)), replace=False):
+            op = op * code.checks[c]
+        if trial % 3 == 1:
+            op = op * logicals[int(rng.integers(len(logicals)))]
+        elif trial % 3 == 2:
+            op = op * qbp.PauliOperator(code.n, 1 << int(rng.integers(code.n)), 0)
+        want = _reference_class(code, basis, op)
+        assert code.residual_class(op) == want
+        seen.add(want)
+    assert seen == {STABILIZER, LOGICAL, DETECTABLE}
+
+
+def test_verify_canonical_rejects_a_flipped_bit(five, small_bicycle):
+    rng = np.random.default_rng(46)
+    codes = [five, small_bicycle, qbp.generate_bicycle(qbp.BicycleSpec(200, 100, 16, 17)), _relabelled(small_bicycle, 47)]
+    for code in codes:
+        pure, logicals = code.canonical_generators()
+        code._verify_canonical(pure, logicals)
+        for trial in range(8):
+            ops = list(pure if trial % 2 else logicals)
+            i, q = int(rng.integers(len(ops))), int(rng.integers(code.n))
+            flip = qbp.PauliOperator(code.n, 1 << q, 0) if rng.random() < 0.5 else qbp.PauliOperator(code.n, 0, 1 << q)
+            ops[i] = ops[i] * flip
+            with pytest.raises(RuntimeError):
+                if trial % 2:
+                    code._verify_canonical(tuple(ops), logicals)
+                else:
+                    code._verify_canonical(pure, tuple(ops))
