@@ -12,8 +12,10 @@ once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
 those bits yields the edge lists, from which come the commutation test (over
 the check pairs that meet on a qubit), `edges` and the isolated-qubit
 warning.  One packed elimination (gf2.packed_echelon) rejects dependent
-checks and keeps the echelon `basis` of the symplectic rows, as a gf2.insert
-loop would build it; the rows themselves are not kept.
+checks and keeps the reduced echelon `basis` of the symplectic rows as
+(pivots, uint64 rows), against which `residual_class` tests stabilizer
+membership; the rows themselves are not kept.  The canonical generators run
+on the same elimination and packed rows.
 
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
@@ -157,6 +159,13 @@ def _anticommutation_table(qubit, check, letter, n: int, m: int) -> np.ndarray:
     return table.view("<u8")
 
 
+def _symplectic_words(ops, n: int) -> np.ndarray:
+    """The operators' x|z rows, x on columns 0..n-1, as (len(ops), ceil(2n / 64)) uint64 words."""
+    width = 8 * ((2 * n + 63) // 64)
+    raw = b"".join((op.x_bits | (op.z_bits << n)).to_bytes(width, "little") for op in ops)
+    return np.frombuffer(raw, "<u8").reshape(len(ops), width // 8)
+
+
 class StabilizerCode:
     """Validated stabilizer code; treat instances as immutable."""
 
@@ -170,10 +179,8 @@ class StabilizerCode:
                 raise ValueError(f"check {i} acts on {op.n} qubits, expected {n}")
         # the symplectic rows as one (m, words) little-endian uint64 array,
         # unpacked once into the (m, 2n) x|z bits
-        width = 8 * ((2 * n + 63) // 64)
-        packed = np.frombuffer(b"".join(self._symplectic_row(op).to_bytes(width, "little") for op in ops), np.uint8)
-        packed = packed.reshape(len(ops), width)
-        bits = np.unpackbits(packed, axis=1, count=2 * n, bitorder="little")
+        words = _symplectic_words(ops, n)
+        bits = gf2.unpack_rows(words, 2 * n)
         # one scan of the (m, n) letter matrix serves the commutation test
         # and the Tanner graph; its nonzeros are check-major with ascending
         # qubits, the edge order everywhere below
@@ -184,10 +191,11 @@ class StabilizerCode:
         pair = _first_anticommuting_pair(qubit, check, letter, len(ops))
         if pair is not None:
             raise NonCommutingChecksError(*pair)
-        # the rows' reduced echelon basis, from one elimination
-        self.basis = gf2.packed_echelon(packed.view("<u8"))
-        if len(self.basis) < len(ops):
-            raise DependentChecksError(len(self.basis))
+        # the rows' reduced echelon basis as (pivots, rows), from one elimination
+        kept, pivots, rows, _ = gf2.packed_echelon(words)
+        if len(kept) < len(ops):
+            raise DependentChecksError(int(np.setdiff1d(np.arange(len(ops)), kept)[0]))
+        self.basis = (pivots, rows)
 
         self.n = n
         self.m = len(ops)
@@ -220,13 +228,9 @@ class StabilizerCode:
     def k(self) -> int:
         return self.n - self.m
 
-    @staticmethod
-    def _symplectic_row(op: PauliOperator) -> int:
-        return op.x_bits | (op.z_bits << op.n)
-
-    def _op_from_row(self, row: int) -> PauliOperator:
-        mask = (1 << self.n) - 1
-        return PauliOperator(self.n, row & mask, row >> self.n)
+    def _op_from_row(self, row: np.ndarray) -> PauliOperator:
+        v = int.from_bytes(row.tobytes(), "little")
+        return PauliOperator(self.n, v & ((1 << self.n) - 1), v >> self.n)
 
     # -- syndromes -------------------------------------------------------
 
@@ -355,90 +359,88 @@ class StabilizerCode:
         return self.canonical_generators()[1][self.k :]
 
     def _compute_canonical(self):
-        n2 = 2 * self.n
-        rows = [self._symplectic_row(op) for op in self.checks]
-        # symplectic partner of a row: swap x and z halves
-        mask = (1 << self.n) - 1
-        swapped = [((r >> self.n) & mask) | ((r & mask) << self.n) for r in rows]
+        n2, m, k = 2 * self.n, self.m, self.k
+        # [swapped checks | I_m], a check's symplectic partner being its x
+        # and z halves swapped: the free columns of its elimination give the
+        # centralizer of the checks, and the tag columns the combination of
+        # checks each basis row is, hence the unit targets
+        checks = _symplectic_words(self.checks, self.n)
+        swapped = gf2.unpack_rows(self._swapped(checks), n2)
+        _, pivots, reduced, _ = gf2.packed_echelon(gf2.pack_rows(np.hstack([swapped, np.eye(m, dtype=np.uint8)])))
+        reduced = gf2.unpack_rows(reduced, n2 + m)
+        free = np.setdiff1d(np.arange(n2), pivots)
+        centralizer = np.zeros((len(free), n2), dtype=np.uint8)
+        centralizer[np.arange(len(free)), free] = 1
+        centralizer[:, pivots] = reduced[:, free].T
+        # targets[c] anticommutes with check c and no other
+        targets = np.zeros((m, n2), dtype=np.uint8)
+        targets[:, pivots] = reduced[:, n2:].T
+        targets = gf2.pack_rows(targets)
 
-        def sprod(u: int, v: int) -> int:
-            vm = ((v >> self.n) & mask) | ((v & mask) << self.n)
-            return (u & vm).bit_count() & 1
+        # logical candidates: centralizer rows outside the span of the checks
+        # and the rows before them, as inserted
+        kept, _, _, inserted = gf2.packed_echelon(np.vstack([self.basis[1], gf2.pack_rows(centralizer)]))
+        pool = inserted[kept >= m]
+        if len(pool) != 2 * k:
+            raise RuntimeError(f"expected {2 * k} logical candidates, got {len(pool)}")
 
-        # logical candidates: centralizer of the checks modulo their span
-        centralizer = gf2.nullspace(swapped, n2)
-        basis = list(self.basis)
-        cands = [red for red in (gf2.insert(basis, v) for v in centralizer) if red]
-        if len(cands) != 2 * self.k:
-            raise RuntimeError(f"expected {2 * self.k} logical candidates, got {len(cands)}")
-
-        # symplectic Gram-Schmidt into hyperbolic pairs
+        # symplectic Gram-Schmidt into hyperbolic pairs (u, v); a row's
+        # product with u is unchanged by adding u, so both updates read the
+        # products before them
         xs, zs = [], []
-        pool = cands
-        while pool:
-            u = pool[0]
-            rest = pool[1:]
-            partner = None
-            for i, v in enumerate(rest):
-                if sprod(u, v):
-                    partner = i
-                    break
-            if partner is None:
+        while len(pool):
+            u, rest = pool[0], pool[1:]
+            partner = np.flatnonzero(self._gram(rest, u[None]))
+            if not partner.size:
                 raise RuntimeError("logical candidate has no anticommuting partner")
-            v = rest.pop(partner)
-            adjusted = []
-            for w in rest:
-                if sprod(w, v):
-                    w ^= u
-                if sprod(w, u):
-                    w ^= v
-                adjusted.append(w)
-            pool = adjusted
+            v, rest = rest[partner[0]], np.delete(rest, partner[0], axis=0)
+            a, b = self._gram(rest, np.stack([v, u])).astype(np.uint64).T[:, :, None]
+            pool = rest ^ a * u ^ b * v
             xs.append(u)
             zs.append(v)
+        logicals = np.array(xs + zs, dtype="<u8").reshape(2 * k, checks.shape[1])
 
-        # pure errors: one anticommuting partner per check
-        ts = gf2.solve_unit_targets(swapped)
-        for c in range(self.m):
-            t = ts[c]
-            for x, z in zip(xs, zs):
-                a, b = sprod(t, x), sprod(t, z)
-                if a:
-                    t ^= z
-                if b:
-                    t ^= x
-            ts[c] = t
-        for c in range(self.m):
-            for c2 in range(c):
-                if sprod(ts[c], ts[c2]):
-                    ts[c] ^= rows[c2]
+        # pure errors: clear each target's products with the logicals, then
+        # with the targets before it by adding those targets' checks.  The
+        # pairs are mutually orthogonal, and adding check c2 to target c
+        # changes only its product with target c2, so each fix reads the
+        # products before any of them.
+        targets ^= gf2.product(self._gram(targets, logicals), np.roll(logicals, k, axis=0))
+        targets ^= gf2.product(np.tril(self._gram(targets, targets), -1), checks)
 
-        pure = tuple(self._op_from_row(t) for t in ts)
-        logicals = tuple(self._op_from_row(r) for r in xs + zs)
+        pure = tuple(self._op_from_row(t) for t in targets)
+        logicals = tuple(self._op_from_row(r) for r in logicals)
         self._verify_canonical(pure, logicals)
         return pure, logicals
 
+    def _swapped(self, words: np.ndarray) -> np.ndarray:
+        """Packed x|z rows with their x and z halves swapped: the symplectic
+        product of two rows is the parity of one AND the other swapped."""
+        return gf2.pack_rows(np.roll(gf2.unpack_rows(words, 2 * self.n), self.n, axis=1))
+
+    def _gram(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(len(a), len(b)) uint8 symplectic products of packed x|z rows:
+        1 where a row of a anticommutes with a row of b."""
+        return gf2.dot(a, self._swapped(b))
+
     def _verify_canonical(self, pure, logicals):
-        k = self.k
-        for c, t in enumerate(pure):
-            for c2, s in enumerate(self.checks):
-                want = -1 if c == c2 else 1
-                if s.commute(t) != want:
-                    raise RuntimeError("pure-error commutation relations violated")
-            for t2 in pure[:c]:
-                if t.commute(t2) != 1:
-                    raise RuntimeError("pure errors do not commute")
-        for i, l in enumerate(logicals):
-            for s in self.checks:
-                if s.commute(l) != 1:
-                    raise RuntimeError("logical anticommutes with a check")
-            for t in pure:
-                if t.commute(l) != 1:
-                    raise RuntimeError("logical anticommutes with a pure error")
-            for j in range(i):
-                want = -1 if abs(i - j) == k else 1
-                if l.commute(logicals[j]) != want:
-                    raise RuntimeError("logicals are not canonically paired")
+        """Raise RuntimeError unless checks, pure errors and logicals form a
+        canonical set: pure error c anticommutes with check c alone, logical
+        X_i with Z_i alone, and every other pair commutes."""
+        m, k = self.m, self.k
+        if len(pure) != m or len(logicals) != 2 * k:
+            raise RuntimeError(f"expected {m} pure errors and {2 * k} logicals")
+        gens = _symplectic_words(self.checks + tuple(pure) + tuple(logicals), self.n)
+        want = np.zeros((len(gens), len(gens)), dtype=np.uint8)
+        pairs = np.concatenate([np.arange(m), 2 * m + np.arange(k)])
+        partners = pairs + np.repeat([m, k], [m, k])
+        want[pairs, partners] = want[partners, pairs] = 1
+        bad = np.argwhere(self._gram(gens, gens) != want)
+        if len(bad):
+            names = [f"{kind} {i}" for kind, size in (("check", m), ("pure error", m), ("logical", 2 * k))
+                     for i in range(size)]
+            i, j = bad[0].tolist()
+            raise RuntimeError(f"{names[i]} and {names[j]} break the canonical commutation relations")
 
     def pure_error_for_syndrome(self, s: np.ndarray) -> PauliOperator:
         """An operator whose syndrome equals s: product of pure errors on the -1 bits."""
@@ -454,7 +456,7 @@ class StabilizerCode:
         """Classify a residual operator: detectable, stabilizer, or logical."""
         if (self.syndrome(op) < 0).any():
             return DETECTABLE
-        if gf2.in_rowspan(self._symplectic_row(op), self.basis):
+        if gf2.in_rowspan(_symplectic_words((op,), self.n)[0], self.basis):
             return STABILIZER
         return LOGICAL
 

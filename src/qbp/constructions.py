@@ -164,8 +164,13 @@ def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts
 
 
 def check_matrix(code: StabilizerCode) -> np.ndarray:
-    """Recover the binary CSS matrix H from a bicycle/CSS code (Z rows first)."""
+    """Recover the binary matrix H of a code whose checks are H's rows as
+    Z-type then as X-type, as css_from_matrix and generate_bicycle build
+    them; any other code is a ValueError."""
     half = code.m // 2
+    if code.m % 2 or any(z.x_bits or x.z_bits or z.z_bits != x.x_bits
+                         for z, x in zip(code.checks[:half], code.checks[half:])):
+        raise ValueError("the checks are not the rows of one matrix as Z-type then as X-type")
     h = np.zeros((half, code.n), dtype=np.uint8)
     for c in range(half):
         positions = code.checks[c].positions()

@@ -51,6 +51,12 @@ def echelon(rows):
     return basis
 
 
+def first_dependent(rows):
+    """Index of the first int row in the span of the rows before it, or None."""
+    basis = []
+    return next((i for i, r in enumerate(rows) if not insert(basis, r)), None)
+
+
 def symplectic_row(op):
     """An operator's x|z bits as one int, x on the low n bits."""
     return op.x_bits | (op.z_bits << op.n)

@@ -13,7 +13,7 @@ import qbp
 from qbp import gf2
 from qbp.codes import DETECTABLE, LOGICAL, STABILIZER
 
-from conftest import echelon, insert, random_pauli, symplectic_row, tanner_rows
+from conftest import echelon, first_dependent, insert, random_pauli, symplectic_row, tanner_rows
 
 
 def test_build_toy_and_five(toy, five):
@@ -77,12 +77,6 @@ def test_build_rejects_dependent():
     assert err.value.index == 0
 
 
-def _first_dependent(rows):
-    """Index of the first row in the span of earlier ones, by a gf2.insert loop, or None."""
-    basis = []
-    return next((i for i, r in enumerate(rows) if not gf2.insert(basis, r)), None)
-
-
 def test_dependent_index_matches_insert_loop(five, small_bicycle, bicycle_800):
     # a product of two checks, or the identity, spliced in at a random
     # position: it commutes with every check, so only the elimination rejects it
@@ -98,7 +92,7 @@ def test_dependent_index_matches_insert_loop(five, small_bicycle, bicycle_800):
                 i, j = rng.choice(base.m, size=2, replace=False)
                 extra = checks[i] * checks[j]
             checks.insert(int(rng.integers(0, base.m + 1)), extra)
-            want = _first_dependent([qbp.StabilizerCode._symplectic_row(op) for op in checks])
+            want = first_dependent([symplectic_row(op) for op in checks])
             with pytest.raises(qbp.DependentChecksError) as err:
                 qbp.StabilizerCode(checks)
             assert err.value.index == want
@@ -130,8 +124,10 @@ def test_basis_equals_echelon_of_rows(toy, five, small_bicycle, bicycle_800):
         mat = perm[np.arange(base.n), np.stack([c.letters() for c in base.checks])]
         codes.append(qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat]))
     for code in codes:
-        assert code.basis == gf2.echelon([qbp.StabilizerCode._symplectic_row(op) for op in code.checks])
-        assert all(type(p) is int and type(r) is int for p, r in code.basis)
+        pivots, rows = code.basis
+        assert pivots.dtype == np.intp and rows.dtype == np.dtype("<u8") and rows.shape == (code.m, (2 * code.n + 63) // 64)
+        got = [(p, int.from_bytes(r.tobytes(), "little")) for p, r in zip(pivots.tolist(), rows)]
+        assert got == echelon(symplectic_row(op) for op in code.checks)
 
 
 def test_xx_yy_is_a_valid_code():
@@ -524,7 +520,7 @@ def _assert_same_code(a, b):
         warnings.simplefilter("ignore")  # the isolated-qubit code warns
         assert a.degree_distribution() == b.degree_distribution()
     assert "tanner" not in a.__dict__ and "tanner" not in b.__dict__
-    assert a.basis == b.basis
+    assert all(np.array_equal(x, y) for x, y in zip(a.basis, b.basis))
     assert a.fingerprint() == b.fingerprint()
     for field in dataclasses.fields(a.edges):
         x, y = getattr(a.edges, field.name), getattr(b.edges, field.name)
@@ -556,19 +552,16 @@ def test_pickle_roundtrip(small_bicycle):
 
 
 def test_construction_eliminates_once(monkeypatch):
-    counts = {"packed_echelon": 0, "insert": 0, "echelon": 0}
-    for name in counts:
-        real = getattr(gf2, name)
-
-        def counted(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(gf2, name, counted)
+    calls = []
+    real = gf2.packed_echelon
+    monkeypatch.setattr(gf2, "packed_echelon", lambda words: calls.append(len(words)) or real(words))
     code = qbp.generate_bicycle(qbp.BicycleSpec(800, 400, 30, 11))
     code.edges
     code.residual_class(qbp.PauliOperator.identity(code.n))
-    assert counts == {"packed_echelon": 1, "insert": 0, "echelon": 0}
+    assert calls == [400]
+    # [swapped checks | I], then [basis; centralizer]
+    code.canonical_generators()
+    assert calls == [400, 400, 400 + 1200]
 
 
 def test_letter_scan_matches_per_letter_reference(five, small_bicycle):

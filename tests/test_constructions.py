@@ -62,6 +62,20 @@ def test_generate_bicycle_structure():
         assert c.z_bits == 0
 
 
+def test_check_matrix_rejects_other_codes(five, small_bicycle):
+    h = check_matrix(small_bicycle)
+    assert h.shape == (5, 20) and h.tolist() == check_matrix(qbp.css_from_matrix(h)).tolist()
+    rng = np.random.default_rng(13)
+    perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(small_bicycle.n)])
+    relabelled = qbp.StabilizerCode([qbp.PauliOperator.from_letters(perm[np.arange(small_bicycle.n), c.letters()])
+                                     for c in small_bicycle.checks])
+    # Z rows then X rows, but of two different matrices
+    swapped = qbp.StabilizerCode(small_bicycle.checks[:5] + small_bicycle.checks[6:] + small_bicycle.checks[5:6])
+    for code in (five, qbp.StabilizerCode(["ZZI", "IZZ", "XXX"]), relabelled, swapped):
+        with pytest.raises(ValueError, match="Z-type then as X-type"):
+            check_matrix(code)
+
+
 def test_generate_bicycle_deterministic():
     spec = qbp.BicycleSpec(n=28, m=12, w=6, seed=123)
     a = qbp.generate_bicycle(spec)
@@ -204,7 +218,8 @@ def _structure_digest(code):
             h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
         else:
             h.update(repr(value).encode())
-    h.update(repr(code.basis).encode())
+    pivots, rows = code.basis
+    h.update(repr([(p, int.from_bytes(r.tobytes(), "little")) for p, r in zip(pivots.tolist(), rows)]).encode())
     return h.hexdigest()
 
 
