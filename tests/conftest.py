@@ -62,6 +62,13 @@ def symplectic_row(op):
     return op.x_bits | (op.z_bits << op.n)
 
 
+def relabelled(code, rng):
+    """The code with X/Y/Z permuted per qubit by rng (commutation is kept): non-CSS rows."""
+    perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(code.n)])
+    mat = perm[np.arange(code.n), np.stack([c.letters() for c in code.checks])]
+    return qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat])
+
+
 def random_pauli(rng, n):
     return qbp.PauliOperator.from_letters(rng.integers(0, 4, size=n).astype(np.int8))
 

@@ -13,7 +13,7 @@ import qbp
 from qbp import gf2
 from qbp.codes import DETECTABLE, LOGICAL, STABILIZER
 
-from conftest import echelon, first_dependent, insert, random_pauli, symplectic_row, tanner_rows
+from conftest import echelon, first_dependent, insert, random_pauli, relabelled, symplectic_row, tanner_rows
 
 
 def test_build_toy_and_five(toy, five):
@@ -119,10 +119,7 @@ def test_basis_equals_echelon_of_rows(toy, five, small_bicycle, bicycle_800):
         codes += [qbp.generate_bicycle(qbp.BicycleSpec(*spec), deletion=deletion) for spec, deletion in _BASIS_SPECS]
     # non-CSS rows: relabel X/Y/Z per qubit, which keeps commutation
     rng = np.random.default_rng(43)
-    for base in codes[2:6]:
-        perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(base.n)])
-        mat = perm[np.arange(base.n), np.stack([c.letters() for c in base.checks])]
-        codes.append(qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat]))
+    codes += [relabelled(base, rng) for base in codes[2:6]]
     for code in codes:
         pivots, rows = code.basis
         assert pivots.dtype == np.intp and rows.dtype == np.dtype("<u8") and rows.shape == (code.m, (2 * code.n + 63) // 64)
@@ -590,14 +587,6 @@ def test_letter_scan_matches_per_letter_reference(five, small_bicycle):
                 assert getattr(ea, name).flags.c_contiguous, name
 
 
-def _relabelled(code, seed):
-    """The code with X/Y/Z permuted per qubit (commutation is kept): non-CSS rows."""
-    rng = np.random.default_rng(seed)
-    perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(code.n)])
-    mat = perm[np.arange(code.n), np.stack([c.letters() for c in code.checks])]
-    return qbp.StabilizerCode([qbp.PauliOperator.from_letters(row) for row in mat])
-
-
 def _canonical_codes(toy, five, small_bicycle, bicycle_800):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # ZZI and the tiny bicycle leave qubits isolated
@@ -610,7 +599,7 @@ def _canonical_codes(toy, five, small_bicycle, bicycle_800):
             "bicycle-800": bicycle_800,
         }
         for name in ("five", "small_bicycle", "bicycle-60-random", "bicycle-200", "bicycle-800"):
-            codes[name + "-relabelled"] = _relabelled(codes[name], 44)
+            codes[name + "-relabelled"] = relabelled(codes[name], np.random.default_rng(44))
     return codes
 
 
@@ -670,7 +659,7 @@ def test_residual_class_matches_int_row_reference(bicycle_800):
 
 def test_verify_canonical_rejects_a_flipped_bit(five, small_bicycle):
     rng = np.random.default_rng(46)
-    codes = [five, small_bicycle, qbp.generate_bicycle(qbp.BicycleSpec(200, 100, 16, 17)), _relabelled(small_bicycle, 47)]
+    codes = [five, small_bicycle, qbp.generate_bicycle(qbp.BicycleSpec(200, 100, 16, 17)), relabelled(small_bicycle, np.random.default_rng(47))]
     for code in codes:
         pure, logicals = code.canonical_generators()
         code._verify_canonical(pure, logicals)

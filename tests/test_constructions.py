@@ -8,7 +8,7 @@ import pytest
 import qbp
 from qbp.constructions import _balanced_deletion, _has_duplicate_columns, check_matrix
 
-from conftest import tanner_rows
+from conftest import relabelled, tanner_rows
 
 
 def _gf2_matmul(a, b):
@@ -65,13 +65,10 @@ def test_generate_bicycle_structure():
 def test_check_matrix_rejects_other_codes(five, small_bicycle):
     h = check_matrix(small_bicycle)
     assert h.shape == (5, 20) and h.tolist() == check_matrix(qbp.css_from_matrix(h)).tolist()
-    rng = np.random.default_rng(13)
-    perm = np.array([[0, *rng.permutation([1, 2, 3])] for _ in range(small_bicycle.n)])
-    relabelled = qbp.StabilizerCode([qbp.PauliOperator.from_letters(perm[np.arange(small_bicycle.n), c.letters()])
-                                     for c in small_bicycle.checks])
     # Z rows then X rows, but of two different matrices
     swapped = qbp.StabilizerCode(small_bicycle.checks[:5] + small_bicycle.checks[6:] + small_bicycle.checks[5:6])
-    for code in (five, qbp.StabilizerCode(["ZZI", "IZZ", "XXX"]), relabelled, swapped):
+    for code in (five, qbp.StabilizerCode(["ZZI", "IZZ", "XXX"]), relabelled(small_bicycle, np.random.default_rng(13)),
+                 swapped):
         with pytest.raises(ValueError, match="Z-type then as X-type"):
             check_matrix(code)
 
