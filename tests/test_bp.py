@@ -309,6 +309,36 @@ def test_update_qubits_matches_full_update_bitwise(toy, five, small_bicycle, bic
             assert state.d_qc.tobytes() == full.d_qc.tobytes(), (name, k)
 
 
+def _kernel_log_ab(t):
+    """The qubit update's own floored log(a / b) of check messages t."""
+    return bp._beliefs(t, np.zeros(len(t), dtype=np.int64), np.zeros((4, 1)))[1]
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.0, 0.75])
+def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps):
+    # every decode of a point opens with the same d_qc, so its first check
+    # update is, edge by edge, the one on the all-(+1) or the all-(-1)
+    # syndrome, and so is the kernel's log(a / b) of it; eps 0 gives
+    # t = +-1/4 (the floored path) and eps 0.75 zero biases (t = +0.0 for
+    # both signs, so the (-1) table is not a negation)
+    for code in (small_bicycle, bicycle_800):
+        prior = qbp.depolarizing_prior(code.n, eps)
+        tables = []
+        for sign in (1, -1):
+            state = qbp.init_messages(code, prior)
+            qbp.check_update(state, code, np.full(code.m, sign, dtype=np.int8))
+            tables.append((state.t_cq, _kernel_log_ab(state.t_cq)))
+        (t_plus, log_plus), (t_minus, log_minus) = tables
+        rng = np.random.default_rng([23, code.n])
+        for _ in range(4):
+            syndrome = rng.choice(np.array([-1, 1], dtype=np.int8), size=code.m)
+            state = qbp.init_messages(code, prior)
+            qbp.check_update(state, code, syndrome)
+            minus = np.repeat(syndrome < 0, code.check_degrees)
+            assert np.where(minus, t_minus, t_plus).tobytes() == state.t_cq.tobytes()
+            assert np.where(minus, log_minus, log_plus).tobytes() == _kernel_log_ab(state.t_cq).tobytes()
+
+
 def test_decode_loop_call_counts(bicycle_800, monkeypatch):
     # per iteration one check update and one qubit update; after an
     # intervention one more qubit update only when it touched >= n / 3

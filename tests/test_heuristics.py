@@ -375,3 +375,14 @@ def test_run_trial_builds_no_events(small_bicycle, heuristic, monkeypatch):
     counted = [qbp.run_trial(small_bicycle, prior, cfg, np.random.default_rng([13, trial])).perturbations
                for trial in range(10)]
     assert counted == logged and sum(counted) > 0
+
+
+def test_integer_index_draw_matches_choice():
+    # freeze draws its qubit as remaining[rng.integers(len(remaining))]: the
+    # same qubit as rng.choice(remaining), from the same generator stream
+    for length in range(1, 65):
+        remaining = sorted(np.random.default_rng(length).choice(1000, size=length, replace=False).tolist())
+        by_index, by_choice = np.random.default_rng([12, length]), np.random.default_rng([12, length])
+        for _ in range(6):
+            assert remaining[by_index.integers(length)] == int(by_choice.choice(remaining))
+        assert by_index.bit_generator.state == by_choice.bit_generator.state

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -203,6 +204,38 @@ def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatc
     assert second.final_beliefs.tobytes() == want.final_beliefs.tobytes()
     for name in ("working_prior", "d_qc", "t_cq"):
         assert getattr(start, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_decodes_from_point_start_equal_fresh_decodes(small_bicycle, heuristic, monkeypatch):
+    # a decode from a sweep point's start equals a decode from the prior
+    # alone in everything it returns, traces and draws, down to decodes of
+    # one or two iterations, interventions after every iteration and a
+    # trivial syndrome that halts at the first
+    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+    configs = [qbp.DecodeConfig(max_iterations=i, t_pert=1, heuristic=heuristic) for i in (1, 2)]
+    configs += [qbp.DecodeConfig(max_iterations=40, t_pert=t, heuristic=heuristic) for t in (1, 3)]
+    qbp.simulate._init_worker(small_bicycle, configs[0], 21)
+    for eps_index, eps in enumerate((0.05, 0.12)):
+        qbp.simulate._run_chunk((eps_index, eps, 0, 1))
+        prior, _, start = qbp.simulate._WORKER["points"][eps_index]
+        syndromes = [np.ones(small_bicycle.m, dtype=np.int8)]
+        syndromes += [small_bicycle.syndrome(qbp.sample_error(prior, np.random.default_rng([8, t]))) for t in range(6)]
+        for cfg, (t, syndrome) in itertools.product(configs, enumerate(syndromes)):
+            rngs = np.random.default_rng([9, t]), np.random.default_rng([9, t])
+            traces = [], []
+            got, got_log = qbp.decode_with_heuristics(small_bicycle, prior, syndrome, cfg, rng=rngs[0],
+                                                      trace=traces[0], _start=start)
+            want, want_log = qbp.decode_with_heuristics(small_bicycle, prior, syndrome, cfg, rng=rngs[1],
+                                                        trace=traces[1])
+            assert (got.correction, got.converged, got.iterations_used) == \
+                (want.correction, want.converged, want.iterations_used), (eps, cfg, t)
+            assert got.final_beliefs.tobytes() == want.final_beliefs.tobytes()
+            assert [(i, b.tobytes()) for i, b in traces[0]] == [(i, b.tobytes()) for i, b in traces[1]]
+            assert list(got_log) == list(want_log)
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            if t == 0:
+                assert got.converged and got.iterations_used == 1 and got.correction.is_identity
 
 
 def test_init_messages_built_once_per_point(small_bicycle, monkeypatch):
