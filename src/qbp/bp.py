@@ -29,18 +29,27 @@ hand back a letter that the other checks rule out.
 
 The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.  The
-decode loop redoes no work whose inputs are unchanged, and stays bit for bit
-the decode that redoes it.  It takes the hard decision from the
-unnormalized beliefs (their column maximum is exactly 1, and normalizing can
-only tie a letter within a few ulp of it, which is checked) and normalizes
-only the beliefs it returns or traces.  The decision and the correction
-built from it are positions (pauli's one array layout), not n letters.  The
-halting test runs only when those positions changed, and XORs the code's
-packed anticommutation rows at them into a few syndrome words, compared
-with the packed target word for word; it touches no per-edge array.  The
-loop keeps the log working prior between interventions.  After an
-intervention it refreshes the outgoing messages of the qubits whose prior
-changed, all of them only when that is most.
+decode loop redoes no work whose inputs are unchanged and forms no message
+that nothing reads, and stays bit for bit the decode that does.  The qubit
+update's two halves run apart: the beliefs on every iteration, the outgoing
+messages only when another check update will read them, so not on the
+iteration that halts nor on the last one.  A sweep builds one read-only
+PointStart per prior (point_start).  Every decode from that prior opens
+with the same messages, so its first check update and log(a / b) are a
+per-edge choice, by the syndrome's sign, between two tables that the kernel
+itself built.
+
+The loop takes the hard decision from the unnormalized beliefs (their
+column maximum is exactly 1, and normalizing can only tie a letter within a
+few ulp of it, which is checked) and normalizes only the beliefs it returns
+or traces.  The decision and the correction built from it are positions
+(pauli's one array layout), not n letters.  The halting test runs only when
+those positions changed, and XORs the code's packed anticommutation rows at
+them into a few syndrome words, compared with the packed target word for
+word; it touches no per-edge array.  The loop keeps the log working prior
+between interventions.  After an intervention it refreshes the outgoing
+messages of the qubits whose prior changed, all of them only when that is
+most; that full refresh replaces the outgoing pass on the stale prior.
 """
 
 from __future__ import annotations
@@ -176,6 +185,51 @@ def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(d_qc)))
 
 
+@dataclass(frozen=True)
+class PointStart:
+    """What every decode from one prior starts with, built once by point_start; read-only.
+
+    working_prior and log_prior are init_messages' floored working prior and
+    its letter-major (4, n) log, which each decode copies, as the heuristics
+    mutate them.  d_qc is the opening qubit-to-check bias, the same for every
+    decode, so a first check update differs between decodes only by the
+    syndrome's signs: rows 0 and 1 of t_cq are check_update's output on the
+    all-(+1) and the all-(-1) syndrome, and those of log_ab the kernel's
+    log(a / b) of each.  Both rows are the kernel's own output, not a
+    negation: a zero bias gives t = +0.0 for either sign.
+    """
+
+    working_prior: np.ndarray  # (n, 4)
+    log_prior: np.ndarray      # (4, n)
+    d_qc: np.ndarray           # (E,)
+    t_cq: np.ndarray           # (2, E)
+    log_ab: np.ndarray         # (2, E)
+
+    def first_messages(self, code: StabilizerCode, syndrome: np.ndarray):
+        """(t_cq, log(a / b)) of the first check update on a checked syndrome:
+        each edge's entry from the row of its check's sign."""
+        minus = np.repeat(syndrome < 0, code.check_degrees)
+        t_cq, log_ab = self.t_cq[0].copy(), self.log_ab[0].copy()
+        np.copyto(t_cq, self.t_cq[1], where=minus)
+        np.copyto(log_ab, self.log_ab[1], where=minus)
+        return t_cq, log_ab
+
+
+def point_start(code: StabilizerCode, prior: np.ndarray) -> PointStart:
+    """The PointStart of a prior: init_messages, then the first check update
+    on each all-equal syndrome and its log(a / b)."""
+    state = init_messages(code, prior)
+    t_cq, log_ab = [], []
+    for sign in (1, -1):
+        check_update(state, code, np.full(code.m, sign, dtype=np.int8), _checked=True)
+        t_cq.append(state.t_cq)
+        log_ab.append(_log_ratio(state.t_cq))
+    start = PointStart(state.working_prior, _log_working_prior(state), state.d_qc, np.stack(t_cq), np.stack(log_ab))
+    for array in vars(start).values():
+        array.flags.writeable = False
+    return start
+
+
 def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray, *,
                  _checked: bool = False) -> None:
     """Refresh every check-to-qubit message for the given +-1 syndrome.
@@ -211,28 +265,33 @@ def check_update(state: MessageState, code: StabilizerCode, syndrome: np.ndarray
     state.t_cq = t
 
 
-def _beliefs(t: np.ndarray, slot: np.ndarray, log_prior: np.ndarray):
-    """Unnormalized letter-major (4, k) beliefs with a maximum of exactly 1
-    per qubit (clipped below at exp(_LOG_CLIP)), and log(a / b) per edge.
-
-    t holds the check messages of the edges that slot places in the (3, k)
-    table, log_prior the (4, k) log working prior of the same k qubits.  Each
-    qubit's column depends only on its own edges, in their given order.
-    """
+def _log_ratio(t: np.ndarray) -> np.ndarray:
+    """log(a / b) of check messages t, elementwise, with a = 1/4 + t and
+    b = 1/4 - t floored at EPS_FLOOR."""
     a, b = t + 0.25, 0.25 - t
     # inside (-1/4, 1/4) both are at least 2**-55, and the floor changes
     # nothing; an empty t, NaN or +-1/4 takes the floored path
     if not (len(t) and -0.25 < t.min() and t.max() < 0.25):
         np.maximum(a, EPS_FLOOR, out=a)
         np.maximum(b, EPS_FLOOR, out=b)
-    log_ab = np.log(np.divide(a, b, out=a), out=a)
+    return np.log(np.divide(a, b, out=a), out=a)
+
+
+def _beliefs(log_ab: np.ndarray, slot: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """Unnormalized letter-major (4, k) beliefs with a maximum of exactly 1
+    per qubit (clipped below at exp(_LOG_CLIP)).
+
+    log_ab holds the log(a / b) of the edges that slot places in the (3, k)
+    table, log_prior the (4, k) log working prior of the same k qubits.  Each
+    qubit's column depends only on its own edges, in their given order.
+    """
     per_label = np.bincount(slot, log_ab, 3 * log_prior.shape[1]).reshape(3, -1)
     logs = np.empty_like(log_prior)
     np.add(log_prior[0], per_label[0] + per_label[1] + per_label[2], out=logs[0])
     np.add(log_prior[1:], per_label, out=logs[1:])
     logs -= logs.max(axis=0)
     np.maximum(logs, _LOG_CLIP, out=logs)
-    return np.exp(logs, out=logs), log_ab
+    return np.exp(logs, out=logs)
 
 
 def _log_working_prior(state: MessageState) -> np.ndarray:
@@ -258,7 +317,8 @@ def qubit_update(state: MessageState, code: StabilizerCode, *, _log_prior: np.nd
     maximum of 1 that the hard decision reads.
     """
     log_prior = _log_working_prior(state) if _log_prior is None else _log_prior
-    cols, log_ab = _beliefs(state.t_cq, code.edges.slot, log_prior)
+    log_ab = _log_ratio(state.t_cq)
+    cols = _beliefs(log_ab, code.edges.slot, log_prior)
     state.d_qc = _outgoing(cols, code.edges.slot, log_ab)
     return _normalize_rows(cols.T) if _normalize else cols
 
@@ -277,7 +337,8 @@ def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray
     edges = order[pos]
     k = len(qubits)
     slot = label[pos] * k + np.repeat(np.arange(k), start[qubits + 1] - start[qubits])
-    cols, log_ab = _beliefs(state.t_cq[edges], slot, log_prior[:, qubits])
+    log_ab = _log_ratio(state.t_cq[edges])
+    cols = _beliefs(log_ab, slot, log_prior[:, qubits])
     state.d_qc[edges] = _outgoing(cols, slot, log_ab)
 
 
@@ -317,33 +378,45 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     checks whose syndrome bit disagrees with the current hard decision (never
     empty, since the decode has not halted).
 
-    start, when given, is init_messages(code, prior), built once by the
-    caller; a sweep builds one per point.  Only its working prior is copied,
-    because the heuristics mutate it.  Its d_qc and t_cq are shared: the
-    first iteration replaces both arrays, and only a post-intervention
-    refresh, which comes later, writes into d_qc in place.
+    start, when given, is point_start(code, prior), built once by the caller;
+    a sweep builds one per point.  The decode copies its working prior and
+    log working prior, and takes its first check messages and their log(a /
+    b) from its tables by the syndrome's signs, so the first iteration runs
+    no check update and no log.  Its d_qc is shared: an outgoing pass
+    replaces the array before a post-intervention refresh writes into it.
+
+    Each iteration runs the check update, then the belief half of the qubit
+    update, the hard decision and the halting test.  The outgoing half runs
+    only when another check update follows: not on the iteration that halts,
+    not on the last one, and not before a post-intervention refresh of every
+    qubit, which overwrites it.  Before a refresh of a few qubits it runs on
+    the stale prior, and the refresh redoes those qubits' edges.
 
     The loop skips work whose inputs did not change.  The log working prior
-    is taken once and refreshed only on the qubits an intervention touched.
-    Beliefs are normalized only when returned or traced.  An iteration whose
-    hard decision (its positions) equals the last one has the same violated
+    is refreshed only on the qubits an intervention touched.  Beliefs are
+    normalized only when returned or traced.  An iteration whose hard
+    decision (its positions) equals the last one has the same violated
     checks, so it cannot halt and runs no halting test.  Syndrome bits are
     unpacked only to list frustrated checks.
     """
     syndrome = checked_syndrome(syndrome, code.m)
+    slot = code.edges.slot
     if start is None:
         state = init_messages(code, prior)
+        log_prior = _log_working_prior(state)
+        check_update(state, code, syndrome, _checked=True)
+        log_ab = _log_ratio(state.t_cq)
     else:
-        state = MessageState(start.working_prior.copy(), start.d_qc, start.t_cq)
-    log_prior = _log_working_prior(state)
+        t_cq, log_ab = start.first_messages(code, syndrome)
+        state = MessageState(start.working_prior.copy(), start.d_qc, t_cq)
+        log_prior = start.log_prior.copy()
     target = code.pack_checks(syndrome < 0)
     # arrays of one dtype compare as their bytes, at a tenth of np.array_equal's cost
     target_bytes = target.tobytes()
     decided = None
     since_intervention = 0
     for iteration in range(1, config.max_iterations + 1):
-        check_update(state, code, syndrome, _checked=True)
-        cols = qubit_update(state, code, _log_prior=log_prior, _normalize=False)
+        cols = _beliefs(log_ab, slot, log_prior)
         if trace is not None:
             trace.append((iteration, _normalize_rows(cols.T.copy())))
         positions = _hard_positions(cols)
@@ -355,20 +428,29 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
                 return DecodeResult(correction=PauliOperator._from_positions(code.n, positions),
                                     converged=True, iterations_used=iteration,
                                     final_beliefs=_normalize_rows(cols.T))
+        if iteration == config.max_iterations:
+            break
         since_intervention += 1
-        if intervene is not None and since_intervention >= config.t_pert and iteration < config.max_iterations:
+        if intervene is not None and since_intervention >= config.t_pert:
             frustrated = np.flatnonzero(code.unpack_checks(words ^ target))
             before = state.working_prior.copy()
-            intervene(state, iteration, [int(c) for c in frustrated])
+            intervene(state, iteration, frustrated.tolist())
             # outgoing qubit messages must reflect the mutated priors in the
-            # very next iteration; untouched qubits' messages would not change
-            touched = np.flatnonzero((state.working_prior != before).any(axis=1))
+            # very next iteration; untouched qubits' messages would not
+            # change.  A row of four bool bytes is nonzero as an int32
+            # exactly when one of its letters changed.
+            touched = np.flatnonzero((state.working_prior != before).view(np.int32))
             log_prior[:, touched] = np.log(state.working_prior[touched].T)
             if 3 * len(touched) < code.n:
+                state.d_qc = _outgoing(cols, slot, log_ab)
                 _update_qubits(state, code, touched, log_prior)
             else:
                 qubit_update(state, code, _log_prior=log_prior, _normalize=False)
             since_intervention = 0
+        else:
+            state.d_qc = _outgoing(cols, slot, log_ab)
+        check_update(state, code, syndrome, _checked=True)
+        log_ab = _log_ratio(state.t_cq)
     return DecodeResult(correction=PauliOperator._from_positions(code.n, positions), converged=False,
                         iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
 

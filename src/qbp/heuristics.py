@@ -194,7 +194,7 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
         remaining = sorted(set(candidates) - used - registry.frozen)
         if not remaining:
             return None
-        q = int(rng.choice(remaining))
+        q = remaining[rng.integers(len(remaining))]  # the draw rng.choice(remaining) makes
         used.add(q)
         registry.frozen.add(q)
         registry.active = (trigger, candidates, q, wp[q].copy())
@@ -221,16 +221,16 @@ def freeze_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
 
 def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
                            config: bp.DecodeConfig | None = None, rng=None, trace=None, *,
-                           _start: bp.MessageState | None = None) -> tuple[bp.DecodeResult, EventLog]:
+                           _start: bp.PointStart | None = None) -> tuple[bp.DecodeResult, EventLog]:
     """BP decoding with the configured degeneracy-breaking schedule.
 
     Returns (DecodeResult, EventLog).  With heuristic "none" this is exactly
     the plain decoder, no generator is built and the event log is empty.
     The log holds one record per intervention: a sweep reads only its len(),
     and reading it builds the events.
-    _start, when given, is bp.init_messages(code, prior), built once by the
-    caller (a sweep builds one per point): the decode starts from a copy of
-    its working prior and shares its read-only edge arrays.
+    _start, when given, is bp.point_start(code, prior), built once by the
+    caller (a sweep builds one per point): the decode copies its priors and
+    takes its first iteration's check messages from its tables.
     """
     config = config or bp.DecodeConfig()
     records: list[Intervention] = []

@@ -13,10 +13,11 @@ letter-major (3, n) sampling table, and its syndrome is read from them; no
 trial builds per-qubit letters.
 
 What depends only on the sweep point is built once per point in each
-worker: the prior, its sampling table and the decoder's initial message
-state.  Every trial of the point shares that state's edge arrays, which are
-read-only; each decode copies only its working prior, which the heuristics
-mutate.
+worker: the prior, its sampling table and the decoder's read-only start
+record (bp.point_start): the floored working prior and its log, the opening
+messages and the first check update's tables for either syndrome sign.
+Each decode copies the two priors, which the heuristics mutate, and its
+first iteration selects from the tables by its syndrome's signs.
 """
 
 from __future__ import annotations
@@ -124,11 +125,11 @@ def classify_residual(code: StabilizerCode, error: PauliOperator, correction: Pa
 
 
 def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng,
-              table: np.ndarray | None = None, start: bp.MessageState | None = None) -> TrialOutcome:
+              table: np.ndarray | None = None, start: bp.PointStart | None = None) -> TrialOutcome:
     """One sampled error, decoded and classified.
 
     table is passed on to sample_error, and start, the prior's
-    bp.init_messages state, to the decoder.  Only the event log's len() is
+    bp.point_start record, to the decoder.  Only the event log's len() is
     read, so no event is built.
     """
     error = sample_error(prior, rng, table)
@@ -162,11 +163,7 @@ def _run_chunk(args):
     point = _WORKER["points"].get(eps_index)
     if point is None:
         prior = depolarizing_prior(code.n, eps)
-        begin = bp.init_messages(code, prior)
-        # every trial of the point shares these
-        begin.d_qc.flags.writeable = False
-        begin.t_cq.flags.writeable = False
-        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior), begin)
+        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior), bp.point_start(code, prior))
     prior, table, begin = point
     return [
         run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]), table, begin)

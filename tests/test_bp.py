@@ -309,11 +309,6 @@ def test_update_qubits_matches_full_update_bitwise(toy, five, small_bicycle, bic
             assert state.d_qc.tobytes() == full.d_qc.tobytes(), (name, k)
 
 
-def _kernel_log_ab(t):
-    """The qubit update's own floored log(a / b) of check messages t."""
-    return bp._beliefs(t, np.zeros(len(t), dtype=np.int64), np.zeros((4, 1)))[1]
-
-
 @pytest.mark.parametrize("eps", [0.02, 0.0, 0.75])
 def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps):
     # every decode of a point opens with the same d_qc, so its first check
@@ -323,36 +318,48 @@ def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps
     # both signs, so the (-1) table is not a negation)
     for code in (small_bicycle, bicycle_800):
         prior = qbp.depolarizing_prior(code.n, eps)
-        tables = []
-        for sign in (1, -1):
+        start = bp.point_start(code, prior)
+        fresh = qbp.init_messages(code, prior)
+        assert start.d_qc.tobytes() == fresh.d_qc.tobytes()
+        assert start.log_prior.tobytes() == bp._log_working_prior(fresh).tobytes()
+        for row, sign in enumerate((1, -1)):
             state = qbp.init_messages(code, prior)
             qbp.check_update(state, code, np.full(code.m, sign, dtype=np.int8))
-            tables.append((state.t_cq, _kernel_log_ab(state.t_cq)))
-        (t_plus, log_plus), (t_minus, log_minus) = tables
+            assert start.t_cq[row].tobytes() == state.t_cq.tobytes()
+            assert start.log_ab[row].tobytes() == bp._log_ratio(state.t_cq).tobytes()
         rng = np.random.default_rng([23, code.n])
         for _ in range(4):
             syndrome = rng.choice(np.array([-1, 1], dtype=np.int8), size=code.m)
             state = qbp.init_messages(code, prior)
             qbp.check_update(state, code, syndrome)
-            minus = np.repeat(syndrome < 0, code.check_degrees)
-            assert np.where(minus, t_minus, t_plus).tobytes() == state.t_cq.tobytes()
-            assert np.where(minus, log_minus, log_plus).tobytes() == _kernel_log_ab(state.t_cq).tobytes()
+            t_cq, log_ab = start.first_messages(code, syndrome)
+            assert t_cq.tobytes() == state.t_cq.tobytes()
+            assert log_ab.tobytes() == bp._log_ratio(state.t_cq).tobytes()
 
 
 def test_decode_loop_call_counts(bicycle_800, monkeypatch):
-    # per iteration one check update and one qubit update; after an
-    # intervention one more qubit update only when it touched >= n / 3
-    # qubits; a halting test only on iterations whose hard decision changed
-    calls = {"check_update": 0, "qubit_update": 0, "_update_qubits": 0, "halting": 0}
+    # per iteration one check update and one belief pass over all qubits; a
+    # full outgoing pass only when another check update follows, so never
+    # on the last iteration; after an intervention one more belief and
+    # outgoing pass only when it touched >= n / 3 qubits, else a refresh of
+    # the touched qubits after the outgoing pass; a halting test only on
+    # iterations whose hard decision changed
+    slot = bicycle_800.edges.slot
+    calls = {"check_update": 0, "beliefs": 0, "outgoing": 0, "_update_qubits": 0, "halting": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, full=lambda *args: True):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += full(*args)
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("check_update", "qubit_update", "_update_qubits"):
+    for name in ("check_update", "_update_qubits"):
         monkeypatch.setattr(bp, name, counted(name, getattr(bp, name)))
+    # passes over every edge, not those of a refresh of a few qubits, and
+    # the leave-one-out outgoing passes, not init_messages' opening one
+    monkeypatch.setattr(bp, "_beliefs", counted("beliefs", bp._beliefs, lambda *args: args[1] is slot))
+    monkeypatch.setattr(bp, "_outgoing", counted("outgoing", bp._outgoing,
+                                                 lambda *args: args[1] is slot and len(args) == 3))
     monkeypatch.setattr(qbp.StabilizerCode, "syndrome_words",
                         counted("halting", qbp.StabilizerCode.syndrome_words))
     prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
@@ -371,8 +378,9 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
         for e in events:
             touched.setdefault(e.iteration, set()).update(e.qubits)
         large = sum(3 * len(qubits) >= bicycle_800.n for qubits in touched.values())
-        assert calls == {"check_update": res.iterations_used, "qubit_update": res.iterations_used + large,
-                         "_update_qubits": len(touched) - large, "halting": changed}
+        assert calls == {"check_update": res.iterations_used, "beliefs": res.iterations_used + large,
+                         "outgoing": res.iterations_used - 1, "_update_qubits": len(touched) - large,
+                         "halting": changed}
         totals["unchanged"] += res.iterations_used - changed
         totals["small"] += len(touched) - large
         totals["large"] += large

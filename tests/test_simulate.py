@@ -183,15 +183,18 @@ def test_sweep_trials_match_public_composition_bicycle_800(bicycle_800, monkeypa
 
 @pytest.mark.parametrize("heuristic", ["perturb", "collision_freeze"])
 def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatch):
-    # two decodes in a row from a sweep point's shared start state: the
-    # second equals a decode from a fresh init_messages, bit for bit
+    # two decodes in a row from a sweep point's shared start record: the
+    # second equals a decode from the prior alone, bit for bit, and the
+    # record, read-only, still equals a fresh one
     monkeypatch.setattr(qbp.simulate, "_WORKER", {})
     cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
     qbp.simulate._init_worker(small_bicycle, cfg, 21)
     qbp.simulate._run_chunk((0, 0.12, 0, 1))
     prior, _, start = qbp.simulate._WORKER["points"][0]
-    assert not start.d_qc.flags.writeable and not start.t_cq.flags.writeable
-    fresh = qbp.init_messages(small_bicycle, prior)
+    fields = [f.name for f in dataclasses.fields(start)]
+    assert fields == ["working_prior", "log_prior", "d_qc", "t_cq", "log_ab"]
+    assert not any(getattr(start, name).flags.writeable for name in fields)
+    fresh = qbp.bp.point_start(small_bicycle, prior)
     syndromes = [small_bicycle.syndrome(qbp.sample_error(prior, np.random.default_rng([6, t]))) for t in range(2)]
     _, first = qbp.decode_with_heuristics(small_bicycle, prior, syndromes[0], cfg, rng=np.random.default_rng(1),
                                           _start=start)
@@ -202,7 +205,7 @@ def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatc
     assert (second.correction, second.converged, second.iterations_used) == \
         (want.correction, want.converged, want.iterations_used)
     assert second.final_beliefs.tobytes() == want.final_beliefs.tobytes()
-    for name in ("working_prior", "d_qc", "t_cq"):
+    for name in fields:
         assert getattr(start, name).tobytes() == getattr(fresh, name).tobytes(), name
 
 
