@@ -49,6 +49,11 @@ STABILIZER = "stabilizer"
 LOGICAL = "logical"
 DETECTABLE = "detectable"
 
+# Rows per block of the canonical-set check: each block's products reach
+# only from its first row rightwards, so smaller blocks form less of the
+# lower triangle, and 64 rows keep the per-block cost small beside the work.
+_VERIFY_ROWS = 64
+
 
 class CodeFormatError(ValueError):
     """Raised for malformed code files."""
@@ -426,21 +431,33 @@ class StabilizerCode:
     def _verify_canonical(self, pure, logicals):
         """Raise RuntimeError unless checks, pure errors and logicals form a
         canonical set: pure error c anticommutes with check c alone, logical
-        X_i with Z_i alone, and every other pair commutes."""
+        X_i with Z_i alone, and every other pair commutes.
+
+        The symplectic form is symmetric with a zero diagonal, and the
+        constructor proved that the checks commute, so only the pairs above
+        the diagonal outside the checks' own block are formed, in row blocks
+        in order; the first bad pair found is the full Gram matrix's first
+        in row-major order."""
         m, k = self.m, self.k
         if len(pure) != m or len(logicals) != 2 * k:
             raise RuntimeError(f"expected {m} pure errors and {2 * k} logicals")
         gens = _symplectic_words(self.checks + tuple(pure) + tuple(logicals), self.n)
-        want = np.zeros((len(gens), len(gens)), dtype=np.uint8)
-        pairs = np.concatenate([np.arange(m), 2 * m + np.arange(k)])
-        partners = pairs + np.repeat([m, k], [m, k])
-        want[pairs, partners] = want[partners, pairs] = 1
-        bad = np.argwhere(self._gram(gens, gens) != want)
-        if len(bad):
-            names = [f"{kind} {i}" for kind, size in (("check", m), ("pure error", m), ("logical", 2 * k))
-                     for i in range(size)]
-            i, j = bad[0].tolist()
-            raise RuntimeError(f"{names[i]} and {names[j]} break the canonical commutation relations")
+        swapped = self._swapped(gens)
+        partner = np.full(len(gens), -1)
+        partner[:m] = m + np.arange(m)
+        partner[2 * m:2 * m + k] = 2 * m + k + np.arange(k)
+        bounds = [0, *range(m, len(gens), _VERIFY_ROWS), len(gens)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            first = max(lo, m)
+            gram = gf2.dot(gens[lo:hi], swapped[first:])
+            rows = np.flatnonzero(partner[lo:hi] >= 0)
+            gram[rows, partner[lo + rows] - first] ^= 1
+            bad = np.argwhere(np.triu(gram, lo - first + 1))  # column > row only
+            if len(bad):
+                names = [f"{kind} {i}" for kind, size in (("check", m), ("pure error", m), ("logical", 2 * k))
+                         for i in range(size)]
+                i, j = bad[0].tolist()
+                raise RuntimeError(f"{names[lo + i]} and {names[first + j]} break the canonical commutation relations")
 
     def pure_error_for_syndrome(self, s: np.ndarray) -> PauliOperator:
         """An operator whose syndrome equals s: product of pure errors on the -1 bits."""

@@ -657,7 +657,25 @@ def test_residual_class_matches_int_row_reference(bicycle_800):
     assert seen == {STABILIZER, LOGICAL, DETECTABLE}
 
 
+def _first_bad_pair(code, pure, logicals):
+    """The first pair, in row-major order over the whole symplectic Gram
+    matrix, that breaks the canonical relations, named as _verify_canonical
+    names it."""
+    m, k, n = code.m, code.k, code.n
+    gens = list(code.checks) + list(pure) + list(logicals)
+    x, z = (np.array([[(bits >> q) & 1 for q in range(n)] for bits in column]) for column in
+            ([op.x_bits for op in gens], [op.z_bits for op in gens]))
+    want = np.zeros((len(gens), len(gens)), dtype=np.int64)
+    for i, j in [(c, m + c) for c in range(m)] + [(2 * m + i, 2 * m + k + i) for i in range(k)]:
+        want[i, j] = want[j, i] = 1
+    i, j = np.argwhere((x @ z.T + z @ x.T) % 2 != want)[0]
+    names = [f"{kind} {i}" for kind, size in (("check", m), ("pure error", m), ("logical", 2 * k)) for i in range(size)]
+    return f"{names[i]} and {names[j]}"
+
+
 def test_verify_canonical_rejects_a_flipped_bit(five, small_bicycle):
+    # and names the first bad pair of the whole Gram matrix, though it forms
+    # only the pairs above the diagonal outside the checks' own block
     rng = np.random.default_rng(46)
     codes = [five, small_bicycle, qbp.generate_bicycle(qbp.BicycleSpec(200, 100, 16, 17)), relabelled(small_bicycle, np.random.default_rng(47))]
     for code in codes:
@@ -668,8 +686,7 @@ def test_verify_canonical_rejects_a_flipped_bit(five, small_bicycle):
             i, q = int(rng.integers(len(ops))), int(rng.integers(code.n))
             flip = qbp.PauliOperator(code.n, 1 << q, 0) if rng.random() < 0.5 else qbp.PauliOperator(code.n, 0, 1 << q)
             ops[i] = ops[i] * flip
-            with pytest.raises(RuntimeError):
-                if trial % 2:
-                    code._verify_canonical(tuple(ops), logicals)
-                else:
-                    code._verify_canonical(pure, tuple(ops))
+            args = (tuple(ops), logicals) if trial % 2 else (pure, tuple(ops))
+            with pytest.raises(RuntimeError) as raised:
+                code._verify_canonical(*args)
+            assert str(raised.value).startswith(_first_bad_pair(code, *args) + " break")
