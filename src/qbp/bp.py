@@ -30,26 +30,20 @@ hand back a letter that the other checks rule out.
 The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.  The
 decode loop redoes no work whose inputs are unchanged and forms no message
-that nothing reads, and stays bit for bit the decode that does.  The qubit
-update's two halves run apart: the beliefs on every iteration, the outgoing
-messages only when another check update will read them, so not on the
-iteration that halts nor on the last one.  A sweep builds one read-only
-PointStart per prior (point_start).  Every decode from that prior opens
-with the same messages, so its first check update and log(a / b) are a
-per-edge choice, by the syndrome's sign, between two tables that the kernel
-itself built.
-
-The loop takes the hard decision from the unnormalized beliefs (their
-column maximum is exactly 1, and normalizing can only tie a letter within a
-few ulp of it, which is checked) and normalizes only the beliefs it returns
-or traces.  The decision and the correction built from it are positions
+that nothing reads, and stays bit for bit the decode that does.  It forms
+the outgoing qubit messages only when a check update follows, and a sweep
+decode takes its first check messages from its point's PointStart tables.
+It takes the hard decision from the unnormalized beliefs (their column
+maximum is exactly 1, and normalizing can only tie a letter within a few
+ulp of it, which is checked) and normalizes only the beliefs it returns or
+traces.  The decision and the correction built from it are positions
 (pauli's one array layout), not n letters.  The halting test runs only when
 those positions changed, and XORs the code's packed anticommutation rows at
 them into a few syndrome words, compared with the packed target word for
 word; it touches no per-edge array.  The loop keeps the log working prior
 between interventions.  After an intervention it refreshes the outgoing
 messages of the qubits whose prior changed, all of them only when that is
-most; that full refresh replaces the outgoing pass on the stale prior.
+most.
 """
 
 from __future__ import annotations
@@ -378,12 +372,10 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     checks whose syndrome bit disagrees with the current hard decision (never
     empty, since the decode has not halted).
 
-    start, when given, is point_start(code, prior), built once by the caller;
-    a sweep builds one per point.  The decode copies its working prior and
-    log working prior, and takes its first check messages and their log(a /
-    b) from its tables by the syndrome's signs, so the first iteration runs
-    no check update and no log.  Its d_qc is shared: an outgoing pass
-    replaces the array before a post-intervention refresh writes into it.
+    start, when given, is point_start(code, prior), built once by the caller
+    (a sweep builds one per point): the decode copies its two priors and
+    takes its first check messages from its tables.  Its d_qc is shared: an
+    outgoing pass replaces the array before a refresh writes into it.
 
     Each iteration runs the check update, then the belief half of the qubit
     update, the hard decision and the halting test.  The outgoing half runs
@@ -437,9 +429,10 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
             intervene(state, iteration, frustrated.tolist())
             # outgoing qubit messages must reflect the mutated priors in the
             # very next iteration; untouched qubits' messages would not
-            # change.  A row of four bool bytes is nonzero as an int32
-            # exactly when one of its letters changed.
-            touched = np.flatnonzero((state.working_prior != before).view(np.int32))
+            # change.  A C-order row of four bool bytes is nonzero as an
+            # int32 exactly when one of its letters changed.
+            changed = np.not_equal(state.working_prior, before, order="C")
+            touched = np.flatnonzero(changed.view(np.int32))
             log_prior[:, touched] = np.log(state.working_prior[touched].T)
             if 3 * len(touched) < code.n:
                 state.d_qc = _outgoing(cols, slot, log_ab)

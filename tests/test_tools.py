@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,5 +27,5 @@ def test_paired_speed_same_tree_twice():
         s = result[key]
         assert 0 < s["q1"] <= s["median"] <= s["q3"] and 0 <= s["change_wins"] <= s["pairs"]
     assert len(lines) == 4 and lines[0].startswith("round 1/2")
-    parent, change = tool.sys.modules["qbp_parent_tree"], tool.sys.modules["qbp_change_tree"]
+    parent, change = sys.modules["qbp_parent_tree"], sys.modules["qbp_change_tree"]
     assert parent is not change and parent.run_simulation is not change.run_simulation

@@ -44,7 +44,9 @@ def load_module(name: str, path: Path, package: bool = False):
 
 
 def load_bench():
-    """bench/run.py as a module; it imports its sibling spans.py by plain name."""
+    """bench/run.py as a module, loaded once; it imports its sibling spans.py by plain name."""
+    if "qbp_bench_run" in sys.modules:
+        return sys.modules["qbp_bench_run"]
     if str(BENCH_RUN.parent) not in sys.path:
         sys.path.insert(0, str(BENCH_RUN.parent))
     return load_module("qbp_bench_run", BENCH_RUN)
