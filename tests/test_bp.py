@@ -338,13 +338,16 @@ def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps
 
 
 def test_decode_loop_call_counts(bicycle_800, monkeypatch):
-    # per iteration one check update and one belief pass over all qubits; a
-    # full outgoing pass only when another check update follows, so never
-    # on the last iteration; after an intervention one more belief and
-    # outgoing pass only when it touched >= n / 3 qubits, else a refresh of
-    # the touched qubits after the outgoing pass; a halting test only on
-    # iterations whose hard decision changed
+    # from a point's start, a check update on every iteration but the first,
+    # whose messages come from the start's tables; one belief pass over all
+    # qubits per iteration; a full outgoing pass only when another check
+    # update follows, so never on the last iteration; after an intervention
+    # one more belief and outgoing pass only when it touched >= n / 3
+    # qubits, else a refresh of the touched qubits after the outgoing pass;
+    # a halting test only on iterations whose hard decision changed
     slot = bicycle_800.edges.slot
+    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
+    start = bp.point_start(bicycle_800, prior)
     calls = {"check_update": 0, "beliefs": 0, "outgoing": 0, "_update_qubits": 0, "halting": 0}
 
     def counted(name, fn, full=lambda *args: True):
@@ -362,7 +365,6 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
                                                  lambda *args: args[1] is slot and len(args) == 3))
     monkeypatch.setattr(qbp.StabilizerCode, "syndrome_words",
                         counted("halting", qbp.StabilizerCode.syndrome_words))
-    prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
     cfg = qbp.DecodeConfig(heuristic="collision_freeze")
     totals = dict.fromkeys(("unchanged", "small", "large"), 0)
     for trial in range(3):
@@ -371,14 +373,15 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
         trace = []
         for key in calls:
             calls[key] = 0
-        res, events = qbp.decode_with_heuristics(bicycle_800, prior, syndrome, cfg, rng=rng, trace=trace)
+        res, events = qbp.decode_with_heuristics(bicycle_800, prior, syndrome, cfg, rng=rng, trace=trace,
+                                                 _start=start)
         letters = [np.argmax(beliefs, axis=1) for _, beliefs in trace]
         changed = 1 + sum(not np.array_equal(a, b) for a, b in zip(letters, letters[1:]))
         touched = {}
         for e in events:
             touched.setdefault(e.iteration, set()).update(e.qubits)
         large = sum(3 * len(qubits) >= bicycle_800.n for qubits in touched.values())
-        assert calls == {"check_update": res.iterations_used, "beliefs": res.iterations_used + large,
+        assert calls == {"check_update": res.iterations_used - 1, "beliefs": res.iterations_used + large,
                          "outgoing": res.iterations_used - 1, "_update_qubits": len(touched) - large,
                          "halting": changed}
         totals["unchanged"] += res.iterations_used - changed

@@ -195,10 +195,13 @@ def test_duplicate_columns_match_tuple_set():
     assert 50 < found < 300
 
 
-@pytest.mark.parametrize("spec, digest", [
+_FINGERPRINT_PINS = [
     ((800, 400, 30, 11), "0f922691a5d3f7309738ed1681ff7da0a18844bbb003b79322d6db25f99c8dcf"),
     ((20, 10, 6, 42), "9e388cc15a6d8ee2190a31454afda23d4f247f857a89335e9976ba34db9fb878"),
-])
+]
+
+
+@pytest.mark.parametrize("spec, digest", _FINGERPRINT_PINS)
 def test_generate_bicycle_fingerprint_pinned(spec, digest):
     # recorded before the balanced deletion kept running integer sums
     assert qbp.generate_bicycle(qbp.BicycleSpec(*spec)).fingerprint() == digest
@@ -236,7 +239,7 @@ def test_generate_bicycle_structure_pinned(spec, digest):
 # (builds > 1).  deletions counts _balanced_deletion calls, builds the
 # StabilizerCode constructions that generate_bicycle attempts; a digest of
 # None means the retry budget runs out.
-@pytest.mark.parametrize("spec, deletion, deletions, builds, digest", [
+_RETRY_PINS = [
     ((12, 6, 4, 0), "balanced", 52, 1, "25a3baf91592942ac22473b08c34675f879886ba43cff7aa47123fd02961fb86"),
     ((12, 6, 4, 6), "balanced", 54, 1, "55f69a703b89db58a99f7124ef3e12db8a39ca62ea60ccee8fdc6e1f77a53878"),
     ((16, 8, 4, 0), "balanced", 52, 1, "60f102492fa40556596ee78e48356e19947708704c45f7de39273e737b90d518"),
@@ -259,7 +262,10 @@ def test_generate_bicycle_structure_pinned(spec, digest):
     ((36, 32, 8, 9), "random", 0, 16, "033f8d535f9aaa2799c064eb591dd2be205a28d36d9b775ef392f726806f78b7"),
     ((24, 10, 6, 4), "random", 0, 5, "ce418dc001745947b59f6cc4abda50701f710525daa32889f7b52f196b8c09dc"),
     ((28, 14, 4, 3), "random", 0, 0, None),
-])
+]
+
+
+@pytest.mark.parametrize("spec, deletion, deletions, builds, digest", _RETRY_PINS)
 def test_generate_bicycle_retries_pinned(spec, deletion, deletions, builds, digest, monkeypatch):
     from qbp import constructions
 
@@ -281,3 +287,55 @@ def test_generate_bicycle_retries_pinned(spec, deletion, deletions, builds, dige
         else:
             assert qbp.generate_bicycle(qbp.BicycleSpec(*spec), deletion=deletion).fingerprint() == digest
     assert counts == {"deletions": deletions, "builds": builds}
+
+
+def _balanced_deletion_float(h0, keep):
+    """The float-variance greedy that the overlap argmax replaced, kept as the reference."""
+    n = h0.shape[1]
+    colw = h0.sum(axis=0, dtype=np.int64)
+    weight = h0.sum(axis=1, dtype=np.int64)
+    dot = h0 @ colw
+    s1, s2 = int(colw.sum()), int(colw @ colw)
+    columns = np.ascontiguousarray(h0.T)
+    deleted = np.zeros(h0.shape[0], dtype=bool)
+    for _ in range(h0.shape[0] - keep):
+        variances = (s2 - 2 * dot + weight) / n - ((s1 - weight) / n) ** 2
+        variances[deleted] = np.inf
+        row = int(np.argmin(variances))
+        deleted[row] = True
+        s1, s2 = s1 - int(weight[row]), s2 + int(weight[row]) - 2 * int(dot[row])
+        dot -= columns[h0[row] == 1].sum(axis=0, dtype=np.int32)  # each sum is at most n
+    return np.flatnonzero(~deleted)
+
+
+def _bicycle_block(rng, d, half):
+    a = np.zeros(d, dtype=np.uint8)
+    a[rng.choice(d, size=half, replace=False)] = 1
+    c = qbp.cyclic_matrix(a)
+    return np.hstack([c, c.T])
+
+
+def test_balanced_deletion_matches_float_variance(monkeypatch):
+    # random circulant blocks, every keep on a few of them, and every block
+    # that generating a pinned balanced spec deletes from
+    rng = np.random.default_rng(40)
+    cases = []
+    for _ in range(300):
+        d = int(rng.integers(4, 301))
+        cases.append((_bicycle_block(rng, d, int(rng.integers(1, min(20, d) + 1))), int(rng.integers(1, d + 1))))
+    for d, half in ((4, 1), (4, 2), (19, 3), (64, 5), (150, 20)):
+        h0 = _bicycle_block(rng, d, half)
+        cases += [(h0, keep) for keep in range(1, d + 1)]
+    from qbp import constructions
+
+    real = constructions._balanced_deletion
+    monkeypatch.setattr(constructions, "_balanced_deletion", lambda h0, keep: cases.append((h0, keep)) or real(h0, keep))
+    specs = [spec for spec, _ in _FINGERPRINT_PINS]
+    specs += [spec for spec, deletion, *_ in _RETRY_PINS if deletion == "balanced"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tiny codes may leave a qubit isolated
+        for spec in specs:
+            qbp.generate_bicycle(qbp.BicycleSpec(*spec))
+    assert len(cases) > 300 + 4 + 4 + 19 + 64 + 150 + 600
+    for h0, keep in cases:
+        assert np.array_equal(real(h0, keep), _balanced_deletion_float(h0, keep)), (h0.shape, keep)
