@@ -31,8 +31,10 @@ The schedule is synchronous flooding: all checks update, then all qubits,
 then beliefs, hard decision, and the halting test, once per iteration.  The
 decode loop redoes no work whose inputs are unchanged and forms no message
 that nothing reads, and stays bit for bit the decode that does.  It forms
-the outgoing qubit messages only when a check update follows, and a sweep
-decode takes its first check messages from its point's PointStart tables.
+the outgoing qubit messages only when a check update follows.  Every decode
+starts from the PointStart of its prior (point_start), which a sweep builds
+once per point and decode per call: its first check messages come from the
+start's tables, selected by the syndrome's signs.
 It takes the hard decision from the unnormalized beliefs (their column
 maximum is exactly 1, and normalizing can only tie a letter within a few
 ulp of it, which is checked) and normalizes only the beliefs it returns or
@@ -43,7 +45,7 @@ them into a few syndrome words, compared with the packed target word for
 word; it touches no per-edge array.  The loop keeps the log working prior
 between interventions.  After an intervention it refreshes the outgoing
 messages of the qubits whose prior changed, all of them only when that is
-most.
+most, from the log(a / b) it already holds.
 """
 
 from __future__ import annotations
@@ -302,19 +304,16 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def qubit_update(state: MessageState, code: StabilizerCode, *, _log_prior: np.ndarray | None = None,
-                 _normalize: bool = True) -> np.ndarray:
-    """Refresh every qubit-to-check message; returns the fresh beliefs.
+def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
+    """Refresh every qubit-to-check message; returns the fresh (n, 4) beliefs.
 
-    The decode loop passes its cached log working prior as _log_prior and
-    _normalize=False, for the letter-major (4, n) beliefs with a column
-    maximum of 1 that the hard decision reads.
+    The decode loop runs the same passes itself, on the log(a / b) and the
+    log working prior it already holds.
     """
-    log_prior = _log_working_prior(state) if _log_prior is None else _log_prior
     log_ab = _log_ratio(state.t_cq)
-    cols = _beliefs(log_ab, code.edges.slot, log_prior)
+    cols = _beliefs(log_ab, code.edges.slot, _log_working_prior(state))
     state.d_qc = _outgoing(cols, code.edges.slot, log_ab)
-    return _normalize_rows(cols.T) if _normalize else cols
+    return _normalize_rows(cols.T)
 
 
 def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray, log_prior: np.ndarray) -> None:
@@ -364,25 +363,28 @@ def _hard_positions(cols: np.ndarray) -> np.ndarray:
     return np.flatnonzero(top[1:])
 
 
-def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) -> DecodeResult:
+def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeResult:
     """Flooding-schedule driver shared by the plain and heuristic decoders.
+
+    start is point_start(code, prior) for the decode's prior, built once by
+    the caller (a sweep builds one per point): the decode copies its two
+    priors and takes its first check messages from its tables.  Its d_qc is
+    shared: an outgoing pass replaces the array before a refresh writes
+    into it.
 
     intervene, when given, is called as intervene(state, iteration, frustrated)
     after every t_pert unconverged iterations, with frustrated listing the
     checks whose syndrome bit disagrees with the current hard decision (never
     empty, since the decode has not halted).
 
-    start, when given, is point_start(code, prior), built once by the caller
-    (a sweep builds one per point): the decode copies its two priors and
-    takes its first check messages from its tables.  Its d_qc is shared: an
-    outgoing pass replaces the array before a refresh writes into it.
-
-    Each iteration runs the check update, then the belief half of the qubit
-    update, the hard decision and the halting test.  The outgoing half runs
-    only when another check update follows: not on the iteration that halts,
-    not on the last one, and not before a post-intervention refresh of every
-    qubit, which overwrites it.  Before a refresh of a few qubits it runs on
-    the stale prior, and the refresh redoes those qubits' edges.
+    Each iteration runs the belief half of the qubit update, the hard
+    decision and the halting test, and every iteration after the first
+    opens with a check update.  The outgoing half runs only when another
+    check update follows: not on the iteration that halts, not on the last
+    one, and not before a post-intervention refresh of every qubit, which
+    runs both halves on the current log(a / b) and log working prior.
+    Before a refresh of a few qubits it runs on the stale prior, and the
+    refresh redoes those qubits' edges.
 
     The loop skips work whose inputs did not change.  The log working prior
     is refreshed only on the qubits an intervention touched.  Beliefs are
@@ -393,15 +395,9 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
     """
     syndrome = checked_syndrome(syndrome, code.m)
     slot = code.edges.slot
-    if start is None:
-        state = init_messages(code, prior)
-        log_prior = _log_working_prior(state)
-        check_update(state, code, syndrome, _checked=True)
-        log_ab = _log_ratio(state.t_cq)
-    else:
-        t_cq, log_ab = start.first_messages(code, syndrome)
-        state = MessageState(start.working_prior.copy(), start.d_qc, t_cq)
-        log_prior = start.log_prior.copy()
+    t_cq, log_ab = start.first_messages(code, syndrome)
+    state = MessageState(start.working_prior.copy(), start.d_qc, t_cq)
+    log_prior = start.log_prior.copy()
     target = code.pack_checks(syndrome < 0)
     # arrays of one dtype compare as their bytes, at a tenth of np.array_equal's cost
     target_bytes = target.tobytes()
@@ -438,7 +434,7 @@ def _run(code, prior, syndrome, config, intervene=None, trace=None, start=None) 
                 state.d_qc = _outgoing(cols, slot, log_ab)
                 _update_qubits(state, code, touched, log_prior)
             else:
-                qubit_update(state, code, _log_prior=log_prior, _normalize=False)
+                state.d_qc = _outgoing(_beliefs(log_ab, slot, log_prior), slot, log_ab)
             since_intervention = 0
         else:
             state.d_qc = _outgoing(cols, slot, log_ab)
@@ -459,4 +455,5 @@ def decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
     config = config or DecodeConfig()
     if config.heuristic != "none":
         raise ValueError(f"decode runs plain BP; use decode_with_heuristics for heuristic {config.heuristic!r}")
-    return _run(code, prior, syndrome, config, intervene=None, trace=trace)
+    syndrome = checked_syndrome(syndrome, code.m)
+    return _run(code, point_start(code, prior), syndrome, config, trace=trace)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bp
-from .codes import StabilizerCode, segment_positions
+from .codes import StabilizerCode, checked_syndrome, segment_positions
 
 _FROZEN_PRIOR = np.maximum(np.array([1.0, 0.0, 0.0, 0.0]), bp.EPS_FLOOR)
 
@@ -228,9 +228,10 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
     the plain decoder, no generator is built and the event log is empty.
     The log holds one record per intervention: a sweep reads only its len(),
     and reading it builds the events.
-    _start, when given, is bp.point_start(code, prior), built once by the
-    caller (a sweep builds one per point): the decode copies its priors and
-    takes its first iteration's check messages from its tables.
+    The decode starts from bp.point_start(code, prior), built here after the
+    syndrome is validated unless the caller passes it as _start (a sweep
+    builds one per point): the decode copies its priors and takes its first
+    iteration's check messages from its tables.
     """
     config = config or bp.DecodeConfig()
     records: list[Intervention] = []
@@ -260,5 +261,8 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
             records.append(perturb_step(state, code, frustrated, rng, config.delta,
                                         iteration=iteration, targets=targets, trigger=trigger))
 
-    result = bp._run(code, prior, syndrome, config, intervene=intervene, trace=trace, start=_start)
+    if _start is None:
+        syndrome = checked_syndrome(syndrome, code.m)
+        _start = bp.point_start(code, prior)
+    result = bp._run(code, _start, syndrome, config, intervene=intervene, trace=trace)
     return result, EventLog(code, records)
