@@ -91,24 +91,26 @@ def css_from_matrix(h: np.ndarray) -> StabilizerCode:
 def _balanced_deletion(h0: np.ndarray, keep: int) -> np.ndarray:
     """Greedily delete rows, minimizing the column-weight variance at each step.
 
-    The variance of colw - h0[r] comes from exact integer sums (colw, colw**2,
-    row weights, h0 @ colw) in np.mean's float steps, so ties match np.mean.
-    Deleted rows read inf, so argmin picks the same first live row.
+    Every row of a bicycle block has the same weight w, so deleting row r
+    leaves the column weights colw - h0[r] with mean (sum(colw) - w) / n for
+    every r, and variance (sum(colw**2) - 2 * h0[r] @ colw + w) / n less
+    that mean squared.  The variance falls exactly as the integer overlap
+    h0[r] @ colw rises, and the float variances of the greedy's first form
+    tie on the same rows, so the row deleted is the live row of largest
+    overlap, the first on a tie.  A deleted row's overlap is set to -1 and
+    only falls after, while a live row's is at least 0.
     """
-    n = h0.shape[1]
-    colw = h0.sum(axis=0, dtype=np.int64)
-    weight = h0.sum(axis=1, dtype=np.int64)
-    dot = h0 @ colw
-    s1, s2 = int(colw.sum()), int(colw @ colw)
+    weights = h0.sum(axis=1)
+    if len(weights) and (weights != weights[0]).any():
+        raise ValueError("balanced deletion needs rows of equal weight")
+    overlap = h0 @ h0.sum(axis=0, dtype=np.int64)
     columns = np.ascontiguousarray(h0.T)
     deleted = np.zeros(h0.shape[0], dtype=bool)
     for _ in range(h0.shape[0] - keep):
-        variances = (s2 - 2 * dot + weight) / n - ((s1 - weight) / n) ** 2
-        variances[deleted] = np.inf
-        row = int(np.argmin(variances))
+        row = int(np.argmax(overlap))
         deleted[row] = True
-        s1, s2 = s1 - int(weight[row]), s2 + int(weight[row]) - 2 * int(dot[row])
-        dot -= columns[h0[row] == 1].sum(axis=0, dtype=np.int32)  # each sum is at most n
+        overlap -= columns[h0[row] == 1].sum(axis=0, dtype=np.int32)  # each sum is at most n
+        overlap[row] = -1
     return np.flatnonzero(~deleted)
 
 

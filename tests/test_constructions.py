@@ -181,6 +181,13 @@ def test_balanced_deletion_matches_reference_greedy():
         assert np.array_equal(got, _balanced_deletion_reference(h0, keep))
 
 
+def test_balanced_deletion_rejects_unequal_row_weights():
+    h0 = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="equal weight"):
+        _balanced_deletion(h0, 2)
+    assert np.array_equal(_balanced_deletion(h0[:2], 1), [1])
+
+
 def test_duplicate_columns_match_tuple_set():
     # the generator's packed-column test against distinct column tuples, with
     # row counts on both sides of a byte boundary and mostly low-weight rows
