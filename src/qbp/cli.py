@@ -252,7 +252,7 @@ def _cmd_oracle_check(parser: _Parser, args) -> int:
                 diff = abs(float(result.final_beliefs[q, v]) - float(exact[q, v]))
                 worst = max(worst, diff)
                 rows.append(
-                    f"{trial},{q},{LETTERS[v]},{result.final_beliefs[q, v]!r},{exact[q, v]!r},{diff!r}"
+                    f"{trial},{q},{LETTERS[v]},{float(result.final_beliefs[q, v])!r},{float(exact[q, v])!r},{diff!r}"
                 )
     text = f"# qbp {__version__}\n# config {json.dumps(dataclasses.asdict(config), sort_keys=True)}\n"
     text += "\n".join(rows) + "\n"

@@ -246,6 +246,12 @@ def test_oracle_check_single_check_code(tmp_path, capsys):
     assert code == 0
     worst = float(stdout.splitlines()[-1].split()[-1])
     assert worst <= 1e-10
+    # every belief, marginal and difference is a plain float literal
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    assert len(rows) == 10 * 4 * 4
+    for row in rows:
+        belief, exact, diff = map(float, row[3:])
+        assert diff == abs(belief - exact) <= worst
 
 
 def test_oracle_check_size_guard(tmp_path, capsys):
