@@ -11,7 +11,6 @@ from .codes import (
     DependentChecksError,
     NonCommutingChecksError,
     StabilizerCode,
-    bec_threshold_check,
     design_rate,
     syndrome_from_string,
     syndrome_to_string,

@@ -351,18 +351,6 @@ class StabilizerCode:
         """
         return self._cached("canonical", self._compute_canonical)
 
-    @property
-    def pure_errors(self):
-        return self.canonical_generators()[0]
-
-    @property
-    def logical_xs(self):
-        return self.canonical_generators()[1][: self.k]
-
-    @property
-    def logical_zs(self):
-        return self.canonical_generators()[1][self.k :]
-
     def _compute_canonical(self):
         n2, m, k = 2 * self.n, self.m, self.k
         # [swapped checks | I_m], a check's symplectic partner being its x
@@ -546,24 +534,3 @@ def design_rate(lam, rho) -> float:
     if int_lam == 0:
         raise ValueError("lambda integrates to zero")
     return float(1 - int_rho / int_lam)
-
-
-def _polyval(coeffs, x):
-    acc = 0.0
-    for c in reversed([float(c) for c in coeffs]):
-        acc = acc * x + c
-    return acc
-
-
-def bec_threshold_check(lam, rho, delta: float, grid: int = 1000) -> bool:
-    """Density-evolution success condition delta*lambda(1 - rho(1-x)) < x on (0, delta)."""
-    if not 0 < delta < 1:
-        raise ValueError("erasure probability must lie in (0, 1)")
-    if grid < 100:
-        raise ValueError("grid must be at least 100")
-    for i in range(1, grid + 1):
-        x = delta * i / (grid + 1)
-        lhs = delta * _polyval(lam, 1.0 - _polyval(rho, 1.0 - x))
-        if not lhs < x:
-            return False
-    return True

@@ -303,26 +303,6 @@ def test_design_rate_validates():
         qbp.design_rate([0, 0.5], [0, 1])
 
 
-@pytest.mark.parametrize(
-    "delta,want",
-    [(0.4, True), (0.5, False), (1e-6, True)],
-)
-def test_bec_threshold_check(delta, want):
-    lam = [0.0, 0.0, 1.0]
-    rho = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-    if delta == 1e-6:
-        assert qbp.bec_threshold_check([0, 1.0], [0, 1.0], delta) is True
-    else:
-        assert qbp.bec_threshold_check(lam, rho, delta, grid=1000) is want
-
-
-def test_bec_threshold_validates():
-    with pytest.raises(ValueError):
-        qbp.bec_threshold_check([0, 1.0], [0, 1.0], 0.3, grid=50)
-    with pytest.raises(ValueError):
-        qbp.bec_threshold_check([0, 1.0], [0, 1.0], 1.5)
-
-
 def _assert_canonical(code):
     pure, logicals = code.canonical_generators()
     k = code.k
@@ -345,10 +325,10 @@ def test_canonical_generators(toy, five, small_bicycle):
     _assert_canonical(toy)
     _assert_canonical(five)
     _assert_canonical(small_bicycle)
-    assert len(toy.logical_xs) == 0
+    assert toy.k == 0 and len(toy.canonical_generators()[1]) == 0
     single = qbp.StabilizerCode(["ZZ"])
     _assert_canonical(single)
-    assert single.pure_errors[0].commute(single.checks[0]) == -1
+    assert single.canonical_generators()[0][0].commute(single.checks[0]) == -1
 
 
 def test_pure_error_for_syndrome(toy, five):

@@ -136,7 +136,7 @@ def test_trial_path_builds_no_letters(small_bicycle, bicycle_800, monkeypatch):
         return [[qbp.run_trial(code, qbp.depolarizing_prior(code.n, eps), cfg, np.random.default_rng(seed))
                  for seed in seeds] for code, eps, cfg, seeds in runs]
 
-    logical = bicycle_800.logical_xs[0]
+    logical = bicycle_800.canonical_generators()[1][0]
     identity = qbp.PauliOperator.identity(bicycle_800.n)
     want = outcomes()
     with monkeypatch.context() as patched:
