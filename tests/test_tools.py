@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,3 +31,24 @@ def test_paired_speed_same_tree_twice():
     assert len(lines) == 4 and lines[0].startswith("round 1/2")
     parent, change = sys.modules["qbp_parent_tree"], sys.modules["qbp_change_tree"]
     assert parent is not change and parent.run_simulation is not change.run_simulation
+
+
+def test_paired_setup_same_tree_twice():
+    tool = _tool()
+    bench = tool.load_bench()
+    lines = []
+    result = tool.paired_setup(ROOT, ROOT, calls=3, spec=bench.CodeSpec(80, 40, 10, seed=3), out=lines.append)
+    s = result["setup"]
+    assert result["setup_calls"] == 3 and s["pairs"] == 3
+    assert 0 < s["q1"] <= s["median"] <= s["q3"] and 0 <= s["change_wins"] <= 3
+    assert all(seconds > 0 for seconds in result["median_s"].values())
+    assert len(lines) == 2 and lines[1].startswith("setup: median ratio")
+
+
+def test_paired_speed_usage_errors(capsys):
+    tool = _tool()
+    for argv in (["--setup", "0"], ["--setup", "3", "--rounds", "2"], ["--workload", "lowerr-cf"], []):
+        with pytest.raises(SystemExit) as exc:
+            tool.main([str(ROOT), str(ROOT), *argv])
+        assert exc.value.code == 2
+    assert "--setup" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Paired speed of two qbp source trees on one benchmark workload, in one process.
 
     python3 tools/paired_speed.py PARENT_TREE CHANGE_TREE --workload lowerr-cf --rounds 10
+    python3 tools/paired_speed.py PARENT_TREE CHANGE_TREE --setup 60
 
 Each tree's qbp (TREE/src/qbp) is loaded under its own module name, so both
 run in one process, side by side on the same machine state.  The workload,
@@ -16,6 +17,12 @@ paired ratios parent seconds / change seconds (above 1: the change is
 faster), their median and quartiles and how many pairs the change won, per
 sub-block and per round (a round's summed seconds).  The JSON summary is the
 last line.
+
+--setup CALLS times bench/run.py's setup() instead, the benchmark's setup_s:
+the headline code's build and the lazy structures its first trial builds.
+It alternates the trees CALLS times each, in the same order rule, checks
+that both build the same code fingerprint, and prints the same summary of
+the paired ratios parent seconds / change seconds and each tree's median.
 """
 
 from __future__ import annotations
@@ -116,17 +123,55 @@ def paired_blocks(parent: Path, change: Path, workload, rounds: int, spec=None, 
     return result
 
 
+def paired_setup(parent: Path, change: Path, calls: int, spec=None, out=print) -> dict:
+    """Alternate bench/run.py's setup() on both trees `calls` times each; returns the summary."""
+    bench = load_bench()
+    spec = spec or bench.HEADLINE
+    trees = {"parent": load_tree(parent, "qbp_parent_tree"), "change": load_tree(change, "qbp_change_tree")}
+    for qbp in trees.values():
+        bench.setup(qbp, spec)  # warm-up, untimed
+    ratios, seconds = [], {side: [] for side in trees}
+    for i in range(calls):
+        fingerprints = {}
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            code, build_s, lazy_s = bench.setup(trees[side], spec)
+            seconds[side].append(build_s + lazy_s)
+            fingerprints[side] = code.fingerprint()
+        if fingerprints["parent"] != fingerprints["change"]:
+            raise AssertionError(f"the trees build different codes on set-up call {i + 1}")
+        ratios.append(seconds["parent"][-1] / seconds["change"][-1])
+    result = {"setup_calls": calls, "code": dataclasses.asdict(spec), "setup": summary(ratios),
+              "median_s": {side: statistics.median(values) for side, values in seconds.items()}}
+    s = result["setup"]
+    out(f"setup: parent median {result['median_s']['parent'] * 1e3:.2f} ms, "
+        f"change median {result['median_s']['change'] * 1e3:.2f} ms")
+    out(f"setup: median ratio {s['median']:.4f} (quartiles {s['q1']:.4f}-{s['q3']:.4f}), "
+        f"change faster in {s['change_wins']}/{s['pairs']}")
+    return result
+
+
 def main(argv=None) -> int:
     bench = load_bench()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent commit")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--workload", required=True, choices=sorted(bench.WORKLOADS))
-    parser.add_argument("--rounds", required=True, type=int)
+    parser.add_argument("--workload", choices=sorted(bench.WORKLOADS))
+    parser.add_argument("--rounds", type=int)
+    parser.add_argument("--setup", type=int, metavar="CALLS",
+                        help="time the set-up CALLS times per tree, in place of --workload and --rounds")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
-    result = paired_blocks(args.parent, args.change, bench.WORKLOADS[args.workload], args.rounds)
+    if args.setup is not None:
+        if args.workload is not None or args.rounds is not None:
+            parser.error("--setup replaces --workload and --rounds")
+        if args.setup < 1:
+            parser.error("--setup must be >= 1")
+        result = paired_setup(args.parent, args.change, args.setup)
+    else:
+        if args.workload is None or args.rounds is None:
+            parser.error("--workload and --rounds are required without --setup")
+        if args.rounds < 1:
+            parser.error("--rounds must be >= 1")
+        result = paired_blocks(args.parent, args.change, bench.WORKLOADS[args.workload], args.rounds)
     print(json.dumps(result))
     return 0
 
