@@ -92,13 +92,14 @@ def _balanced_deletion(h0: np.ndarray, keep: int) -> np.ndarray:
     """Greedily delete rows, minimizing the column-weight variance at each step.
 
     Every row of a bicycle block has the same weight w, so deleting row r
-    leaves the column weights colw - h0[r] with mean (sum(colw) - w) / n for
-    every r, and variance (sum(colw**2) - 2 * h0[r] @ colw + w) / n less
-    that mean squared.  The variance falls exactly as the integer overlap
-    h0[r] @ colw rises, and the float variances of the greedy's first form
-    tie on the same rows, so the row deleted is the live row of largest
-    overlap, the first on a tie.  A deleted row's overlap is set to -1 and
-    only falls after, while a live row's is at least 0.
+    leaves column weights colw - h0[r] whose mean, (sum(colw) - w) / n, is
+    the same for every r, and whose variance, (sum(colw**2) - 2 * h0[r] @
+    colw + w) / n less that mean squared, falls exactly as the integer
+    overlap h0[r] @ colw rises.  So the least variance is the live row of
+    largest overlap, the first on a tie, found in integers with no rounding
+    to merge or split ties.  Rows of unequal weight are rejected.  A deleted
+    row's overlap is set to -1 and only falls after, while a live row's is
+    at least 0.
     """
     weights = h0.sum(axis=1)
     if len(weights) and (weights != weights[0]).any():
