@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -328,9 +329,26 @@ def test_max_failures_below_one_rejected(toy):
 
 
 def test_negative_master_seed_rejected_before_any_trial(toy, monkeypatch):
-    monkeypatch.setattr(qbp.simulate, "_run_chunk", lambda args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
     with pytest.raises(ValueError, match="master_seed"):
         qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=-1)
+
+
+def test_trial_error_reaches_caller_and_pool_shuts_down(small_bicycle, monkeypatch):
+    # patched before the pool forks, so every worker inherits the trial that
+    # raises: the second point's trial 70, in its second chunk
+    real = qbp.simulate.run_trial
+
+    def failing(code, prior, config, rng, *rest):
+        if list(rng.bit_generator.seed_seq.entropy) == [7, 1, 70]:
+            raise RuntimeError("trial (7, 1, 70) failed")
+        return real(code, prior, config, rng, *rest)
+
+    monkeypatch.setattr(qbp.simulate, "run_trial", failing)
+    cfg = qbp.DecodeConfig(max_iterations=20)
+    with pytest.raises(RuntimeError, match=r"trial \(7, 1, 70\) failed"):
+        qbp.run_simulation(small_bicycle, [0.05, 0.1], 200, cfg, master_seed=7, jobs=2, max_failures=None)
+    assert multiprocessing.active_children() == []
 
 
 def test_jobs_below_one_rejected(toy):
