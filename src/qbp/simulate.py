@@ -12,8 +12,15 @@ A trial's error is drawn as positions (pauli's one array layout) from a
 letter-major (3, n) sampling table, and its syndrome is read from them; no
 trial builds per-qubit letters.
 
-What depends only on the sweep point is built once per point in each
-worker: the prior, its sampling table and the decoder's read-only start
+A sweep is one ordered stream of chunks of trials, point by point and in
+trial order, however many workers run them.  run_simulation folds it into
+each point's counts up to the early-stop cut, so no outcome outlives its
+chunk and memory does not grow with the trial count.  Each sweep has its
+own chunk runner, in the calling process or in each pool worker; nothing
+is kept in the module between sweeps.
+
+The runner builds what depends only on the sweep point once per point:
+the prior, its sampling table and the decoder's read-only start
 record (bp.point_start): the floored working prior and its log, the opening
 messages and the first check update's tables for either syndrome sign.
 Each decode copies the two priors, which the heuristics mutate, and its
@@ -22,10 +29,13 @@ first iteration selects from the tables by its syndrome's signs.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -143,53 +153,58 @@ def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng
     )
 
 
-# -- parallel plumbing -------------------------------------------------------
+# -- sweep plumbing ----------------------------------------------------------
 
-_WORKER: dict = {}
+class _Sweep:
+    """One sweep's chunk runner: a point's prior, sampling table and
+    bp.point_start record are built on its first chunk and shared by its
+    trials.  run_trial is looked up in the module, where bench/spans.py wraps it."""
+
+    def __init__(self, code: StabilizerCode, config: DecodeConfig, master_seed: int):
+        self.code, self.config, self.master_seed = code, config, master_seed
+        self.points = {}
+
+    def __call__(self, chunk) -> list:
+        """The outcomes of chunk (eps_index, eps, start, stop), in trial order."""
+        eps_index, eps, start, stop = chunk
+        point = self.points.get(eps_index)
+        if point is None:
+            prior = depolarizing_prior(self.code.n, eps)
+            point = self.points[eps_index] = (prior, sampling_table(prior), bp.point_start(self.code, prior))
+        prior, table, begin = point
+        rngs = (np.random.default_rng([self.master_seed, eps_index, t]) for t in range(start, stop))
+        return [run_trial(self.code, prior, self.config, rng, table, begin) for rng in rngs]
+
+
+_worker_sweep: _Sweep | None = None  # a pool worker's own runner; the caller's process never sets it
 
 
 def _init_worker(code: StabilizerCode, config: DecodeConfig, master_seed: int):
-    _WORKER["code"] = code
-    _WORKER["config"] = config
-    _WORKER["master_seed"] = master_seed
-    _WORKER["points"] = {}
+    global _worker_sweep
+    _worker_sweep = _Sweep(code, config, master_seed)
 
 
-def _run_chunk(args):
-    eps_index, eps, start, stop = args
-    code = _WORKER["code"]
-    config = _WORKER["config"]
-    master_seed = _WORKER["master_seed"]
-    point = _WORKER["points"].get(eps_index)
-    if point is None:
-        prior = depolarizing_prior(code.n, eps)
-        point = _WORKER["points"][eps_index] = (prior, sampling_table(prior), bp.point_start(code, prior))
-    prior, table, begin = point
-    return [
-        run_trial(code, prior, config, np.random.default_rng([master_seed, eps_index, t]), table, begin)
-        for t in range(start, stop)
-    ]
+def _run_chunk(chunk) -> list:
+    return _worker_sweep(chunk)
 
 
-def _aggregate(eps: float, outcomes, early_stopped: bool) -> PointStats:
-    trials = len(outcomes)
-    detected = sum(1 for o in outcomes if o.classification == DETECTED)
-    logical = sum(1 for o in outcomes if o.classification == LOGICAL)
-    failures = detected + logical
-    total_iters = sum(o.iterations_used for o in outcomes)
-    lo, hi = wilson_interval(failures, trials)
-    return PointStats(
-        epsilon=eps,
-        trials=trials,
-        failures=failures,
-        detected=detected,
-        logical=logical,
-        bler=failures / trials,
-        ci_low=lo,
-        ci_high=hi,
-        mean_iterations=total_iters / trials,
-        early_stopped=early_stopped,
-    )
+def _chunk_stream(code: StabilizerCode, epsilons, trials: int, config: DecodeConfig,
+                  master_seed: int, jobs: int):
+    """For each point in order, an iterator over its chunks' outcome lists in
+    chunk order.  A pool of jobs > 1 workers lives as long as the stream;
+    dropping a point's iterator cancels its chunks not yet started."""
+    if jobs > 1:
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(code, config, master_seed))
+        run_chunks = functools.partial(pool.map, _run_chunk)
+    else:
+        pool, run_chunks = None, functools.partial(map, _Sweep(code, config, master_seed))
+    try:
+        for eps_index, eps in enumerate(epsilons):
+            yield run_chunks((eps_index, eps, start, min(start + _CHUNK_TRIALS, trials))
+                             for start in range(0, trials, _CHUNK_TRIALS))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeConfig,
@@ -200,56 +215,36 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
     reached on the trial-index-ordered prefix (the cut is identical however
     many workers are used).  Pass None to always run every trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if max_failures is not None and max_failures < 1:
-        raise ValueError("max_failures must be >= 1, or None to run every trial")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    bounds = [("trials", trials, 1), ("jobs", jobs, 1), ("master_seed", master_seed, 0)]
+    for name, value, low in bounds + ([("max_failures", max_failures, 1)] if max_failures is not None else []):
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
         if not 0 <= eps <= 1:
             raise ValueError(f"depolarizing strength must lie in [0, 1], got {eps}")
     points = []
-    executor = None
-    try:
-        if jobs > 1:
-            executor = ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=(code, config, master_seed)
-            )
-        else:
-            _init_worker(code, config, master_seed)
-        for eps_index, eps in enumerate(epsilons):
-            chunks = [
-                (eps_index, eps, start, min(start + _CHUNK_TRIALS, trials))
-                for start in range(0, trials, _CHUNK_TRIALS)
-            ]
-            if executor is not None:
-                results = executor.map(_run_chunk, chunks)
-            else:
-                results = map(_run_chunk, chunks)
-            outcomes = []
-            failures = 0
-            for outcome in itertools.chain.from_iterable(results):
-                outcomes.append(outcome)
-                if outcome.classification != SUCCESS:
-                    failures += 1
-                    if max_failures is not None and failures >= max_failures:
-                        break
-            points.append(_aggregate(eps, outcomes, len(outcomes) < trials))
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-    return SimStats(
-        points=points,
-        master_seed=master_seed,
-        trials_requested=trials,
-        max_failures=max_failures,
-        config=config,
-        code_fingerprint=code.fingerprint(),
-    )
+    with contextlib.closing(_chunk_stream(code, epsilons, trials, config, master_seed, jobs)) as stream:
+        for eps, chunks in zip(epsilons, stream):
+            ran = detected = logical = iterations = 0
+            for outcome in itertools.chain.from_iterable(chunks):
+                ran += 1
+                iterations += outcome.iterations_used
+                if outcome.classification == DETECTED:
+                    detected += 1
+                elif outcome.classification == LOGICAL:
+                    logical += 1
+                else:
+                    continue
+                if max_failures is not None and detected + logical >= max_failures:
+                    break
+            failures = detected + logical
+            lo, hi = wilson_interval(failures, ran)
+            points.append(PointStats(epsilon=eps, trials=ran, failures=failures, detected=detected,
+                                     logical=logical, bler=failures / ran, ci_low=lo, ci_high=hi,
+                                     mean_iterations=iterations / ran, early_stopped=ran < trials))
+    return SimStats(points=points, master_seed=master_seed, trials_requested=trials, max_failures=max_failures,
+                    config=config, code_fingerprint=code.fingerprint())
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,8 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import multiprocessing
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,10 +163,10 @@ def _public_trial(code, prior, config, rng):
 
 
 def _check_chunks_match_public_trials(code, config, epsilons, trials, seed=21):
-    qbp.simulate._init_worker(code, config, seed)
+    sweep = qbp.simulate._Sweep(code, config, seed)
     for i, eps in enumerate(epsilons):
         prior = qbp.depolarizing_prior(code.n, eps)
-        outcomes = qbp.simulate._run_chunk((i, eps, 0, trials))
+        outcomes = sweep((i, eps, 0, trials))
         assert len(outcomes) == trials
         for t, outcome in enumerate(outcomes):
             want = _public_trial(code, prior, config, np.random.default_rng([seed, i, t]))
@@ -170,28 +174,25 @@ def _check_chunks_match_public_trials(code, config, epsilons, trials, seed=21):
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_sweep_trials_match_public_composition(small_bicycle, heuristic, monkeypatch):
-    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+def test_sweep_trials_match_public_composition(small_bicycle, heuristic):
     cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
     _check_chunks_match_public_trials(small_bicycle, cfg, [0.05, 0.12], 60)
 
 
-def test_sweep_trials_match_public_composition_bicycle_800(bicycle_800, monkeypatch):
-    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
+def test_sweep_trials_match_public_composition_bicycle_800(bicycle_800):
     cfg = qbp.DecodeConfig(heuristic="collision_freeze")
     _check_chunks_match_public_trials(bicycle_800, cfg, [0.02, 0.04], 4)
 
 
 @pytest.mark.parametrize("heuristic", ["perturb", "collision_freeze"])
-def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatch):
+def test_point_start_state_survives_decodes(small_bicycle, heuristic):
     # two decodes in a row from a sweep point's shared start record: the
     # second equals a decode from the prior alone, bit for bit, and the
     # record, read-only, still equals a fresh one
-    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
     cfg = qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=heuristic)
-    qbp.simulate._init_worker(small_bicycle, cfg, 21)
-    qbp.simulate._run_chunk((0, 0.12, 0, 1))
-    prior, _, start = qbp.simulate._WORKER["points"][0]
+    sweep = qbp.simulate._Sweep(small_bicycle, cfg, 21)
+    sweep((0, 0.12, 0, 1))
+    prior, _, start = sweep.points[0]
     fields = [f.name for f in dataclasses.fields(start)]
     assert fields == ["working_prior", "log_prior", "d_qc", "t_cq", "log_ab"]
     assert not any(getattr(start, name).flags.writeable for name in fields)
@@ -211,18 +212,17 @@ def test_point_start_state_survives_decodes(small_bicycle, heuristic, monkeypatc
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_decodes_from_point_start_equal_fresh_decodes(small_bicycle, heuristic, monkeypatch):
+def test_decodes_from_point_start_equal_fresh_decodes(small_bicycle, heuristic):
     # a decode from a sweep point's start equals a decode from the prior
     # alone in everything it returns, traces and draws, down to decodes of
     # one or two iterations, interventions after every iteration and a
     # trivial syndrome that halts at the first
-    monkeypatch.setattr(qbp.simulate, "_WORKER", {})
     configs = [qbp.DecodeConfig(max_iterations=i, t_pert=1, heuristic=heuristic) for i in (1, 2)]
     configs += [qbp.DecodeConfig(max_iterations=40, t_pert=t, heuristic=heuristic) for t in (1, 3)]
-    qbp.simulate._init_worker(small_bicycle, configs[0], 21)
+    sweep = qbp.simulate._Sweep(small_bicycle, configs[0], 21)
     for eps_index, eps in enumerate((0.05, 0.12)):
-        qbp.simulate._run_chunk((eps_index, eps, 0, 1))
-        prior, _, start = qbp.simulate._WORKER["points"][eps_index]
+        sweep((eps_index, eps, 0, 1))
+        prior, _, start = sweep.points[eps_index]
         syndromes = [np.ones(small_bicycle.m, dtype=np.int8)]
         syndromes += [small_bicycle.syndrome(qbp.sample_error(prior, np.random.default_rng([8, t]))) for t in range(6)]
         for cfg, (t, syndrome) in itertools.product(configs, enumerate(syndromes)):
@@ -250,6 +250,62 @@ def test_init_messages_built_once_per_point(small_bicycle, monkeypatch):
     stats = qbp.run_simulation(small_bicycle, [0.05, 0.12], 120, cfg, master_seed=3, jobs=1, max_failures=None)
     assert [p.trials for p in stats.points] == [120, 120]  # three chunks per point
     assert len(calls) == 2
+
+
+def test_concurrent_serial_sweeps_equal_sequential_ones(five, small_bicycle, monkeypatch):
+    # two serial sweeps on two threads, each held at its first trial until
+    # the other has started; each runs three chunks per point and must equal
+    # its own sequential run
+    cfg = qbp.DecodeConfig(max_iterations=20, heuristic="perturb")
+    runs = [(five, [0.1, 0.2], 120, 31), (small_bicycle, [0.05, 0.12], 110, 32)]
+
+    def sweep(run):
+        code, epsilons, trials, seed = run
+        stats = qbp.run_simulation(code, epsilons, trials, cfg, master_seed=seed, jobs=1, max_failures=None)
+        return qbp.stats_to_json(stats)
+
+    want = [sweep(run) for run in runs]
+    barrier = threading.Barrier(2, timeout=30)
+    started = threading.local()
+    real = qbp.simulate.run_trial
+
+    def held(*args):
+        if not getattr(started, "done", False):
+            started.done = True
+            barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(qbp.simulate, "run_trial", held)
+    with ThreadPoolExecutor(max_workers=2) as threads:
+        assert list(threads.map(sweep, runs)) == want
+
+
+def test_sweep_holds_at_most_a_chunk_of_outcomes(five, monkeypatch):
+    # at every trial, no more than a chunk's worth of earlier outcomes is alive
+    refs, alive = [], []
+    real = qbp.simulate.run_trial
+
+    def tracked(*args):
+        refs[:] = [ref for ref in refs if ref() is not None]
+        alive.append(len(refs))
+        outcome = real(*args)
+        refs.append(weakref.ref(outcome))
+        return outcome
+
+    monkeypatch.setattr(qbp.simulate, "run_trial", tracked)
+    stats = qbp.run_simulation(five, [0.1, 0.3], 300, qbp.DecodeConfig(), master_seed=5, max_failures=None)
+    assert [p.trials for p in stats.points] == [300, 300] and len(alive) == 600
+    assert max(alive) <= qbp.simulate._CHUNK_TRIALS
+
+
+def test_serial_sweep_leaves_no_reference_to_its_code():
+    code = qbp.builtin("five_qubit")
+    ref = weakref.ref(code)
+    stats = qbp.run_simulation(code, [0.1, 0.2], 60, qbp.DecodeConfig(), master_seed=3, jobs=1)
+    assert stats.code_fingerprint == code.fingerprint()
+    del code
+    gc.collect()
+    assert ref() is None
 
 
 def test_wilson_interval():
@@ -323,15 +379,27 @@ def test_early_stop_flag_when_cut_lands_on_last_trial(small_bicycle):
 
 
 def test_max_failures_below_one_rejected(toy):
-    for bad in (0, -3):
+    for bad in (0, -3, 2.5, 1.0):
         with pytest.raises(ValueError, match="max_failures"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, max_failures=bad)
 
 
 def test_negative_master_seed_rejected_before_any_trial(toy, monkeypatch):
     monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
-    with pytest.raises(ValueError, match="master_seed"):
-        qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=-1)
+    for bad in (-1, 1.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="master_seed"):
+            qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=bad)
+
+
+def test_trials_below_one_or_not_integral_rejected_before_any_trial(toy, monkeypatch):
+    # numpy integers are integers
+    stats = qbp.run_simulation(toy, [0.1], np.int64(3), qbp.DecodeConfig(), master_seed=np.uint64(5),
+                               jobs=np.int8(1), max_failures=np.int32(2))
+    assert stats.trials_requested == 3
+    monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
+    for bad in (0, -2, 2.5, 3.0):
+        with pytest.raises(ValueError, match="trials"):
+            qbp.run_simulation(toy, [0.1], bad, qbp.DecodeConfig(), master_seed=0)
 
 
 def test_trial_error_reaches_caller_and_pool_shuts_down(small_bicycle, monkeypatch):
@@ -352,7 +420,7 @@ def test_trial_error_reaches_caller_and_pool_shuts_down(small_bicycle, monkeypat
 
 
 def test_jobs_below_one_rejected(toy):
-    for bad in (0, -4):
+    for bad in (0, -4, 2.0, 1.5):
         with pytest.raises(ValueError, match="jobs"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, jobs=bad)
 
