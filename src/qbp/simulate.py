@@ -172,8 +172,9 @@ class _Sweep:
             prior = depolarizing_prior(self.code.n, eps)
             point = self.points[eps_index] = (prior, sampling_table(prior), bp.point_start(self.code, prior))
         prior, table, begin = point
-        rngs = (np.random.default_rng([self.master_seed, eps_index, t]) for t in range(start, stop))
-        return [run_trial(self.code, prior, self.config, rng, table, begin) for rng in rngs]
+        code, config, seed = self.code, self.config, self.master_seed
+        return [run_trial(code, prior, config, np.random.default_rng([seed, eps_index, t]), table, begin)
+                for t in range(start, stop)]
 
 
 _worker_sweep: _Sweep | None = None  # a pool worker's own runner; the caller's process never sets it
