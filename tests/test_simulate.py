@@ -414,9 +414,10 @@ def test_trial_error_reaches_caller_and_pool_shuts_down(small_bicycle, monkeypat
 
     monkeypatch.setattr(qbp.simulate, "run_trial", failing)
     cfg = qbp.DecodeConfig(max_iterations=20)
-    with pytest.raises(RuntimeError, match=r"trial \(7, 1, 70\) failed"):
+    with pytest.raises(RuntimeError, match=r"trial \(7, 1, 70\) failed") as raised:
         qbp.run_simulation(small_bicycle, [0.05, 0.1], 200, cfg, master_seed=7, jobs=2, max_failures=None)
-    assert multiprocessing.active_children() == []
+    # the pool is shut down while the caller still holds the error and its frames
+    assert multiprocessing.active_children() == [] and raised.tb is not None
 
 
 def test_jobs_below_one_rejected(toy):
