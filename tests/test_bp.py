@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qbp
-from qbp import bp
+from qbp import bp, heuristics
 from qbp.bp import MessageState
 from qbp.pauli import SIGN_TABLE
 
@@ -388,6 +388,80 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
         totals["small"] += len(touched) - large
         totals["large"] += large
     assert all(totals.values()), totals
+
+
+def _reference_decode(code, prior, syndrome, config, rng):
+    """The paper's flooding schedule on the public kernels, with no skipped work.
+
+    Per iteration a check update, a qubit update, the argmax decision and
+    the halting test by code.syndrome.  After t_pert unconverged iterations
+    an intervention through the public heuristic steps, escalated as
+    decode_with_heuristics escalates, then one more full qubit update.
+    Returns (correction, converged, iterations, beliefs, records, sizes),
+    sizes holding the number of qubits whose prior each intervention changed.
+    """
+    state = qbp.init_messages(code, prior)
+    registry = heuristics.FreezeRegistry()
+    collision = config.heuristic.startswith("collision")
+    records, sizes = [], []
+    since = 0
+    for iteration in range(1, config.max_iterations + 1):
+        qbp.check_update(state, code, syndrome)
+        beliefs = qbp.qubit_update(state, code)
+        correction = qbp.PauliOperator.from_letters(np.argmax(beliefs, axis=1))
+        violated = code.syndrome(correction) != syndrome
+        if not violated.any():
+            return correction, True, iteration, beliefs, records, sizes
+        if iteration == config.max_iterations:
+            break
+        since += 1
+        if config.heuristic != "none" and since >= config.t_pert:
+            frustrated = np.flatnonzero(violated).tolist()
+            before = state.working_prior.copy()
+            record = targets = trigger = None
+            if config.heuristic.endswith("freeze"):
+                record = heuristics.freeze_step(state, code, frustrated, rng, registry, iteration, collision)
+            elif collision and (pair := heuristics.collision_targets(code, frustrated)) is not None:
+                trigger, targets = ("collision", pair[0], pair[1]), pair[2]
+            if record is None:
+                record = heuristics.perturb_step(state, code, frustrated, rng, config.delta, iteration,
+                                                 targets, trigger)
+            records.append(record)
+            sizes.append(int((state.working_prior != before).any(axis=1).sum()))
+            qbp.qubit_update(state, code)
+            since = 0
+    return correction, False, iteration, beliefs, records, sizes
+
+
+@pytest.mark.parametrize("code_name, eps, trials, limits", [
+    ("five", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
+    ("small_bicycle", 0.05, 6, {"max_iterations": 40, "t_pert": 3}),
+    ("bicycle_800", 0.03, 3, {}),
+])
+def test_decode_loop_equals_reference_schedule(request, code_name, eps, trials, limits):
+    # every skip rule of the decode loop leaves the decode of the plain
+    # schedule: the same correction, convergence, iterations, final beliefs
+    # (bytes), event log and generator state, under all five heuristics;
+    # interventions change fewer than n / 3 qubits' priors and at least that
+    code = request.getfixturevalue(code_name)
+    prior = qbp.depolarizing_prior(code.n, eps)
+    small = large = 0
+    for heuristic in bp.HEURISTICS:
+        config = qbp.DecodeConfig(heuristic=heuristic, **limits)
+        for trial in range(trials):
+            syndrome = code.syndrome(qbp.sample_error(prior, np.random.default_rng([41, trial])))
+            rng, ref_rng = np.random.default_rng([42, trial]), np.random.default_rng([42, trial])
+            res, events = qbp.decode_with_heuristics(code, prior, syndrome, config, rng=rng)
+            correction, converged, iterations, beliefs, records, sizes = _reference_decode(
+                code, prior, syndrome, config, ref_rng)
+            case = (heuristic, trial)
+            assert (res.correction, res.converged, res.iterations_used) == (correction, converged, iterations), case
+            assert res.final_beliefs.tobytes() == beliefs.tobytes(), case
+            assert events == heuristics.EventLog(code, records), case
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+            small += sum(3 * k < code.n for k in sizes)
+            large += sum(3 * k >= code.n for k in sizes)
+    assert small and large, (small, large)
 
 
 def test_decode_trivial_syndrome(five):
