@@ -43,9 +43,9 @@ traces.  The decision and the correction built from it are positions
 those positions changed, and XORs the code's packed anticommutation rows at
 them into a few syndrome words, compared with the packed target word for
 word; it touches no per-edge array.  The loop keeps the log working prior
-between interventions.  After an intervention it refreshes the outgoing
-messages of the qubits whose prior changed, all of them only when that is
-most, from the log(a / b) it already holds.
+between interventions.  After an intervention it takes the log of the
+working prior afresh and recomputes every qubit's outgoing messages from the
+log(a / b) it already holds.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import StabilizerCode, checked_syndrome, segment_positions
+from .codes import StabilizerCode, checked_syndrome
 from .pauli import PauliOperator
 
 # Strictly positive floor, applied where the module docstring says, so that
@@ -186,13 +186,14 @@ class PointStart:
     """What every decode from one prior starts with, built once by point_start; read-only.
 
     working_prior and log_prior are init_messages' floored working prior and
-    its letter-major (4, n) log, which each decode copies, as the heuristics
-    mutate them.  d_qc is the opening qubit-to-check bias, the same for every
-    decode, so a first check update differs between decodes only by the
-    syndrome's signs: rows 0 and 1 of t_cq are check_update's output on the
-    all-(+1) and the all-(-1) syndrome, and those of log_ab the kernel's
-    log(a / b) of each.  Both rows are the kernel's own output, not a
-    negation: a zero bias gives t = +0.0 for either sign.
+    its letter-major (4, n) log; each decode copies only the working prior,
+    which the heuristics mutate.  d_qc is the opening qubit-to-check bias,
+    the same for every decode, so a first check update differs between
+    decodes only by the syndrome's signs: rows 0 and 1 of t_cq are
+    check_update's output on the all-(+1) and the all-(-1) syndrome, and
+    those of log_ab the kernel's log(a / b) of each.  Both rows are the
+    kernel's own output, not a negation: a zero bias gives t = +0.0 for
+    either sign.
     """
 
     working_prior: np.ndarray  # (n, 4)
@@ -316,25 +317,6 @@ def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
     return _normalize_rows(cols.T)
 
 
-def _update_qubits(state: MessageState, code: StabilizerCode, qubits: np.ndarray, log_prior: np.ndarray) -> None:
-    """Refresh the qubit-to-check messages of the ascending `qubits` only.
-
-    The same kernel as qubit_update, on those qubits' edges in qubit-major
-    order: each (label, qubit) slot sums its edges in ascending check order,
-    as the check-major full update does, so every refreshed d_qc is the one
-    qubit_update would give, bit for bit.  log_prior is the (4, n) log
-    working prior, already current on those qubits.
-    """
-    order, start, label = code.qubit_major
-    pos = segment_positions(start, qubits)
-    edges = order[pos]
-    k = len(qubits)
-    slot = label[pos] * k + np.repeat(np.arange(k), start[qubits + 1] - start[qubits])
-    log_ab = _log_ratio(state.t_cq[edges])
-    cols = _beliefs(log_ab, slot, log_prior[:, qubits])
-    state.d_qc[edges] = _outgoing(cols, slot, log_ab)
-
-
 def _first_argmax(cols: np.ndarray) -> np.ndarray:
     """int8 letter of each column's first maximum in letter-major (4, k)
     values, as np.argmax over (k, 4) rows gives it: ties go to the lower letter."""
@@ -367,10 +349,9 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
     """Flooding-schedule driver shared by the plain and heuristic decoders.
 
     start is point_start(code, prior) for the decode's prior, built once by
-    the caller (a sweep builds one per point): the decode copies its two
-    priors and takes its first check messages from its tables.  Its d_qc is
-    shared: an outgoing pass replaces the array before a refresh writes
-    into it.
+    the caller (a sweep builds one per point): the decode copies its working
+    prior, which the heuristics mutate, and takes its first check messages
+    from its tables.  It writes into none of the start's arrays.
 
     intervene, when given, is called as intervene(state, iteration, frustrated)
     after every t_pert unconverged iterations, with frustrated listing the
@@ -381,23 +362,22 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
     decision and the halting test, and every iteration after the first
     opens with a check update.  The outgoing half runs only when another
     check update follows: not on the iteration that halts, not on the last
-    one, and not before a post-intervention refresh of every qubit, which
-    runs both halves on the current log(a / b) and log working prior.
-    Before a refresh of a few qubits it runs on the stale prior, and the
-    refresh redoes those qubits' edges.
+    one, and not before the refresh after an intervention, which runs both
+    halves over every qubit on the current log(a / b) and a fresh log of
+    the working prior.
 
     The loop skips work whose inputs did not change.  The log working prior
-    is refreshed only on the qubits an intervention touched.  Beliefs are
-    normalized only when returned or traced.  An iteration whose hard
-    decision (its positions) equals the last one has the same violated
-    checks, so it cannot halt and runs no halting test.  Syndrome bits are
-    unpacked only to list frustrated checks.
+    is taken again only after an intervention.  Beliefs are normalized only
+    when returned or traced.  An iteration whose hard decision (its
+    positions) equals the last one has the same violated checks, so it
+    cannot halt and runs no halting test.  Syndrome bits are unpacked only
+    to list frustrated checks.
     """
     syndrome = checked_syndrome(syndrome, code.m)
     slot = code.edges.slot
     t_cq, log_ab = start.first_messages(code, syndrome)
     state = MessageState(start.working_prior.copy(), start.d_qc, t_cq)
-    log_prior = start.log_prior.copy()
+    log_prior = start.log_prior
     target = code.pack_checks(syndrome < 0)
     # arrays of one dtype compare as their bytes, at a tenth of np.array_equal's cost
     target_bytes = target.tobytes()
@@ -421,20 +401,10 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
         since_intervention += 1
         if intervene is not None and since_intervention >= config.t_pert:
             frustrated = np.flatnonzero(code.unpack_checks(words ^ target))
-            before = state.working_prior.copy()
             intervene(state, iteration, frustrated.tolist())
-            # outgoing qubit messages must reflect the mutated priors in the
-            # very next iteration; untouched qubits' messages would not
-            # change.  A C-order row of four bool bytes is nonzero as an
-            # int32 exactly when one of its letters changed.
-            changed = np.not_equal(state.working_prior, before, order="C")
-            touched = np.flatnonzero(changed.view(np.int32))
-            log_prior[:, touched] = np.log(state.working_prior[touched].T)
-            if 3 * len(touched) < code.n:
-                state.d_qc = _outgoing(cols, slot, log_ab)
-                _update_qubits(state, code, touched, log_prior)
-            else:
-                state.d_qc = _outgoing(_beliefs(log_ab, slot, log_prior), slot, log_ab)
+            # the next check update reads outgoing messages of the mutated priors
+            log_prior = _log_working_prior(state)
+            state.d_qc = _outgoing(_beliefs(log_ab, slot, log_prior), slot, log_ab)
             since_intervention = 0
         else:
             state.d_qc = _outgoing(cols, slot, log_ab)

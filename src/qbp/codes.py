@@ -20,8 +20,7 @@ on the same elimination and packed rows.
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
 is immutable after construction; canonical generators, `check_qubits`,
-`check_degrees`, the qubit-major edge order and the fingerprint are cached
-lazily.  `checked_syndrome` is the one syndrome validation, used by BP, pure
+`check_degrees` and the fingerprint are cached lazily.  `checked_syndrome` is the one syndrome validation, used by BP, pure
 errors and the oracles.
 
 There is one syndrome path.  The constructor also packs, from the edge
@@ -308,17 +307,6 @@ class StabilizerCode:
     def check_degrees(self) -> np.ndarray:
         """(m,) number of edges of each check."""
         return self._cached("check_degrees", lambda: np.diff(self.edges.check_start))
-
-    @property
-    def qubit_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges in qubit-major order, checks ascending within each qubit:
-        (order, (n+1,) per-qubit segment offsets, label - 1 per ordered edge)."""
-        def build():
-            ea = self.edges
-            order = np.argsort(ea.qubit, kind="stable")
-            start = np.concatenate(([0], np.cumsum(np.bincount(ea.qubit, minlength=self.n))))
-            return order, start, ea.slot[order] // self.n
-        return self._cached("qubit_major", build)
 
     def degree_distribution(self):
         """Edge-perspective degree distributions (lambda, rho) as coefficient lists.

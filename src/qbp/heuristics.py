@@ -20,9 +20,8 @@ Perturbations accumulate on the working prior and keep no other state.  The
 freeze schedule keeps one FreezeRegistry per decode call: the qubits tried
 for each trigger, the qubits frozen now, and the active freeze, which the
 next step retries while its trigger stays frustrated and keeps once it is
-satisfied.  No step reports which priors it changed: the decode loop finds
-them by comparing the working prior with its copy from before the step, and
-refreshes only those qubits' outgoing messages.
+satisfied.  No step reports which priors it changed: after every step the
+decode loop refreshes the outgoing messages of every qubit.
 """
 
 from __future__ import annotations
@@ -230,8 +229,8 @@ def decode_with_heuristics(code: StabilizerCode, prior: np.ndarray, syndrome: np
     and reading it builds the events.
     The decode starts from bp.point_start(code, prior), built here after the
     syndrome is validated unless the caller passes it as _start (a sweep
-    builds one per point): the decode copies its priors and takes its first
-    iteration's check messages from its tables.
+    builds one per point): the decode copies its working prior and takes its
+    first iteration's check messages from its tables.
     """
     config = config or bp.DecodeConfig()
     records: list[Intervention] = []

@@ -23,7 +23,7 @@ The runner builds what depends only on the sweep point once per point:
 the prior, its sampling table and the decoder's read-only start
 record (bp.point_start): the floored working prior and its log, the opening
 messages and the first check update's tables for either syndrome sign.
-Each decode copies the two priors, which the heuristics mutate, and its
+Each decode copies the working prior, which the heuristics mutate, and its
 first iteration selects from the tables by its syndrome's signs.
 """
 

@@ -279,36 +279,6 @@ def test_hard_positions_match_normalized_argmax_near_ties():
         assert np.array_equal(letters, normalized_argmax(block))
 
 
-def _started_state(code, seed, iterations=3):
-    """A state after a few iterations of a sampled syndrome at eps 0.05."""
-    rng = np.random.default_rng(seed)
-    prior = qbp.depolarizing_prior(code.n, 0.05)
-    syndrome = code.syndrome(qbp.sample_error(prior, rng))
-    state = qbp.init_messages(code, prior)
-    for _ in range(iterations):
-        qbp.check_update(state, code, syndrome)
-        qbp.qubit_update(state, code)
-    return state, rng
-
-
-def test_update_qubits_matches_full_update_bitwise(toy, five, small_bicycle, bicycle_800):
-    # after the working prior of some qubits changes, refreshing only those
-    # qubits leaves d_qc as a full qubit update sets it, bit for bit
-    for name, code in (("toy", toy), ("five", five), ("small_bicycle", small_bicycle),
-                       ("bicycle_800", bicycle_800)):
-        sizes = sorted({0, 1, min(2, code.n), code.n // 3, code.n})
-        for k in sizes:
-            state, rng = _started_state(code, [42, k])
-            qubits = np.sort(rng.choice(code.n, size=k, replace=False))
-            rows = state.working_prior[qubits] * rng.uniform(0.5, 2.0, size=(k, 4))
-            state.working_prior[qubits] = bp._normalize_rows(rows)
-            full = MessageState(state.working_prior, state.d_qc.copy(), state.t_cq)
-            qbp.qubit_update(full, code)
-            log_prior = bp._log_working_prior(state)
-            bp._update_qubits(state, code, qubits, log_prior)
-            assert state.d_qc.tobytes() == full.d_qc.tobytes(), (name, k)
-
-
 @pytest.mark.parametrize("eps", [0.02, 0.0, 0.75])
 def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps):
     # every decode of a point opens with the same d_qc, so its first check
@@ -340,33 +310,26 @@ def test_first_iteration_tables_equal_the_kernel(small_bicycle, bicycle_800, eps
 def test_decode_loop_call_counts(bicycle_800, monkeypatch):
     # from a point's start, a check update on every iteration but the first,
     # whose messages come from the start's tables; one belief pass over all
-    # qubits per iteration; a full outgoing pass only when another check
-    # update follows, so never on the last iteration; after an intervention
-    # one more belief and outgoing pass only when it touched >= n / 3
-    # qubits, else a refresh of the touched qubits after the outgoing pass;
-    # a halting test only on iterations whose hard decision changed
-    slot = bicycle_800.edges.slot
+    # qubits per iteration; an outgoing pass only when another check update
+    # follows, so never on the last iteration; after every intervention one
+    # more belief pass, whose outgoing pass replaces the iteration's; a
+    # halting test only on iterations whose hard decision changed
     prior = qbp.depolarizing_prior(bicycle_800.n, 0.04)
     start = bp.point_start(bicycle_800, prior)
-    calls = {"check_update": 0, "beliefs": 0, "outgoing": 0, "_update_qubits": 0, "halting": 0}
+    calls = {"check_update": 0, "beliefs": 0, "outgoing": 0, "halting": 0}
 
-    def counted(name, fn, full=lambda *args: True):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += full(*args)
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("check_update", "_update_qubits"):
-        monkeypatch.setattr(bp, name, counted(name, getattr(bp, name)))
-    # passes over every edge, not those of a refresh of a few qubits, and
-    # the leave-one-out outgoing passes, not init_messages' opening one
-    monkeypatch.setattr(bp, "_beliefs", counted("beliefs", bp._beliefs, lambda *args: args[1] is slot))
-    monkeypatch.setattr(bp, "_outgoing", counted("outgoing", bp._outgoing,
-                                                 lambda *args: args[1] is slot and len(args) == 3))
+    for name, fn in (("check_update", "check_update"), ("beliefs", "_beliefs"), ("outgoing", "_outgoing")):
+        monkeypatch.setattr(bp, fn, counted(name, getattr(bp, fn)))
     monkeypatch.setattr(qbp.StabilizerCode, "syndrome_words",
                         counted("halting", qbp.StabilizerCode.syndrome_words))
     cfg = qbp.DecodeConfig(heuristic="collision_freeze")
-    totals = dict.fromkeys(("unchanged", "small", "large"), 0)
+    totals = dict.fromkeys(("unchanged", "interventions"), 0)
     for trial in range(3):
         rng = np.random.default_rng([15, trial])
         syndrome = bicycle_800.syndrome(qbp.sample_error(prior, rng))
@@ -377,16 +340,12 @@ def test_decode_loop_call_counts(bicycle_800, monkeypatch):
                                                  _start=start)
         letters = [np.argmax(beliefs, axis=1) for _, beliefs in trace]
         changed = 1 + sum(not np.array_equal(a, b) for a, b in zip(letters, letters[1:]))
-        touched = {}
-        for e in events:
-            touched.setdefault(e.iteration, set()).update(e.qubits)
-        large = sum(3 * len(qubits) >= bicycle_800.n for qubits in touched.values())
-        assert calls == {"check_update": res.iterations_used - 1, "beliefs": res.iterations_used + large,
-                         "outgoing": res.iterations_used - 1, "_update_qubits": len(touched) - large,
-                         "halting": changed}
+        interventions = len(events.records)
+        assert calls == {"check_update": res.iterations_used - 1,
+                         "beliefs": res.iterations_used + interventions,
+                         "outgoing": res.iterations_used - 1, "halting": changed}
         totals["unchanged"] += res.iterations_used - changed
-        totals["small"] += len(touched) - large
-        totals["large"] += large
+        totals["interventions"] += interventions
     assert all(totals.values()), totals
 
 
