@@ -115,19 +115,23 @@ class DecodeConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        # each number is stored as a Python int or float, which a JSON echo can write
         for name in ("max_iterations", "t_pert"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 1 <= self.t_pert <= self.max_iterations:
             raise ValueError("need 1 <= t_pert <= max_iterations")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        object.__setattr__(self, "delta", float(self.delta))
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}; choose from {HEURISTICS}")
         if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
 
 
 @dataclass

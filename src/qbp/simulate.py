@@ -220,6 +220,8 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
     for name, value, low in bounds + ([("max_failures", max_failures, 1)] if max_failures is not None else []):
         if not (isinstance(value, numbers.Integral) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    trials, master_seed = int(trials), int(master_seed)  # a numpy integer would not write as JSON
+    max_failures = None if max_failures is None else int(max_failures)
     epsilons = [float(e) for e in epsilons]
     for eps in epsilons:
         if not 0 <= eps <= 1:

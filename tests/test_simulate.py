@@ -449,6 +449,26 @@ def test_stats_serialization_fields(small_bicycle):
     assert '"master_seed": 5' in js and '"points"' in js
 
 
+@pytest.mark.parametrize("name", ["master_seed", "trials", "max_failures", "max_iterations", "t_pert", "seed",
+                                  "delta"])
+def test_numpy_scalars_write_the_json_of_python_numbers(five, name):
+    # a numpy integer (or a float32 delta) in place of a Python number gives
+    # the same JSON, where it used to raise "not JSON serializable"
+    sweep = {"master_seed": 3, "trials": 40, "max_failures": 5}
+    config = {"max_iterations": 20, "t_pert": 4, "seed": 9, "delta": float(np.float32(0.1)), "heuristic": "perturb"}
+
+    def run():
+        stats = qbp.run_simulation(five, [0.05, 0.3], config=qbp.DecodeConfig(**config), **sweep)
+        return qbp.stats_to_json(stats)
+
+    want = run()
+    if name in sweep:
+        sweep[name] = np.int64(sweep[name])
+    else:
+        config[name] = np.float32(0.1) if name == "delta" else np.int64(config[name])
+    assert run() == want
+
+
 def test_failures_decompose(small_bicycle):
     stats = qbp.run_simulation(small_bicycle, [0.15], 200, qbp.DecodeConfig(), master_seed=13, max_failures=None)
     p = stats.points[0]
