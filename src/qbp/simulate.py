@@ -29,6 +29,7 @@ first iteration selects from the tables by its syndrome's signs.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -189,6 +190,19 @@ def _run_chunk(chunk) -> list:
     return _worker_sweep(chunk)
 
 
+def _bounded_map(pool: ProcessPoolExecutor, chunks, ahead: int):
+    """pool.map(_run_chunk, chunks) with at most `ahead` chunks unread; closing it cancels those not started."""
+    pending = collections.deque(pool.submit(_run_chunk, chunk) for chunk in itertools.islice(chunks, ahead))
+    try:
+        while pending:
+            outcomes = pending.popleft().result()
+            pending.extend(pool.submit(_run_chunk, chunk) for chunk in itertools.islice(chunks, 1))
+            yield outcomes
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _chunk_stream(code: StabilizerCode, epsilons, trials: int, config: DecodeConfig,
                   master_seed: int, jobs: int):
     """For each point in order, an iterator over its chunks' outcome lists in
@@ -196,7 +210,7 @@ def _chunk_stream(code: StabilizerCode, epsilons, trials: int, config: DecodeCon
     dropping a point's iterator cancels its chunks not yet started."""
     if jobs > 1:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(code, config, master_seed))
-        run_chunks = functools.partial(pool.map, _run_chunk)
+        run_chunks = functools.partial(_bounded_map, pool, ahead=2 * jobs)
     else:
         pool, run_chunks = None, functools.partial(map, _Sweep(code, config, master_seed))
     try:

@@ -5,8 +5,9 @@ import itertools
 import math
 import multiprocessing
 import threading
+import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,6 +297,29 @@ def test_sweep_holds_at_most_a_chunk_of_outcomes(five, monkeypatch):
     stats = qbp.run_simulation(five, [0.1, 0.3], 300, qbp.DecodeConfig(), master_seed=5, max_failures=None)
     assert [p.trials for p in stats.points] == [300, 300] and len(alive) == 600
     assert max(alive) <= qbp.simulate._CHUNK_TRIALS
+
+
+def test_pool_sweep_holds_a_bounded_window_of_chunks(five, monkeypatch):
+    # at jobs=2 the caller submits at most 2 * jobs chunks ahead of the fold:
+    # its peak memory does not grow with a point's chunk count, and the
+    # early-stop cut leaves no more than that window submitted
+    monkeypatch.setattr(qbp.simulate, "_CHUNK_TRIALS", 1)
+    cfg = qbp.DecodeConfig(max_iterations=5, t_pert=5)
+    peaks = []
+    for trials in (100, 1000):
+        tracemalloc.start()
+        try:
+            qbp.run_simulation(five, [0.05], trials, cfg, master_seed=1, jobs=2, max_failures=None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 250_000, peaks
+    submitted = []
+    real = ProcessPoolExecutor.submit
+    monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                        lambda self, fn, *args: submitted.append(args) or real(self, fn, *args))
+    point = qbp.run_simulation(five, [0.3], 1000, cfg, master_seed=1, jobs=2, max_failures=5).points[0]
+    assert point.early_stopped and len(submitted) <= point.trials + 4, (point.trials, len(submitted))
 
 
 def test_serial_sweep_leaves_no_reference_to_its_code():
