@@ -20,8 +20,8 @@ on the same elimination and packed rows.
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
 is immutable after construction; canonical generators, `check_qubits`,
-`check_degrees` and the fingerprint are cached lazily.  `checked_syndrome` is the one syndrome validation, used by BP, pure
-errors and the oracles.
+`check_degrees` and the fingerprint are cached lazily.  `checked_syndrome`
+is the one syndrome validation, used by BP, pure errors and the oracles.
 
 There is one syndrome path.  The constructor also packs, from the edge
 lists, the checks that anticommute with each non-identity letter on each
