@@ -32,6 +32,10 @@ def test_build_rejects_noncommuting():
     with pytest.raises(qbp.NonCommutingChecksError) as err:
         qbp.StabilizerCode(["IX", "XI", "ZI"])
     assert err.value.pair == (1, 2)
+    # an identity check has no edges, and commutes with every check
+    with pytest.raises(qbp.NonCommutingChecksError) as err:
+        qbp.StabilizerCode(["ZI", "II", "XI"])
+    assert err.value.pair == (0, 2)
 
 
 def test_noncommuting_pair_matches_pairwise_scan():
@@ -75,6 +79,11 @@ def test_build_rejects_dependent():
         with pytest.raises(qbp.DependentChecksError) as err:
             qbp.StabilizerCode(["II"])
     assert err.value.index == 0
+    # identity checks last and first: no edges at the end or the start of the edge lists
+    for checks, index in ((["XX", "ZZ", "II"], 2), (["II", "XX"], 0)):
+        with pytest.raises(qbp.DependentChecksError) as err:
+            qbp.StabilizerCode(checks)
+        assert err.value.index == index
 
 
 def test_dependent_index_matches_insert_loop(five, small_bicycle, bicycle_800):
