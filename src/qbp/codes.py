@@ -9,13 +9,14 @@ symplectic Gaussian elimination over GF(2) on the check matrix.
 The constructor is the one place a check set is validated and indexed.  It
 packs all checks' symplectic rows into one uint64 word matrix and unpacks it
 once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
-those bits yields the edge lists, from which come the commutation test (over
-the check pairs that meet on a qubit), `edges` and the isolated-qubit
-warning.  One packed elimination (gf2.packed_echelon) rejects dependent
-checks and keeps the reduced echelon `basis` of the symplectic rows as
-(pivots, uint64 rows), against which `residual_class` tests stabilizer
-membership; the rows themselves are not kept.  The canonical generators run
-on the same elimination and packed rows.
+those bits yields the edge lists, from which come `edges`, the
+anticommutation table below and the isolated-qubit warning.  The
+commutation test XORs each check's edges' table rows into the packed set of
+checks it anticommutes with.  One packed elimination (gf2.packed_echelon)
+rejects dependent checks and keeps the reduced echelon `basis` of the
+symplectic rows as (pivots, uint64 rows), against which `residual_class`
+tests stabilizer membership; the rows themselves are not kept.  The
+canonical generators run on the same elimination and packed rows.
 
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
@@ -23,13 +24,15 @@ is immutable after construction; canonical generators, `check_qubits`,
 `check_degrees` and the fingerprint are cached lazily.  `checked_syndrome`
 is the one syndrome validation, used by BP, pure errors and the oracles.
 
-There is one syndrome path.  The constructor also packs, from the edge
+There is one commutation path.  The constructor packs, from the edge
 lists, the checks that anticommute with each non-identity letter on each
-qubit into a (3n, ceil(m / 64)) uint64 table, two set bits per edge.
-`syndrome_words` XORs the rows at an operator's positions (pauli's one
-array layout) into its packed syndrome: `syndrome` and `residual_class` read
-them from the operator, the BP decode loop from its hard decision, and
-`syndrome01_of_letters` from letters that `from_letters` validates.
+qubit into a (3n, ceil(m / 64)) uint64 table, `anti_words`, two set bits
+per edge.  `syndrome_words` XORs the rows at an operator's positions
+(pauli's one array layout) into its packed syndrome: `syndrome` and
+`residual_class` read them from the operator, the BP decode loop from its
+hard decision, and `syndrome01_of_letters` from letters that `from_letters`
+validates.  The commutation test and the oracle's enumeration read the same
+table.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .pauli import ANTI_TABLE, LETTERS, PauliOperator
+from .pauli import LETTERS, PauliOperator
 
 STABILIZER = "stabilizer"
 LOGICAL = "logical"
@@ -134,21 +137,6 @@ def _edge_pairs_on_qubits(qubit: np.ndarray):
     return order, first, second
 
 
-def _first_anticommuting_pair(qubit, check, letter, m: int) -> tuple[int, int] | None:
-    """First check pair (i, j), i < j in row-major order, that anticommutes, or None.
-
-    Takes the check-major edge lists.  Two checks anticommute when an odd
-    number of the qubits they share carry anticommuting letters, so only
-    pairs of edges on one qubit are visited.
-    """
-    order, first, second = _edge_pairs_on_qubits(qubit)
-    check, letter = check[order], letter[order]
-    anti = ANTI_TABLE[letter[first], letter[second]].astype(bool)
-    keys, counts = np.unique(check[first[anti]] * m + check[second[anti]], return_counts=True)
-    odd = keys[counts % 2 == 1]
-    return tuple(map(int, divmod(odd[0], m))) if len(odd) else None
-
-
 def _anticommutation_table(qubit, check, letter, n: int, m: int) -> np.ndarray:
     """(3n, ceil(m / 64)) little-endian uint64 rows from check-major edge lists:
     row (l - 1) * n + q has bit c set when letter l on qubit q anticommutes
@@ -185,32 +173,43 @@ class StabilizerCode:
         # unpacked once into the (m, 2n) x|z bits
         words = _symplectic_words(ops, n)
         bits = gf2.unpack_rows(words, 2 * n)
-        # one scan of the (m, n) letter matrix serves the commutation test
-        # and the Tanner graph; its nonzeros are check-major with ascending
-        # qubits, the edge order everywhere below
+        # one scan of the (m, n) letter matrix serves the Tanner graph; its
+        # nonzeros are check-major with ascending qubits, the edge order
+        # everywhere below
         letters = (bits[:, :n] ^ (bits[:, n:] * np.uint8(3))).view(np.int8)  # x ^ 3z: I, X, Y, Z = 0-3
         flat = np.flatnonzero(letters)
         check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
         letter = letters.ravel()[flat]
-        pair = _first_anticommuting_pair(qubit, check, letter, len(ops))
-        if pair is not None:
-            raise NonCommutingChecksError(*pair)
+        m = len(ops)
+        check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=m))))
+        slot = (letter.astype(np.int64) - 1) * n + qubit
+        anti_words = _anticommutation_table(qubit, check, letter, n, m)
+        # row c: the checks that check c anticommutes with, the XOR of its
+        # edges' table rows.  The relation is symmetric with a zero
+        # diagonal, so its first set bit in row-major order is the first
+        # pair (i, j), i < j.  An identity check has no edges, and so no
+        # segment: reduceat would read the next check's first row for it.
+        anti = np.zeros((m, anti_words.shape[1]), dtype="<u8")
+        starts = check_start[:-1]
+        edged = starts < check_start[1:]
+        if edged.any():
+            anti[edged] = np.bitwise_xor.reduceat(anti_words[slot], starts[edged], axis=0)
+        if anti.any():
+            raise NonCommutingChecksError(*np.argwhere(gf2.unpack_rows(anti, m))[0].tolist())
         # the rows' reduced echelon basis as (pivots, rows), from one elimination
         kept, pivots, rows, _ = gf2.packed_echelon(words)
-        if len(kept) < len(ops):
-            raise DependentChecksError(int(np.setdiff1d(np.arange(len(ops)), kept)[0]))
+        if len(kept) < m:
+            raise DependentChecksError(int(np.setdiff1d(np.arange(m), kept)[0]))
         self.basis = (pivots, rows)
 
         self.n = n
-        self.m = len(ops)
+        self.m = m
         self.checks = ops
-        check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=self.m))))
         isolated = np.flatnonzero(~letters.any(axis=0))
         if isolated.size:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
-        self.edges = EdgeArrays(qubit=qubit, check_start=check_start,
-                                slot=(letter.astype(np.int64) - 1) * n + qubit)
-        self.anti_words = _anticommutation_table(qubit, check, letter, n, self.m)
+        self.edges = EdgeArrays(qubit=qubit, check_start=check_start, slot=slot)
+        self.anti_words = anti_words
         self._cache: dict = {}
 
     # pickling: everything built in __init__ travels; lazy caches are rebuilt on demand

@@ -14,7 +14,7 @@ import numpy as np
 
 from .codes import StabilizerCode, checked_syndrome
 from .bp import validate_prior
-from .pauli import ANTI_TABLE, PauliOperator
+from .pauli import PauliOperator
 
 MAX_ENUM_QUBITS = 12
 MAX_COSET_CHECKS = 16
@@ -40,17 +40,6 @@ def _block_probs(letters: np.ndarray, prior: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _block_consistent(letters: np.ndarray, code: StabilizerCode, target01: np.ndarray) -> np.ndarray:
-    ok = np.ones(letters.shape[0], dtype=bool)
-    for c, check in enumerate(code.checks):
-        row = check.letters()
-        acc = np.zeros(letters.shape[0], dtype=np.uint8)
-        for q in np.flatnonzero(row):
-            acc ^= ANTI_TABLE[row[q], letters[:, q]]
-        ok &= acc == target01[c]
-    return ok
-
-
 def _consistent_blocks(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
     """Enumerate every n-qubit operator in chunks, in lexicographic order.
 
@@ -60,11 +49,20 @@ def _consistent_blocks(code: StabilizerCode, prior: np.ndarray, syndrome: np.nda
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
     prior = validate_prior(prior, code.n)
-    target01 = ((1 - checked_syndrome(syndrome, code.m)) // 2).astype(np.uint8)
+    # independent commuting checks number at most n <= MAX_ENUM_QUBITS < 64,
+    # so a packed syndrome is one word: table[l, q] is the checks that
+    # letter l on qubit q anticommutes with, code.anti_words' rows with an
+    # identity row on top
+    table = np.zeros((4, code.n), dtype="<u8")
+    table[1:] = code.anti_words[:, 0].reshape(3, code.n)
+    target = code.pack_checks(checked_syndrome(syndrome, code.m) < 0)[0]
     total = 1 << (2 * code.n)
     for start in range(0, total, _CHUNK):
         letters = _letters_block(code.n, start, min(start + _CHUNK, total))
-        yield letters, _block_probs(letters, prior), _block_consistent(letters, code, target01)
+        words = np.zeros(len(letters), dtype="<u8")
+        for q in range(code.n):
+            words ^= table[letters[:, q], q]
+        yield letters, _block_probs(letters, prior), words == target
 
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:

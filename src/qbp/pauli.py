@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-LETTERS = "IXYZ"
-
 # Letter codes used throughout the package: I=0, X=1, Y=2, Z=3.
-_X_BIT = (0, 1, 1, 0)
-_Z_BIT = (0, 0, 1, 1)
+LETTERS = "IXYZ"
 
 # Single-qubit commutation signs, SIGN_TABLE[a, b] for letter codes a, b.
 # I commutes with everything; X, Y, Z pairwise anticommute.
@@ -34,9 +31,6 @@ SIGN_TABLE = np.array(
     ],
     dtype=np.int8,
 )
-
-# 1 where the two letters anticommute.
-ANTI_TABLE = ((1 - SIGN_TABLE) // 2).astype(np.uint8)
 
 
 class PauliOperator:
