@@ -124,6 +124,8 @@ class DecodeConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 1 <= self.t_pert <= self.max_iterations:
             raise ValueError("need 1 <= t_pert <= max_iterations")
+        if not isinstance(self.delta, numbers.Real):
+            raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta))

@@ -532,7 +532,7 @@ def test_decode_config_validation():
         qbp.DecodeConfig(t_pert=100, max_iterations=90)
     with pytest.raises(ValueError):
         qbp.DecodeConfig(delta=-0.1)
-    for delta in (float("nan"), float("inf")):
+    for delta in (float("nan"), float("inf"), "0.1", None):
         with pytest.raises(ValueError, match="delta"):
             qbp.DecodeConfig(delta=delta)
     with pytest.raises(ValueError, match="max_iterations"):
