@@ -21,8 +21,9 @@ last line.
 --setup CALLS times bench/run.py's setup() instead, the benchmark's setup_s:
 the headline code's build and the lazy structures its first trial builds.
 It alternates the trees CALLS times each, in the same order rule, checks
-that both build the same code fingerprint, and prints the same summary of
-the paired ratios parent seconds / change seconds and each tree's median.
+that both build the same code: its fingerprint, and its `edges` arrays,
+`anti_words` and `basis` byte for byte.  It prints the same summary of the
+paired ratios parent seconds / change seconds and each tree's median.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ def paired_blocks(parent: Path, change: Path, workload, rounds: int, spec=None, 
     return result
 
 
+def built_structures(code) -> dict:
+    """The code's fingerprint and its derived arrays, each as (dtype, shape, bytes)."""
+    arrays = {f"edges.{f.name}": getattr(code.edges, f.name) for f in dataclasses.fields(code.edges)}
+    arrays.update(anti_words=code.anti_words, basis_pivots=code.basis[0], basis_rows=code.basis[1])
+    return {"fingerprint": code.fingerprint(),
+            **{name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}}
+
+
 def paired_setup(parent: Path, change: Path, calls: int, spec=None, out=print) -> dict:
     """Alternate bench/run.py's setup() on both trees `calls` times each; returns the summary."""
     bench = load_bench()
@@ -132,13 +141,14 @@ def paired_setup(parent: Path, change: Path, calls: int, spec=None, out=print) -
         bench.setup(qbp, spec)  # warm-up, untimed
     ratios, seconds = [], {side: [] for side in trees}
     for i in range(calls):
-        fingerprints = {}
+        built = {}
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             code, build_s, lazy_s = bench.setup(trees[side], spec)
             seconds[side].append(build_s + lazy_s)
-            fingerprints[side] = code.fingerprint()
-        if fingerprints["parent"] != fingerprints["change"]:
-            raise AssertionError(f"the trees build different codes on set-up call {i + 1}")
+            built[side] = built_structures(code)
+        differ = [name for name in built["parent"] if built["parent"][name] != built["change"][name]]
+        if differ:
+            raise AssertionError(f"the trees build different {', '.join(differ)} on set-up call {i + 1}")
         ratios.append(seconds["parent"][-1] / seconds["change"][-1])
     result = {"setup_calls": calls, "code": dataclasses.asdict(spec), "setup": summary(ratios),
               "median_s": {side: statistics.median(values) for side, values in seconds.items()}}
