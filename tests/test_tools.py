@@ -1,4 +1,5 @@
-"""Smoke test of tools/paired_speed.py: the same tree twice, on a tiny code."""
+"""Smoke tests of the tooling: tools/paired_speed.py on the same tree twice,
+and bench/spans.py's tracer over traced sweeps, both on tiny codes."""
 
 import dataclasses
 import importlib.util
@@ -7,14 +8,20 @@ from pathlib import Path
 
 import pytest
 
+import qbp
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("paired_speed", ROOT / "tools" / "paired_speed.py")
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tool():
+    return _load("paired_speed", ROOT / "tools" / "paired_speed.py")
 
 
 def test_paired_speed_same_tree_twice():
@@ -52,3 +59,18 @@ def test_paired_speed_usage_errors(capsys):
             tool.main([str(ROOT), str(ROOT), *argv])
         assert exc.value.code == 2
     assert "--setup" in capsys.readouterr().err
+
+
+def test_traced_sweeps_call_every_span_but_three():
+    # bench/spans.py wraps qbp's entry points by name.  A sweep that stops
+    # calling one more of them shows up in the benchmark only as one more
+    # per-layer metric reading 0, so the set never called is pinned here.
+    spans = _load("bench_spans", ROOT / "bench" / "spans.py")
+    code = qbp.generate_bicycle(qbp.BicycleSpec(40, 20, 6, seed=1))
+    with spans.Tracer() as tracer:
+        for heuristic in ("collision_freeze", "collision_perturb"):
+            qbp.run_simulation(code, [0.05], 200, qbp.DecodeConfig(heuristic=heuristic), master_seed=1,
+                               max_failures=None)
+    assert tracer.missing == []
+    never = {span for _, _, span in spans.ENTRY_POINTS if tracer.calls[span] == 0}
+    assert never == {"bp.qubit_update", "codes.halting_test", "pauli.from_letters"}
