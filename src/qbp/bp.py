@@ -50,13 +50,11 @@ log(a / b) it already holds.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import StabilizerCode, checked_syndrome
+from .codes import StabilizerCode, checked_integer, checked_real, checked_syndrome
 from .pauli import PauliOperator
 
 # Strictly positive floor, applied where the module docstring says, so that
@@ -89,8 +87,7 @@ HEURISTICS = ("none", "freeze", "perturb", "collision_freeze", "collision_pertur
 
 def depolarizing_prior(n: int, eps: float) -> np.ndarray:
     """Per-qubit prior (1-eps, eps/3, eps/3, eps/3) as an (n, 4) array."""
-    if not 0 <= eps <= 1:
-        raise ValueError(f"depolarizing strength must lie in [0, 1], got {eps}")
+    n, eps = checked_integer("n", n, 0), checked_real("eps", eps, 0, 1)
     row = np.array([1.0 - eps, eps / 3.0, eps / 3.0, eps / 3.0])
     return np.tile(row, (n, 1))
 
@@ -116,24 +113,15 @@ class DecodeConfig:
 
     def __post_init__(self):
         # each number is stored as a Python int or float, which a JSON echo can write
-        for name in ("max_iterations", "t_pert"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 1 <= self.t_pert <= self.max_iterations:
+        object.__setattr__(self, "max_iterations", checked_integer("max_iterations", self.max_iterations, 1))
+        object.__setattr__(self, "t_pert", checked_integer("t_pert", self.t_pert, 1))
+        if self.t_pert > self.max_iterations:
             raise ValueError("need 1 <= t_pert <= max_iterations")
-        if not isinstance(self.delta, numbers.Real):
-            raise ValueError(f"delta must be a real number, got {self.delta!r}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", checked_real("delta", self.delta, 0))
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}; choose from {HEURISTICS}")
-        if self.seed is not None and not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer or None, got {self.seed!r}")
-        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", checked_integer("seed", self.seed, 0))
 
 
 @dataclass

@@ -19,6 +19,8 @@ from .bp import HEURISTICS, DecodeConfig, depolarizing_prior
 from .codes import (
     CodeFormatError,
     StabilizerCode,
+    checked_integer,
+    checked_real,
     design_rate,
     syndrome_from_string,
     syndrome_to_string,
@@ -27,7 +29,7 @@ from .constructions import BicycleSpec, GenerationError, builtin, check_matrix, 
 from .heuristics import decode_with_heuristics
 from .oracle import exact_marginals
 from .pauli import LETTERS, PauliOperator
-from .simulate import run_simulation, stats_to_csv, stats_to_json
+from .simulate import classify_residual, run_simulation, sample_error, stats_to_csv, stats_to_json
 
 _HEURISTIC_FLAGS = {h.replace("_", "-"): h for h in HEURISTICS}
 
@@ -53,6 +55,14 @@ def _add_decode_config(p: _Parser):
     p.add_argument("--delta", type=float, default=0.1)
 
 
+def _usage_checked(parser: _Parser, check, *args, **kwargs):
+    """check(*args, **kwargs), with its ValueError reported as a usage error (exit 1)."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _parse_bicycle(parser: _Parser, text: str, seed) -> BicycleSpec:
     parts = text.split(",")
     if len(parts) != 3:
@@ -74,16 +84,8 @@ def _resolve_code(parser: _Parser, args) -> StabilizerCode:
 
 
 def _decode_config(parser: _Parser, args) -> DecodeConfig:
-    try:
-        return DecodeConfig(
-            max_iterations=args.max_iter,
-            t_pert=args.t_pert,
-            delta=args.delta,
-            heuristic=_HEURISTIC_FLAGS[args.heuristic],
-            seed=getattr(args, "seed", None),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage_checked(parser, DecodeConfig, max_iterations=args.max_iter, t_pert=args.t_pert, delta=args.delta,
+                          heuristic=_HEURISTIC_FLAGS[args.heuristic], seed=getattr(args, "seed", None))
 
 
 def _cmd_generate(parser: _Parser, args) -> int:
@@ -127,13 +129,8 @@ def _cmd_inspect(parser: _Parser, args) -> int:
     return 0
 
 
-def _check_epsilons(parser: _Parser, epsilons) -> None:
-    if not all(0 <= e <= 1 for e in epsilons):
-        parser.error("--epsilon must lie in [0, 1]")
-
-
 def _cmd_decode(parser: _Parser, args) -> int:
-    _check_epsilons(parser, [args.epsilon])
+    _usage_checked(parser, checked_real, "--epsilon", args.epsilon, 0, 1)
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)
@@ -154,8 +151,6 @@ def _cmd_decode(parser: _Parser, args) -> int:
     print(f"converged {str(result.converged).lower()}")
     print(f"iterations {result.iterations_used}")
     if injected is not None:
-        from .simulate import classify_residual
-
         print(f"classification {classify_residual(code, injected, result.correction)}")
     event_lines = []
     for ev in events:
@@ -192,26 +187,16 @@ def _parse_epsilons(parser: _Parser, args) -> list:
         if not (0 < lo <= hi <= 1 and steps >= 1):
             parser.error("--epsilon-sweep needs 0 < lo <= hi <= 1 and steps >= 1")
         return [float(e) for e in np.geomspace(lo, hi, steps)]
-    if not args.epsilon:
-        parser.error("provide --epsilon or --epsilon-sweep")
-    _check_epsilons(parser, args.epsilon)
-    return args.epsilon
-
-
-def _check_trials(parser: _Parser, trials: int) -> None:
-    if trials < 1:
-        parser.error("--trials must be >= 1")
+    return [_usage_checked(parser, checked_real, "--epsilon", e, 0, 1) for e in args.epsilon]
 
 
 def _cmd_simulate(parser: _Parser, args) -> int:
-    _check_trials(parser, args.trials)
+    _usage_checked(parser, checked_integer, "--trials", args.trials, 1)
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     epsilons = _parse_epsilons(parser, args)
-    if args.max_failures < 0:
-        parser.error("--max-failures must be >= 0 (0 disables the early stop)")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    _usage_checked(parser, checked_integer, "--max-failures", args.max_failures, 0)  # 0 disables the early stop
+    _usage_checked(parser, checked_integer, "--jobs", args.jobs, 1)
     max_failures = None if args.max_failures == 0 else args.max_failures
     stats = run_simulation(
         code, epsilons, args.trials, config,
@@ -232,16 +217,14 @@ def _cmd_simulate(parser: _Parser, args) -> int:
 
 
 def _cmd_oracle_check(parser: _Parser, args) -> int:
-    _check_epsilons(parser, [args.epsilon])
-    _check_trials(parser, args.trials)
+    _usage_checked(parser, checked_real, "--epsilon", args.epsilon, 0, 1)
+    _usage_checked(parser, checked_integer, "--trials", args.trials, 1)
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)
     rng = np.random.default_rng(args.seed)
     rows = ["trial,qubit,pauli,bp_belief,exact_marginal,abs_diff"]
     worst = 0.0
-    from .simulate import sample_error
-
     for trial in range(args.trials):
         error = sample_error(prior, rng)
         syndrome = code.syndrome(error)
@@ -298,8 +281,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="Monte Carlo block-error sweep")
     _add_code_source(p)
-    p.add_argument("--epsilon", type=float, action="append", default=None)
-    p.add_argument("--epsilon-sweep", metavar="LO:HI:STEPS", default=None, help="log-spaced sweep")
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--epsilon", type=float, action="append", default=None)
+    points.add_argument("--epsilon-sweep", metavar="LO:HI:STEPS", default=None, help="log-spaced sweep")
     p.add_argument("--trials", type=int, required=True)
     _add_decode_config(p)
     p.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,9 @@ canonical generators run on the same elimination and packed rows.
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
 is immutable after construction; canonical generators, `check_qubits`,
 `check_degrees` and the fingerprint are cached lazily.  `checked_syndrome`
-is the one syndrome validation, used by BP, pure errors and the oracles.
+is the one syndrome validation, used by BP, pure errors and the oracles;
+`checked_integer` and `checked_real` are the one number check, used by
+every public entry point that takes a count, a seed or a strength.
 
 There is one commutation path.  The constructor packs, from the edge
 lists, the checks that anticommute with each non-identity letter on each
@@ -38,6 +40,8 @@ table.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +96,28 @@ def checked_syndrome(syndrome, m: int) -> np.ndarray:
     if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
         raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
     return syndrome.astype(np.int8, copy=False)
+
+
+def checked_integer(name: str, value, low) -> int:
+    """value as a Python int >= low.  A bool (which Python counts as an
+    Integral; numpy's is no number), a float such as 2.5 or 3.0, a string or
+    None is a ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def checked_real(name: str, value, low, high=math.inf) -> float:
+    """value as a finite Python float in [low, high].  A bool, a string, None,
+    NaN or an infinity is a ValueError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and low <= value <= high):
+        bounds = f"be finite and >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bounds}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

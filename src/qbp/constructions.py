@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import DependentChecksError, NonCommutingChecksError, StabilizerCode
+from .codes import DependentChecksError, NonCommutingChecksError, StabilizerCode, checked_integer
 from .pauli import PauliOperator
 
 _BUILTINS = {
@@ -36,14 +36,16 @@ class BicycleSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("n", "m", "w"):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name), 0))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", checked_integer("seed", self.seed, 0))
         if self.n % 2 or self.m % 2 or self.w % 2:
             raise ValueError(f"n, m, w must all be even, got {(self.n, self.m, self.w)}")
         if not 0 < self.m < self.n:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if not 0 < self.w // 2 <= self.n // 2:
             raise ValueError(f"row weight w={self.w} out of range for n={self.n}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def cyclic_matrix(a: np.ndarray) -> np.ndarray:
@@ -131,6 +133,7 @@ def generate_bicycle(spec: BicycleSpec, deletion: str = "balanced", max_attempts
     """
     if deletion not in ("balanced", "random"):
         raise ValueError(f"unknown deletion mode {deletion!r}")
+    max_attempts = checked_integer("max_attempts", max_attempts, 1)
     if spec.m * spec.w < 2 * spec.n:
         raise GenerationError(
             f"infeasible spec {spec}: {spec.m // 2} rows of weight {spec.w} cannot cover "

@@ -36,7 +36,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ import numpy as np
 from . import __version__
 from .bp import DecodeConfig, depolarizing_prior, validate_prior
 from . import bp, codes
-from .codes import StabilizerCode
+from .codes import StabilizerCode, checked_integer, checked_real
 from .heuristics import decode_with_heuristics
 from .pauli import PauliOperator
 
@@ -92,8 +91,8 @@ class SimStats:
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     """95% Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    trials = checked_integer("trials", trials, 1)
+    failures = checked_integer("failures", failures, -math.inf)  # its range is [0, trials], below
     if not 0 <= failures <= trials:
         raise ValueError(f"failures must lie in [0, trials] = [0, {trials}], got {failures}")
     p = failures / trials
@@ -230,16 +229,11 @@ def run_simulation(code: StabilizerCode, epsilons, trials: int, config: DecodeCo
     reached on the trial-index-ordered prefix (the cut is identical however
     many workers are used).  Pass None to always run every trial.
     """
-    bounds = [("trials", trials, 1), ("jobs", jobs, 1), ("master_seed", master_seed, 0)]
-    for name, value, low in bounds + ([("max_failures", max_failures, 1)] if max_failures is not None else []):
-        if not (isinstance(value, numbers.Integral) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    trials, master_seed = int(trials), int(master_seed)  # a numpy integer would not write as JSON
-    max_failures = None if max_failures is None else int(max_failures)
-    epsilons = [float(e) for e in epsilons]
-    for eps in epsilons:
-        if not 0 <= eps <= 1:
-            raise ValueError(f"depolarizing strength must lie in [0, 1], got {eps}")
+    # Python numbers from here on: a numpy integer would not write as JSON
+    trials, jobs = checked_integer("trials", trials, 1), checked_integer("jobs", jobs, 1)
+    master_seed = checked_integer("master_seed", master_seed, 0)
+    max_failures = None if max_failures is None else checked_integer("max_failures", max_failures, 1)
+    epsilons = [checked_real(f"epsilons[{i}]", eps, 0, 1) for i, eps in enumerate(epsilons)]
     points = []
     with contextlib.closing(_chunk_stream(code, epsilons, trials, config, master_seed, jobs)) as stream:
         for eps, chunks in zip(epsilons, stream):

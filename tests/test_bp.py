@@ -38,8 +38,13 @@ def naive_check_message(labels, incoming, s_c):
 def test_depolarizing_prior():
     p = qbp.depolarizing_prior(3, 0.3)
     assert np.allclose(p, [[0.7, 0.1, 0.1, 0.1]] * 3)
-    with pytest.raises(ValueError):
-        qbp.depolarizing_prior(2, 1.5)
+    for eps in (1.5, -0.1, float("nan"), float("inf"), True, np.True_, "0.1", None):
+        with pytest.raises(ValueError, match="eps"):
+            qbp.depolarizing_prior(2, eps)
+    for n in (-1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="n must"):
+            qbp.depolarizing_prior(n, 0.3)
+    assert np.array_equal(qbp.depolarizing_prior(np.int64(3), np.float32(0.75)), [[0.25] * 4] * 3)
 
 
 def test_init_messages(toy):
@@ -532,19 +537,21 @@ def test_decode_config_validation():
         qbp.DecodeConfig(t_pert=100, max_iterations=90)
     with pytest.raises(ValueError):
         qbp.DecodeConfig(delta=-0.1)
-    for delta in (float("nan"), float("inf"), "0.1", None):
+    for delta in (float("nan"), float("inf"), -float("inf"), "0.1", None, True, np.True_):
         with pytest.raises(ValueError, match="delta"):
             qbp.DecodeConfig(delta=delta)
-    with pytest.raises(ValueError, match="max_iterations"):
-        qbp.DecodeConfig(max_iterations=10.5)
-    with pytest.raises(ValueError, match="t_pert"):
-        qbp.DecodeConfig(t_pert=2.5)
-    assert qbp.DecodeConfig(max_iterations=np.int64(10), t_pert=np.int64(2)).t_pert == 2
-    for seed in (-1, 1.5, "3", [1, 2]):
+    for name in ("max_iterations", "t_pert"):
+        for bad in (10.5, 2.5, 3.0, True, np.True_, "3", None):
+            with pytest.raises(ValueError, match=name):
+                qbp.DecodeConfig(**{name: bad})
+    config = qbp.DecodeConfig(max_iterations=np.int64(10), t_pert=np.int32(2), delta=np.float32(0.5))
+    assert (config.max_iterations, config.t_pert, config.delta) == (10, 2, 0.5)
+    assert type(config.max_iterations) is type(config.t_pert) is int and type(config.delta) is float
+    for seed in (-1, 1.5, "3", [1, 2], True, False, np.True_):
         with pytest.raises(ValueError, match="seed"):
             qbp.DecodeConfig(seed=seed)
     assert qbp.DecodeConfig(seed=None).seed is None
-    assert qbp.DecodeConfig(seed=np.int64(0)).seed == 0
+    assert type(qbp.DecodeConfig(seed=np.int64(0)).seed) is int
     with pytest.raises(ValueError):
         qbp.DecodeConfig(heuristic="annealing")
 

@@ -233,6 +233,11 @@ def test_simulate_sweep_parsing(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--builtin", "two_qubit_toy", "--epsilon-sweep", "bad",
                    "--trials", "5")[0] == 1
     assert run_cli(capsys, "simulate", "--builtin", "two_qubit_toy", "--trials", "5")[0] == 1
+    # both is a usage error, where --epsilon used to be dropped for the sweep with exit 0
+    code, stdout, err = run_cli(capsys, "simulate", "--builtin", "two_qubit_toy", "--epsilon", "0.3",
+                                "--epsilon-sweep", "0.01:0.02:2", "--trials", "5", "--out", str(out))
+    assert code == 1 and stdout == "" and "not allowed with argument" in err
+    assert err.startswith("usage: qbp simulate ")
 
 
 def test_oracle_check_single_check_code(tmp_path, capsys):

@@ -43,9 +43,20 @@ def test_bicycle_spec_validation():
         qbp.BicycleSpec(n=8, m=4, w=10)
     with pytest.raises(ValueError):
         qbp.BicycleSpec(n=8, m=4, w=0)
-    with pytest.raises(ValueError, match="seed"):
-        qbp.BicycleSpec(n=8, m=4, w=2, seed=-1)
+    for seed in (-1, 1.5, 2.0, True, np.True_, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            qbp.BicycleSpec(n=8, m=4, w=2, seed=seed)
+    for name in ("n", "m", "w"):
+        for bad in (-2, 8.0, 2.5, True, np.True_, "8", None):
+            with pytest.raises(ValueError, match=f"{name} must"):
+                qbp.BicycleSpec(**{"n": 8, "m": 4, "w": 2, name: bad})
     assert qbp.BicycleSpec(n=8, m=4, w=2, seed=0).seed == 0
+    spec = qbp.BicycleSpec(np.int64(20), np.int32(10), np.int8(4), seed=np.int64(3))
+    assert spec == qbp.BicycleSpec(20, 10, 4, seed=3)
+    assert {type(v) for v in (spec.n, spec.m, spec.w, spec.seed)} == {int}
+    for attempts in (0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_attempts"):
+            qbp.generate_bicycle(spec, max_attempts=attempts)
 
 
 def test_generate_bicycle_structure():

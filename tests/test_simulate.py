@@ -347,11 +347,16 @@ def test_wilson_interval():
     assert abs(lo - (center - half)) <= 1e-15 and abs(hi - (center + half)) <= 1e-15
     lo, hi = qbp.wilson_interval(5, 50)
     assert lo < 5 / 50 < hi
-    with pytest.raises(ValueError):
-        qbp.wilson_interval(0, 0)
+    for trials in (0, -1, 3.0, True, np.True_, "3", None):
+        with pytest.raises(ValueError, match="trials"):
+            qbp.wilson_interval(0, trials)
     for failures in (5, -1, 4):
         with pytest.raises(ValueError, match=r"failures must lie in \[0, trials\]"):
             qbp.wilson_interval(failures, 3)
+    for failures in (1.5, 1.0, True, np.True_, "1", None):
+        with pytest.raises(ValueError, match="failures"):
+            qbp.wilson_interval(failures, 3)
+    assert qbp.wilson_interval(np.int64(1), np.int32(10)) == qbp.wilson_interval(1, 10)
 
 
 def test_run_simulation_zero_eps(five):
@@ -403,14 +408,14 @@ def test_early_stop_flag_when_cut_lands_on_last_trial(small_bicycle):
 
 
 def test_max_failures_below_one_rejected(toy):
-    for bad in (0, -3, 2.5, 1.0):
+    for bad in (0, -3, 2.5, 1.0, True, np.True_, "3"):
         with pytest.raises(ValueError, match="max_failures"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, max_failures=bad)
 
 
 def test_negative_master_seed_rejected_before_any_trial(toy, monkeypatch):
     monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
-    for bad in (-1, 1.5, 2.0, "3"):
+    for bad in (-1, 1.5, 2.0, "3", None, False, np.False_):
         with pytest.raises(ValueError, match="master_seed"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=bad)
 
@@ -420,8 +425,9 @@ def test_trials_below_one_or_not_integral_rejected_before_any_trial(toy, monkeyp
     stats = qbp.run_simulation(toy, [0.1], np.int64(3), qbp.DecodeConfig(), master_seed=np.uint64(5),
                                jobs=np.int8(1), max_failures=np.int32(2))
     assert stats.trials_requested == 3
+    assert type(stats.trials_requested) is type(stats.master_seed) is type(stats.max_failures) is int
     monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: pytest.fail("a trial ran"))
-    for bad in (0, -2, 2.5, 3.0):
+    for bad in (0, -2, 2.5, 3.0, True, np.True_, "3", None):
         with pytest.raises(ValueError, match="trials"):
             qbp.run_simulation(toy, [0.1], bad, qbp.DecodeConfig(), master_seed=0)
 
@@ -445,7 +451,7 @@ def test_trial_error_reaches_caller_and_pool_shuts_down(small_bicycle, monkeypat
 
 
 def test_jobs_below_one_rejected(toy):
-    for bad in (0, -4, 2.0, 1.5):
+    for bad in (0, -4, 2.0, 1.5, True, np.True_, "2", None):
         with pytest.raises(ValueError, match="jobs"):
             qbp.run_simulation(toy, [0.1], 10, qbp.DecodeConfig(), master_seed=0, jobs=bad)
 
@@ -454,12 +460,16 @@ def test_epsilons_validated_before_any_trial(toy, monkeypatch):
     calls = []
     real = qbp.simulate.run_trial
     monkeypatch.setattr(qbp.simulate, "run_trial", lambda *a: calls.append(1) or real(*a))
-    for bad in ([0.1, 1.5], [-0.01], [0.1, float("nan")]):
+    for bad in ([0.1, 1.5], [-0.01], [0.1, float("nan")], [float("inf")]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             qbp.run_simulation(toy, bad, 300, qbp.DecodeConfig(), master_seed=0)
+    for bad in (["0.05"], [0.1, True], [np.True_], [None]):
+        with pytest.raises(ValueError, match=r"epsilons\[\d\] must be a real number"):
+            qbp.run_simulation(toy, bad, 300, qbp.DecodeConfig(), master_seed=0)
     assert calls == []
-    qbp.run_simulation(toy, [0.0, 1.0], 3, qbp.DecodeConfig(), master_seed=0)
+    stats = qbp.run_simulation(toy, [0.0, np.float32(1.0)], 3, qbp.DecodeConfig(), master_seed=0)
     assert len(calls) == 6
+    assert [type(p.epsilon) for p in stats.points] == [float, float]
 
 
 def test_stats_serialization_fields(small_bicycle):
