@@ -111,13 +111,17 @@ def checked_integer(name: str, value, low) -> int:
 
 def checked_real(name: str, value, low, high=math.inf) -> float:
     """value as a finite Python float in [low, high].  A bool, a string, None,
-    NaN or an infinity is a ValueError naming name."""
+    NaN, an infinity or an int too large for a float is a ValueError naming name."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and low <= value <= high):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and low <= number <= high):
         bounds = f"be finite and >= {low}" if high == math.inf else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {bounds}, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def naive_check_message(labels, incoming, s_c):
 def test_depolarizing_prior():
     p = qbp.depolarizing_prior(3, 0.3)
     assert np.allclose(p, [[0.7, 0.1, 0.1, 0.1]] * 3)
-    for eps in (1.5, -0.1, float("nan"), float("inf"), True, np.True_, "0.1", None):
+    for eps in (1.5, -0.1, float("nan"), float("inf"), 10 ** 400, True, np.True_, "0.1", None):
         with pytest.raises(ValueError, match="eps"):
             qbp.depolarizing_prior(2, eps)
     for n in (-1, 2.0, True, "2", None):
@@ -537,7 +537,7 @@ def test_decode_config_validation():
         qbp.DecodeConfig(t_pert=100, max_iterations=90)
     with pytest.raises(ValueError):
         qbp.DecodeConfig(delta=-0.1)
-    for delta in (float("nan"), float("inf"), -float("inf"), "0.1", None, True, np.True_):
+    for delta in (float("nan"), float("inf"), -float("inf"), 10 ** 400, "0.1", None, True, np.True_):
         with pytest.raises(ValueError, match="delta"):
             qbp.DecodeConfig(delta=delta)
     for name in ("max_iterations", "t_pert"):
