@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -397,8 +398,21 @@ def _reference_decode(code, prior, syndrome, config, rng):
     return correction, False, iteration, beliefs, records, sizes
 
 
+# The five-qubit code conjugated by S on qubit 0 (X -> Y there): its edges
+# carry all three labels, where every other test code has only X and Z edges.
+FIVE_Y_CHECKS = ["YZZXI", "IXZZX", "YIXZZ", "ZXIXZ"]
+
+
+@pytest.fixture(scope="module")
+def five_y():
+    code = qbp.StabilizerCode(FIVE_Y_CHECKS)
+    assert set((code.edges.slot // code.n + 1).tolist()) == {1, 2, 3}
+    return code
+
+
 @pytest.mark.parametrize("code_name, eps, trials, limits", [
     ("five", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
+    ("five_y", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
     ("small_bicycle", 0.05, 6, {"max_iterations": 40, "t_pert": 3}),
     ("bicycle_800", 0.03, 3, {}),
 ])
@@ -426,6 +440,43 @@ def test_decode_loop_equals_reference_schedule(request, code_name, eps, trials, 
             small += sum(3 * k < code.n for k in sizes)
             large += sum(3 * k >= code.n for k in sizes)
     assert small and large, (small, large)
+
+
+def test_decode_result_final_beliefs_contract(five_y, small_bicycle, monkeypatch):
+    # built by hand, the result keeps today's keywords and returns the array given
+    beliefs = qbp.depolarizing_prior(3, 0.1)
+    made = qbp.DecodeResult(correction=qbp.PauliOperator.identity(3), converged=True, iterations_used=1,
+                            final_beliefs=beliefs)
+    assert made.final_beliefs is beliefs and made.converged and made.iterations_used == 1
+    # a decode's final beliefs are its last unnormalized beliefs, normalized:
+    # the same bytes on every read and after a pickle round trip
+    last = []
+
+    def recorded(*args):
+        cols = beliefs_of(*args)
+        last.append(cols.copy())
+        return cols
+
+    beliefs_of = bp._beliefs
+    monkeypatch.setattr(bp, "_beliefs", recorded)
+    converged = set()
+    for code, eps in ((five_y, 0.15), (small_bicycle, 0.08)):
+        prior = qbp.depolarizing_prior(code.n, eps)
+        for heuristic in ("none", "collision_perturb"):
+            config = qbp.DecodeConfig(heuristic=heuristic, max_iterations=12, t_pert=3, seed=5)
+            for trial in range(6):
+                syndrome = code.syndrome(qbp.sample_error(prior, np.random.default_rng([44, trial])))
+                last.clear()
+                res, _ = qbp.decode_with_heuristics(code, prior, syndrome, config)
+                unread = pickle.loads(pickle.dumps(res))
+                want = bp._normalize_rows(last[-1].T).tobytes()
+                first = res.final_beliefs
+                assert first.shape == (code.n, 4) and first.tobytes() == want
+                assert res.final_beliefs.tobytes() == want
+                assert unread.final_beliefs.tobytes() == want
+                assert pickle.loads(pickle.dumps(res)).final_beliefs.tobytes() == want
+                converged.add(res.converged)
+    assert converged == {True, False}
 
 
 def test_decode_trivial_syndrome(five):
@@ -688,7 +739,8 @@ def _equivalence_codes(toy, five, small_bicycle):
         tail = qbp.StabilizerCode(["XXI"])
     with pytest.warns(UserWarning):
         middle = qbp.StabilizerCode(["ZIZZ", "XIXI"])
-    return {"toy": toy, "five": five, "small_bicycle": small_bicycle, "isolated_tail": tail, "isolated_middle": middle}
+    return {"toy": toy, "five": five, "five_y": qbp.StabilizerCode(FIVE_Y_CHECKS), "small_bicycle": small_bicycle,
+            "isolated_tail": tail, "isolated_middle": middle}
 
 
 def _log_space_qubit_update(state, code):
