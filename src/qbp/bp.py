@@ -13,12 +13,20 @@ check message takes two values: a = 1/4 + t on I and the edge's label, and
 b = 1/4 - t on the other two letters.  Summed over a qubit's edges, log b
 is the same for all four letters, a per-qubit constant that the shift to a
 row maximum cancels, so it is dropped: the log-belief is log p_l + S_l for
-l != I, S_l the sum of log(a / b) over the edges labelled l (one bincount),
-and log p_I + S_X + S_Y + S_Z for I, as every edge has one non-identity
-label.  The outgoing bias is d = tanh(x / 2), x = log(B_I + B_label) -
-log(B_other1 + B_other2) - log(a / b), the leave-one-out of the edge's own
-message with no division; one (3, n) table of the first two terms is
-gathered per edge.  No product is formed, so nothing underflows.
+l != I, S_l the sum of log(a / b) over the edges labelled l, and log p_I +
+(S_X + S_Y) + S_Z for I, as every edge has one non-identity label.  One
+bincount writes S_X, S_Y and S_Z into rows 1-3 of one letter-major (4, n)
+table, its row 0 is their sum, and the log prior is added in one pass.  The
+outgoing bias is d = tanh(x / 2), x = log(B_I + B_label) - log(B_other1 +
+B_other2) - log(a / b), the leave-one-out of the edge's own message with no
+division; one table of the first two terms, a row per label, is gathered
+per edge.  No product is formed, so nothing underflows.
+
+A code's first decode caches a plan on it (_plan): the labels its edges
+carry, the letter pairs whose sums those labels read, and each edge's slot
+in the outgoing table and in the belief table.  The outgoing pass forms
+sums and logs only for the labels present: two of three on a CSS code,
+whose edges carry no Y.
 
 EPS_FLOOR applies where the linear-domain kernel applied it: to a and b (a
 frozen t = +-1/4 gives log EPS_FLOOR, not -inf), the working prior and the
@@ -37,8 +45,9 @@ once per point and decode per call: its first check messages come from the
 start's tables, selected by the syndrome's signs.
 It takes the hard decision from the unnormalized beliefs (their column
 maximum is exactly 1, and normalizing can only tie a letter within a few
-ulp of it, which is checked) and normalizes only the beliefs it returns or
-traces.  The decision and the correction built from it are positions
+ulp of it, which is checked) and normalizes only the beliefs it traces.
+It returns its last unnormalized beliefs, and DecodeResult normalizes them
+on the first read of final_beliefs, which a sweep never makes.  The decision and the correction built from it are positions
 (pauli's one array layout), not n letters.  The halting test runs only when
 those positions changed, and XORs the code's packed anticommutation rows at
 them into a few syndrome words, compared with the packed target word for
@@ -50,7 +59,7 @@ log(a / b) it already holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +87,8 @@ _NEAR_ONE = 1.0 - 2.0 ** -48
 
 _LETTER_ROWS = np.arange(4).reshape(4, 1)  # I, X, Y, Z against (k,) letters
 
-# The six letter pairs whose sums the outgoing bias reads, as two row gathers.
+# The six letter pairs whose sums the outgoing bias reads, as two row gathers:
+# I+X, I+Y, I+Z, then the letters anticommuting with X, Y, Z.
 _PAIR_FIRST = np.array([1, 2, 3, 2, 1, 1])
 _PAIR_SECOND = np.array([0, 0, 0, 3, 3, 2])
 
@@ -140,27 +150,86 @@ class MessageState:
     t_cq: np.ndarray           # (E,) check-to-qubit scalar
 
 
-@dataclass
 class DecodeResult:
-    correction: PauliOperator
-    converged: bool
-    iterations_used: int
-    final_beliefs: np.ndarray = field(repr=False)
+    """A decode's correction, convergence, iteration count and (n, 4) final beliefs.
+
+    The decode loop hands over its last letter-major (4, n) unnormalized
+    beliefs, which the first read of final_beliefs normalizes in place; a
+    sweep never reads them.  Built by hand, it returns the array it is given.
+    """
+
+    def __init__(self, correction: PauliOperator, converged: bool, iterations_used: int,
+                 final_beliefs: np.ndarray):
+        self.correction = correction
+        self.converged = converged
+        self.iterations_used = iterations_used
+        self._final_beliefs = final_beliefs
+        self._unnormalized = None
+
+    @classmethod
+    def _of_loop(cls, code: StabilizerCode, positions: np.ndarray, converged: bool, iterations_used: int,
+                 cols: np.ndarray) -> DecodeResult:
+        result = cls(PauliOperator._from_positions(code.n, positions), converged, iterations_used, None)
+        result._unnormalized = cols
+        return result
+
+    @property
+    def final_beliefs(self) -> np.ndarray:
+        if self._unnormalized is not None:
+            self._final_beliefs, self._unnormalized = _normalize_rows(self._unnormalized.T), None
+        return self._final_beliefs
+
+    def __repr__(self) -> str:
+        return (f"DecodeResult(correction={self.correction!r}, converged={self.converged!r}, "
+                f"iterations_used={self.iterations_used!r})")
 
 
-def _outgoing(cols: np.ndarray, slot: np.ndarray, log_ab: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge bias d = tanh(x / 2) from positive letter-major (4, k) beliefs B of any scale.
+@dataclass(frozen=True)
+class _Plan:
+    """The decode loop's index arrays for one code, built by _plan on its first decode.
+
+    rows are l - 1 of the non-identity labels the code's edges carry,
+    ascending: all three in general, X and Z on a CSS code.  first and
+    second are the rows of the letter pairs whose sums the outgoing bias
+    reads for them, I + label for each row, then the two letters
+    anticommuting with each label.  slot places each edge in the flattened
+    (len(rows), n) table of its label's rank and its qubit, belief_slot in
+    rows 1-3 of the flattened letter-major (4, n) belief table.
+    """
+
+    rows: np.ndarray         # (r,) l - 1 per label present
+    first: np.ndarray        # (2r,) pair rows, as _PAIR_FIRST
+    second: np.ndarray       # (2r,) pair rows, as _PAIR_SECOND
+    slot: np.ndarray         # (E,) rank * n + qubit
+    belief_slot: np.ndarray  # (E,) label * n + qubit
+
+
+def _plan(code: StabilizerCode) -> _Plan:
+    """The code's _Plan, cached on the code like its check degrees."""
+    def build():
+        slot, n = code.edges.slot, code.n
+        present = np.bincount(slot // n, minlength=3) > 0
+        rows = np.flatnonzero(present)
+        rank = np.cumsum(present) - 1
+        pairs = np.concatenate((rows, rows + 3))
+        return _Plan(rows=rows, first=_PAIR_FIRST[pairs], second=_PAIR_SECOND[pairs],
+                     slot=rank[slot // n] * n + slot % n, belief_slot=slot + n)
+    return code._cached("bp_plan", build)
+
+
+def _outgoing(cols: np.ndarray, plan: _Plan, log_ab: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge bias d = tanh(x / 2) from positive letter-major (4, n) beliefs B of any scale.
 
     x = log(B_I + B_label) - log(B_other1 + B_other2), less the edge's own
-    log(a / b) when given: the leave-one-out of its incoming message.  slot
-    places each edge in the flattened (3, k) table of its label and qubit.
+    log(a / b) when given: the leave-one-out of its incoming message.  Only
+    the pair sums of the labels the plan's code has are formed.
     """
-    # rows I+X, I+Y, I+Z, then the letters anticommuting with X, Y, Z
-    sums = cols[_PAIR_FIRST]
-    sums += cols[_PAIR_SECOND]
+    sums = cols[plan.first]
+    sums += cols[plan.second]
     logs = np.log(sums, out=sums)
-    x = logs[:3] - logs[3:]
-    x = x.ravel().take(slot)
+    x = logs[:len(plan.rows)]
+    x -= logs[len(plan.rows):]
+    x = x.ravel().take(plan.slot)
     if log_ab is not None:
         x -= log_ab
     x *= 0.5
@@ -171,7 +240,7 @@ def init_messages(code: StabilizerCode, prior: np.ndarray) -> MessageState:
     """Each qubit opens by sending its prior; check messages start uniform (t = 0)."""
     prior = validate_prior(prior, code.n)
     wp = np.maximum(prior, EPS_FLOOR)
-    d_qc = _outgoing(wp.T, code.edges.slot)
+    d_qc = _outgoing(wp.T, _plan(code))
     return MessageState(working_prior=wp, d_qc=d_qc, t_cq=np.zeros(len(d_qc)))
 
 
@@ -268,18 +337,18 @@ def _log_ratio(t: np.ndarray) -> np.ndarray:
     return np.log(np.divide(a, b, out=a), out=a)
 
 
-def _beliefs(log_ab: np.ndarray, slot: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
-    """Unnormalized letter-major (4, k) beliefs with a maximum of exactly 1
+def _beliefs(log_ab: np.ndarray, plan: _Plan, log_prior: np.ndarray) -> np.ndarray:
+    """Unnormalized letter-major (4, n) beliefs with a maximum of exactly 1
     per qubit (clipped below at exp(_LOG_CLIP)).
 
-    log_ab holds the log(a / b) of the edges that slot places in the (3, k)
-    table, log_prior the (4, k) log working prior of the same k qubits.  Each
-    qubit's column depends only on its own edges, in their given order.
+    log_ab holds the log(a / b) of the plan's edges, log_prior the (4, n)
+    log working prior.  Each qubit's column depends only on its own edges,
+    in their given order.
     """
-    per_label = np.bincount(slot, log_ab, 3 * log_prior.shape[1]).reshape(3, -1)
-    logs = np.empty_like(log_prior)
-    np.add(log_prior[0], per_label[0] + per_label[1] + per_label[2], out=logs[0])
-    np.add(log_prior[1:], per_label, out=logs[1:])
+    logs = np.bincount(plan.belief_slot, log_ab, log_prior.size).reshape(log_prior.shape)
+    # row I is every edge's term: (X + Y) + Z, row by row
+    np.add.reduce(logs[1:], axis=0, out=logs[0])
+    logs += log_prior
     logs -= logs.max(axis=0)
     np.maximum(logs, _LOG_CLIP, out=logs)
     return np.exp(logs, out=logs)
@@ -305,9 +374,10 @@ def qubit_update(state: MessageState, code: StabilizerCode) -> np.ndarray:
     The decode loop runs the same passes itself, on the log(a / b) and the
     log working prior it already holds.
     """
+    plan = _plan(code)
     log_ab = _log_ratio(state.t_cq)
-    cols = _beliefs(log_ab, code.edges.slot, _log_working_prior(state))
-    state.d_qc = _outgoing(cols, code.edges.slot, log_ab)
+    cols = _beliefs(log_ab, plan, _log_working_prior(state))
+    state.d_qc = _outgoing(cols, plan, log_ab)
     return _normalize_rows(cols.T)
 
 
@@ -362,13 +432,13 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
 
     The loop skips work whose inputs did not change.  The log working prior
     is taken again only after an intervention.  Beliefs are normalized only
-    when returned or traced.  An iteration whose hard decision (its
+    when traced, or when the result's final_beliefs is read.  An iteration whose hard decision (its
     positions) equals the last one has the same violated checks, so it
     cannot halt and runs no halting test.  Syndrome bits are unpacked only
     to list frustrated checks.
     """
     syndrome = checked_syndrome(syndrome, code.m)
-    slot = code.edges.slot
+    plan = _plan(code)
     t_cq, log_ab = start.first_messages(code, syndrome)
     state = MessageState(start.working_prior.copy(), start.d_qc, t_cq)
     log_prior = start.log_prior
@@ -378,7 +448,7 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
     decided = None
     since_intervention = 0
     for iteration in range(1, config.max_iterations + 1):
-        cols = _beliefs(log_ab, slot, log_prior)
+        cols = _beliefs(log_ab, plan, log_prior)
         if trace is not None:
             trace.append((iteration, _normalize_rows(cols.T.copy())))
         positions = _hard_positions(cols)
@@ -387,9 +457,7 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
             decided = key
             words = code.syndrome_words(positions)
             if words.tobytes() == target_bytes:
-                return DecodeResult(correction=PauliOperator._from_positions(code.n, positions),
-                                    converged=True, iterations_used=iteration,
-                                    final_beliefs=_normalize_rows(cols.T))
+                return DecodeResult._of_loop(code, positions, True, iteration, cols)
         if iteration == config.max_iterations:
             break
         since_intervention += 1
@@ -398,14 +466,13 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
             intervene(state, iteration, frustrated.tolist())
             # the next check update reads outgoing messages of the mutated priors
             log_prior = _log_working_prior(state)
-            state.d_qc = _outgoing(_beliefs(log_ab, slot, log_prior), slot, log_ab)
+            state.d_qc = _outgoing(_beliefs(log_ab, plan, log_prior), plan, log_ab)
             since_intervention = 0
         else:
-            state.d_qc = _outgoing(cols, slot, log_ab)
+            state.d_qc = _outgoing(cols, plan, log_ab)
         check_update(state, code, syndrome, _checked=True)
         log_ab = _log_ratio(state.t_cq)
-    return DecodeResult(correction=PauliOperator._from_positions(code.n, positions), converged=False,
-                        iterations_used=iteration, final_beliefs=_normalize_rows(cols.T))
+    return DecodeResult._of_loop(code, positions, False, iteration, cols)
 
 
 def decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray,
