@@ -229,14 +229,13 @@ def _cmd_oracle_check(parser: _Parser, args) -> int:
         error = sample_error(prior, rng)
         syndrome = code.syndrome(error)
         result, _ = decode_with_heuristics(code, prior, syndrome, config)
-        exact = exact_marginals(code, prior, syndrome)
+        # one read of the beliefs per trial, as Python floats
+        beliefs, exact = result.final_beliefs.tolist(), exact_marginals(code, prior, syndrome).tolist()
         for q in range(code.n):
             for v in range(4):
-                diff = abs(float(result.final_beliefs[q, v]) - float(exact[q, v]))
+                diff = abs(beliefs[q][v] - exact[q][v])
                 worst = max(worst, diff)
-                rows.append(
-                    f"{trial},{q},{LETTERS[v]},{float(result.final_beliefs[q, v])!r},{float(exact[q, v])!r},{diff!r}"
-                )
+                rows.append(f"{trial},{q},{LETTERS[v]},{beliefs[q][v]!r},{exact[q][v]!r},{diff!r}")
     text = f"# qbp {__version__}\n# config {json.dumps(dataclasses.asdict(config), sort_keys=True)}\n"
     text += "\n".join(rows) + "\n"
     if args.out:

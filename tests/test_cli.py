@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import qbp
@@ -257,6 +258,9 @@ def test_oracle_check_single_check_code(tmp_path, capsys):
     for row in rows:
         belief, exact, diff = map(float, row[3:])
         assert diff == abs(belief - exact) <= worst
+    # the header and rows, byte for byte
+    body = "\n".join(out.read_text().splitlines()[2:])
+    assert hashlib.sha256(body.encode()).hexdigest() == "d28c915460e5b43151187bc6c9974410d1032915c9200f4599f4ab13e5ad2f97"
 
 
 def test_oracle_check_size_guard(tmp_path, capsys):
