@@ -6,6 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qbp
@@ -38,6 +39,7 @@ def test_paired_speed_same_tree_twice():
     assert len(lines) == 4 and lines[0].startswith("round 1/2")
     parent, change = sys.modules["qbp_parent_tree"], sys.modules["qbp_change_tree"]
     assert parent is not change and parent.run_simulation is not change.run_simulation
+    assert result["numpy"]["version"] == np.__version__
 
 
 def test_paired_setup_same_tree_twice():
@@ -50,15 +52,33 @@ def test_paired_setup_same_tree_twice():
     assert 0 < s["q1"] <= s["median"] <= s["q3"] and 0 <= s["change_wins"] <= 3
     assert all(seconds > 0 for seconds in result["median_s"].values())
     assert len(lines) == 2 and lines[1].startswith("setup: median ratio")
+    assert result["numpy"]["version"] == np.__version__
+
+
+def test_paired_iterations_same_tree_twice():
+    tool = _tool()
+    bench = tool.load_bench()
+    lines = []
+    result = tool.paired_iterations(ROOT, ROOT, decodes=3, spec=bench.CodeSpec(80, 40, 10, seed=3), out=lines.append)
+    s = result["iterations"]
+    assert result["decodes"] == 3 and result["eps"] == 0.04 and s["pairs"] == 3
+    assert 0 < s["q1"] <= s["median"] <= s["q3"] and 0 <= s["change_wins"] <= 3
+    assert all(us > 0 for us in result["median_us"].values()) and result["mean_iterations"] >= 1
+    assert len(lines) == 2 and lines[1].startswith("iterations: median ratio")
+    runtime = result["numpy"]
+    assert runtime["version"] == np.__version__ and isinstance(runtime["simd_found"], list)
 
 
 def test_paired_speed_usage_errors(capsys):
     tool = _tool()
-    for argv in (["--setup", "0"], ["--setup", "3", "--rounds", "2"], ["--workload", "lowerr-cf"], []):
+    for argv in (["--setup", "0"], ["--setup", "3", "--rounds", "2"], ["--workload", "lowerr-cf"], [],
+                 ["--iterations", "0"], ["--iterations", "3", "--workload", "lowerr-cf"],
+                 ["--iterations", "3", "--setup", "3"]):
         with pytest.raises(SystemExit) as exc:
             tool.main([str(ROOT), str(ROOT), *argv])
         assert exc.value.code == 2
-    assert "--setup" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--setup" in err and "--iterations" in err
 
 
 def test_traced_sweeps_call_every_span_but_three():

@@ -2,6 +2,7 @@
 
     python3 tools/paired_speed.py PARENT_TREE CHANGE_TREE --workload lowerr-cf --rounds 10
     python3 tools/paired_speed.py PARENT_TREE CHANGE_TREE --setup 60
+    python3 tools/paired_speed.py PARENT_TREE CHANGE_TREE --iterations 200
 
 Each tree's qbp (TREE/src/qbp) is loaded under its own module name, so both
 run in one process, side by side on the same machine state.  The workload,
@@ -24,6 +25,19 @@ It alternates the trees CALLS times each, in the same order rule, checks
 that both build the same code: its fingerprint, and its `edges` arrays,
 `anti_words` and `basis` byte for byte.  It prints the same summary of the
 paired ratios parent seconds / change seconds and each tree's median.
+
+--iterations DECODES times the BP kernel alone: each tree decodes the same
+DECODES syndromes of the headline code at eps 0.04 by plain BP (qbp.decode),
+most of which run all max_iterations, alternating in the same order rule.
+Each pair's correction, iteration count and final beliefs must be equal,
+byte for byte; the beliefs are read after the timing.  It prints the same
+summary of the paired ratios parent / change of µs per iteration (a
+decode's seconds over its iterations) and each tree's median.  A kernel
+change of a few percent is resolved here where sub-blocks, whose
+quartiles span ~8%, cannot.
+
+Every mode's JSON summary records numpy's version and the SIMD targets it
+runs: its baseline and the dispatched targets this CPU has.
 """
 
 from __future__ import annotations
@@ -37,8 +51,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "bench" / "run.py"
+
+# --iterations: plain BP at the high-error workloads' strength
+ITERATIONS_EPS = 0.04
 
 
 def load_module(name: str, path: Path, package: bool = False):
@@ -66,6 +85,16 @@ def load_tree(tree: Path, name: str):
     if not init.is_file():
         raise FileNotFoundError(f"no qbp sources under {tree}")
     return load_module(name, init, package=True)
+
+
+def numpy_runtime() -> dict:
+    """numpy's version and SIMD targets: its baseline and the dispatched targets this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {"version": np.__version__, "simd_baseline": list(umath.__cpu_baseline__),
+            "simd_found": [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]}
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -116,7 +145,7 @@ def paired_blocks(parent: Path, change: Path, workload, rounds: int, spec=None, 
         out(f"round {r + 1}/{rounds}: parent {totals['parent']:.3f} s, change {totals['change']:.3f} s, "
             f"ratio {round_ratios[-1]:.4f}")
     result = {"workload": workload.name, "block_trials": workload.block_trials, "code": dataclasses.asdict(spec),
-              "blocks": summary(block_ratios), "rounds": summary(round_ratios)}
+              "blocks": summary(block_ratios), "rounds": summary(round_ratios), "numpy": numpy_runtime()}
     for key in ("blocks", "rounds"):
         s = result[key]
         out(f"{key}: median ratio {s['median']:.4f} (quartiles {s['q1']:.4f}-{s['q3']:.4f}), "
@@ -151,11 +180,53 @@ def paired_setup(parent: Path, change: Path, calls: int, spec=None, out=print) -
             raise AssertionError(f"the trees build different {', '.join(differ)} on set-up call {i + 1}")
         ratios.append(seconds["parent"][-1] / seconds["change"][-1])
     result = {"setup_calls": calls, "code": dataclasses.asdict(spec), "setup": summary(ratios),
-              "median_s": {side: statistics.median(values) for side, values in seconds.items()}}
+              "median_s": {side: statistics.median(values) for side, values in seconds.items()},
+              "numpy": numpy_runtime()}
     s = result["setup"]
     out(f"setup: parent median {result['median_s']['parent'] * 1e3:.2f} ms, "
         f"change median {result['median_s']['change'] * 1e3:.2f} ms")
     out(f"setup: median ratio {s['median']:.4f} (quartiles {s['q1']:.4f}-{s['q3']:.4f}), "
+        f"change faster in {s['change_wins']}/{s['pairs']}")
+    return result
+
+
+def decoded(result) -> tuple:
+    """A DecodeResult's correction bits, convergence, iteration count and final belief bytes."""
+    return (result.correction.x_bits, result.correction.z_bits, result.converged, result.iterations_used,
+            result.final_beliefs.tobytes())
+
+
+def paired_iterations(parent: Path, change: Path, decodes: int, spec=None, out=print) -> dict:
+    """Alternate plain BP decodes of the same syndromes on both trees; returns the µs-per-iteration summary."""
+    bench = load_bench()
+    spec = spec or bench.HEADLINE
+    trees = {"parent": load_tree(parent, "qbp_parent_tree"), "change": load_tree(change, "qbp_change_tree")}
+    codes = {side: bench.setup(qbp, spec)[0] for side, qbp in trees.items()}
+    qbp = trees["parent"]
+    prior = qbp.depolarizing_prior(codes["parent"].n, ITERATIONS_EPS)
+    syndromes = [codes["parent"].syndrome(qbp.sample_error(prior, np.random.default_rng([bench.REFERENCE_SEED, i])))
+                 for i in range(decodes)]
+    for side, qbp in trees.items():
+        qbp.decode(codes[side], prior, syndromes[0])  # warm-up, untimed
+    ratios, per_iteration, iterations = [], {side: [] for side in trees}, 0
+    for i, syndrome in enumerate(syndromes):
+        results = {}
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            t = time.perf_counter()
+            results[side] = trees[side].decode(codes[side], prior, syndrome)
+            per_iteration[side].append((time.perf_counter() - t) / results[side].iterations_used * 1e6)
+        if decoded(results["parent"]) != decoded(results["change"]):
+            raise AssertionError(f"the trees decode syndrome {i} differently")
+        ratios.append(per_iteration["parent"][-1] / per_iteration["change"][-1])
+        iterations += results["parent"].iterations_used
+    result = {"decodes": decodes, "eps": ITERATIONS_EPS, "code": dataclasses.asdict(spec),
+              "mean_iterations": iterations / decodes, "iterations": summary(ratios),
+              "median_us": {side: statistics.median(values) for side, values in per_iteration.items()},
+              "numpy": numpy_runtime()}
+    s = result["iterations"]
+    out(f"iterations: {result['mean_iterations']:.1f} per decode; parent median "
+        f"{result['median_us']['parent']:.1f} µs, change median {result['median_us']['change']:.1f} µs per iteration")
+    out(f"iterations: median ratio {s['median']:.4f} (quartiles {s['q1']:.4f}-{s['q3']:.4f}), "
         f"change faster in {s['change_wins']}/{s['pairs']}")
     return result
 
@@ -169,16 +240,24 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int)
     parser.add_argument("--setup", type=int, metavar="CALLS",
                         help="time the set-up CALLS times per tree, in place of --workload and --rounds")
+    parser.add_argument("--iterations", type=int, metavar="DECODES",
+                        help="time DECODES plain BP decodes per tree per iteration, in place of --workload and --rounds")
     args = parser.parse_args(argv)
-    if args.setup is not None:
+    modes = {"--setup": (args.setup, paired_setup), "--iterations": (args.iterations, paired_iterations)}
+    chosen = [flag for flag, (value, _) in modes.items() if value is not None]
+    if len(chosen) > 1:
+        parser.error("--setup and --iterations are two modes; give one")
+    if chosen:
+        flag = chosen[0]
+        count, run = modes[flag]
         if args.workload is not None or args.rounds is not None:
-            parser.error("--setup replaces --workload and --rounds")
-        if args.setup < 1:
-            parser.error("--setup must be >= 1")
-        result = paired_setup(args.parent, args.change, args.setup)
+            parser.error(f"{flag} replaces --workload and --rounds")
+        if count < 1:
+            parser.error(f"{flag} must be >= 1")
+        result = run(args.parent, args.change, count)
     else:
         if args.workload is None or args.rounds is None:
-            parser.error("--workload and --rounds are required without --setup")
+            parser.error("--workload and --rounds are required without --setup or --iterations")
         if args.rounds < 1:
             parser.error("--rounds must be >= 1")
         result = paired_blocks(args.parent, args.change, bench.WORKLOADS[args.workload], args.rounds)
