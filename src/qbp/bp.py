@@ -47,11 +47,12 @@ It takes the hard decision from the unnormalized beliefs (their column
 maximum is exactly 1, and normalizing can only tie a letter within a few
 ulp of it, which is checked) and normalizes only the beliefs it traces.
 It returns its last unnormalized beliefs, and DecodeResult normalizes them
-on the first read of final_beliefs, which a sweep never makes.  The decision and the correction built from it are positions
-(pauli's one array layout), not n letters.  The halting test runs only when
-those positions changed, and XORs the code's packed anticommutation rows at
-them into a few syndrome words, compared with the packed target word for
-word; it touches no per-edge array.  The loop keeps the log working prior
+on the first read of final_beliefs, which a sweep never makes.  The
+decision and the correction built from it are positions (pauli's one array
+layout), not n letters.  The halting test runs only when those positions
+changed, and XORs the code's packed anticommutation rows at them into a few
+syndrome words, compared with the packed target word for word; it touches
+no per-edge array.  The loop keeps the log working prior
 between interventions.  After an intervention it takes the log of the
 working prior afresh and recomputes every qubit's outgoing messages from the
 log(a / b) it already holds.
@@ -432,10 +433,10 @@ def _run(code, start, syndrome, config, intervene=None, trace=None) -> DecodeRes
 
     The loop skips work whose inputs did not change.  The log working prior
     is taken again only after an intervention.  Beliefs are normalized only
-    when traced, or when the result's final_beliefs is read.  An iteration whose hard decision (its
-    positions) equals the last one has the same violated checks, so it
-    cannot halt and runs no halting test.  Syndrome bits are unpacked only
-    to list frustrated checks.
+    when traced, or when the result's final_beliefs is read.  An iteration
+    whose hard decision (its positions) equals the last one has the same
+    violated checks, so it cannot halt and runs no halting test.  Syndrome
+    bits are unpacked only to list frustrated checks.
     """
     syndrome = checked_syndrome(syndrome, code.m)
     plan = _plan(code)
