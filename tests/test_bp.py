@@ -412,9 +412,9 @@ def five_y():
 
 @pytest.mark.parametrize("code_name, eps, trials, limits", [
     ("five", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
-    ("five_y", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
     ("small_bicycle", 0.05, 6, {"max_iterations": 40, "t_pert": 3}),
     ("bicycle_800", 0.03, 3, {}),
+    ("five_y", 0.15, 8, {"max_iterations": 30, "t_pert": 2}),
 ])
 def test_decode_loop_equals_reference_schedule(request, code_name, eps, trials, limits):
     # every skip rule of the decode loop leaves the decode of the plain
