@@ -209,12 +209,13 @@ def _plan(code: StabilizerCode) -> _Plan:
     """The code's _Plan, cached on the code like its check degrees."""
     def build():
         slot, n = code.edges.slot, code.n
-        present = np.bincount(slot // n, minlength=3) > 0
+        label, qubit = np.divmod(slot, n)
+        present = np.bincount(label, minlength=3) > 0
         rows = np.flatnonzero(present)
         rank = np.cumsum(present) - 1
         pairs = np.concatenate((rows, rows + 3))
         return _Plan(rows=rows, first=_PAIR_FIRST[pairs], second=_PAIR_SECOND[pairs],
-                     slot=rank[slot // n] * n + slot % n, belief_slot=slot + n)
+                     slot=rank[label] * n + qubit, belief_slot=slot + n)
     return code._cached("bp_plan", build)
 
 
