@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +124,11 @@ def test_equality_and_hash():
     assert PauliOperator.from_string("XY") == PauliOperator.from_string("XY")
     assert PauliOperator.from_string("XY") != PauliOperator.from_string("YX")
     assert len({PauliOperator.from_string("XY"), PauliOperator.from_string("XY"), PauliOperator.from_string("YX")}) == 2
+    # pool workers unpickle a code's checks
+    for text in ("XY", "IIII", "ZIYX" * 20):
+        op = PauliOperator.from_string(text)
+        copy = pickle.loads(pickle.dumps(op))
+        assert copy == op and hash(copy) == hash(op) and str(copy) == text
 
 
 def test_from_letters_matches_parse():
@@ -169,3 +176,8 @@ def test_positions_layout(n):
         assert PauliOperator._from_positions(n, positions) == op
         assert op.letters().tolist() == [LETTERS.index(ch) for ch in text]
         assert PauliOperator.from_letters(op.letters()) == op
+    # products letter by letter (letter codes XOR), on random pairs at every size
+    ops = [PauliOperator.from_string(text) for text in texts]
+    for i, j in rng.integers(len(ops), size=(20, 2)).tolist():
+        op, other = ops[i], ops[j]
+        assert (op * other).letters().tolist() == (op.letters() ^ other.letters()).tolist()
