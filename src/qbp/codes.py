@@ -89,12 +89,14 @@ def syndrome_to_string(s: np.ndarray) -> str:
 
 
 def checked_syndrome(syndrome, m: int) -> np.ndarray:
-    """The syndrome as an int8 array of m signs; anything else is a ValueError."""
+    """The syndrome as an int8 array of m signs; anything else, a bool or
+    complex array included, is a ValueError."""
     syndrome = np.asarray(syndrome)
     if syndrome.shape != (m,):
         raise ValueError(f"syndrome must have {m} bits, got shape {syndrome.shape}")
-    if not ((syndrome == 1) | (syndrome == -1)).all():  # 0/1 bits would be misread, 0 as +1
-        raise ValueError("syndrome entries must be +1 (commute) or -1 (anticommute)")
+    # 0/1 bits would be misread, 0 as +1, and True == 1 reads a violation as +1
+    if syndrome.dtype.kind in "bc" or not ((syndrome == 1) | (syndrome == -1)).all():
+        raise ValueError(f"syndrome entries must be +1 (commute) or -1 (anticommute), got dtype {syndrome.dtype}")
     return syndrome.astype(np.int8, copy=False)
 
 

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bp
-from .codes import StabilizerCode, checked_syndrome, segment_positions
+from .codes import StabilizerCode, checked_real, checked_syndrome, segment_positions
 
 _FROZEN_PRIOR = np.maximum(np.array([1.0, 0.0, 0.0, 0.0]), bp.EPS_FLOOR)
 
@@ -131,6 +131,7 @@ def perturb_step(state: bp.MessageState, code: StabilizerCode, frustrated, rng,
     record: the given trigger and targets, or the frustrated checks, and the
     draws.
     """
+    delta = checked_real("delta", delta, 0)
     ea = code.edges
     if targets is not None:
         touched = np.asarray(targets, dtype=ea.qubit.dtype)

@@ -80,9 +80,10 @@ def test_check_update_rejects_wrong_syndrome_length(five):
             qbp.check_update(state, five, bad)
 
 
-@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2]])
+@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2], np.ones(4, dtype=bool)])
 def test_check_update_rejects_values_other_than_plus_minus_one(five, bad):
-    # [1, 1, 1, 2] would set a t_cq of 0.325, a message with a negative entry
+    # [1, 1, 1, 2] would set a t_cq of 0.325, a message with a negative entry;
+    # all True, every check violated to a 0/1 reader, would read as all +1
     state = qbp.init_messages(five, qbp.depolarizing_prior(5, 0.1))
     before = state.t_cq
     with pytest.raises(ValueError, match=r"\+1 .* or -1"):
@@ -484,7 +485,8 @@ def test_decode_trivial_syndrome(five):
     assert res.converged and res.iterations_used == 1 and res.correction.is_identity
 
 
-@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2], [1, 0, -1, 1], [1.0, 1.0, -1.0, 0.5]])
+@pytest.mark.parametrize("bad", [[0, 0, 0, 0], [1, 1, 1, 2], [1, 0, -1, 1], [1.0, 1.0, -1.0, 0.5],
+                                 np.ones(4, dtype=bool), np.array([1, -1, 1, 1], dtype=complex)])
 def test_decode_rejects_syndrome_values_other_than_plus_minus_one(five, bad):
     # a 0/1 syndrome read as signs would decode as trivial and converge on the identity
     prior = qbp.depolarizing_prior(5, 0.1)

@@ -122,6 +122,16 @@ def test_perturb_zero_delta_is_noop(toy):
     assert events[0].deltas == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("delta", [float("nan"), -0.5, float("inf")])
+def test_perturb_rejects_bad_delta(toy, delta):
+    # nan and -0.5 drew all-zero factors and perturbed nothing; inf overflowed in numpy
+    state = qbp.init_messages(toy, qbp.depolarizing_prior(2, 0.1))
+    before = state.working_prior.copy()
+    with pytest.raises(ValueError, match="delta"):
+        qbp.perturb_step(state, toy, [1], np.random.default_rng(0), delta)
+    assert np.array_equal(state.working_prior, before)
+
+
 def test_perturb_reduces_identity_mass(toy):
     prior, s = toy_setup(toy)
     state = qbp.init_messages(toy, prior)
