@@ -6,17 +6,18 @@ an edge (q, c) wherever check c acts non-trivially on qubit q, labelled with
 that Pauli factor.  Logical operators and pure errors are extracted by
 symplectic Gaussian elimination over GF(2) on the check matrix.
 
-The constructor is the one place a check set is validated and indexed.  It
-packs all checks' symplectic rows into one uint64 word matrix and unpacks it
-once into the (m, 2n) x|z bits.  One scan of the letter matrix read from
-those bits yields the edge lists, from which come `edges`, the
-anticommutation table below and the isolated-qubit warning.  The
-commutation test XORs each check's edges' table rows into the packed set of
-checks it anticommutes with.  One packed elimination (gf2.packed_echelon)
-rejects dependent checks and keeps the reduced echelon `basis` of the
-symplectic rows as (pivots, uint64 rows), against which `residual_class`
-tests stabilizer membership; the rows themselves are not kept.  The
-canonical generators run on the same elimination and packed rows.
+The constructor is the one place a check set is validated and indexed.  The
+checks' positions (pauli's one array layout), sorted by qubit within each
+check, are the edge lists, from which come `edges`, the anticommutation
+table below and the isolated-qubit warning.  The commutation test XORs each
+check's edges' table rows into the packed set of checks it anticommutes
+with.  The edges also give the checks' symplectic x|z rows as one uint64
+word matrix, whose one packed elimination (gf2.packed_echelon) rejects
+dependent checks and keeps their reduced echelon `basis` as (pivots, uint64
+rows), against which `residual_class` tests stabilizer membership; the rows
+themselves are not kept.  The canonical generators run on the same
+elimination and packed rows, and read their operators' positions back from
+the rows.
 
 `edges` is the one stored Tanner graph: every graph fact (check qubits,
 degrees, the DOT export, the 4-loop census) is read from it.  A code object
@@ -49,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .pauli import LETTERS, PauliOperator
+from .pauli import LETTERS, PauliOperator, one_hot
 
 STABILIZER = "stabilizer"
 LOGICAL = "logical"
@@ -183,11 +184,32 @@ def _anticommutation_table(qubit, check, letter, n: int, m: int) -> np.ndarray:
     return table.view("<u8")
 
 
-def _symplectic_words(ops, n: int) -> np.ndarray:
-    """The operators' x|z rows, x on columns 0..n-1, as (len(ops), ceil(2n / 64)) uint64 words."""
-    width = 8 * ((2 * n + 63) // 64)
-    raw = b"".join((op.x_bits | (op.z_bits << n)).to_bytes(width, "little") for op in ops)
-    return np.frombuffer(raw, "<u8").reshape(len(ops), width // 8)
+def _letter_entries(ops):
+    """(row, positions) of every non-identity letter of ops, operator-major:
+    the operator's index and the letter's position (l - 1) * n + q."""
+    positions = [op.positions() for op in ops]
+    lengths = np.fromiter(map(len, positions), np.intp, len(ops))
+    return np.repeat(np.arange(len(ops)), lengths), np.concatenate(positions)
+
+
+def _symplectic_words(row, positions, count: int, n: int) -> np.ndarray:
+    """The x|z rows, x on columns 0..n-1, of `count` operators with letters
+    at (row, positions), as (count, ceil(2n / 64)) uint64 words."""
+    label, qubit = np.divmod(positions, n)
+    width = 64 * ((2 * n + 63) // 64)  # whole words, so the bits pack with no padding
+    bits = np.zeros(count * width, dtype=np.uint8)
+    flat = row * width + qubit
+    bits[flat[label < 2]] = 1  # X or Y: an x bit
+    bits[flat[label > 0] + n] = 1  # Y or Z: a z bit
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(count, width // 64)
+
+
+def _ops_from_words(words: np.ndarray, n: int) -> tuple[PauliOperator, ...]:
+    """The operators of (r, ceil(2n / 64)) uint64 x|z rows, x on columns 0..n-1."""
+    x, z = np.split(gf2.unpack_rows(words, 2 * n), 2, axis=1)
+    # letters x ^ 3z: I, X, Y, Z = 0-3; a flat nonzero is faster than a 2-D one
+    row, positions = np.divmod(np.flatnonzero(one_hot(x ^ 3 * z)), 3 * n)
+    return tuple(PauliOperator._from_rows(n, row, positions, len(words)))
 
 
 class StabilizerCode:
@@ -201,21 +223,16 @@ class StabilizerCode:
         for i, op in enumerate(ops):
             if op.n != n:
                 raise ValueError(f"check {i} acts on {op.n} qubits, expected {n}")
-        # the symplectic rows as one (m, words) little-endian uint64 array,
-        # unpacked once into the (m, 2n) x|z bits
-        words = _symplectic_words(ops, n)
-        bits = gf2.unpack_rows(words, 2 * n)
-        # one scan of the (m, n) letter matrix serves the Tanner graph; its
-        # nonzeros are check-major with ascending qubits, the edge order
-        # everywhere below
-        letters = (bits[:, :n] ^ (bits[:, n:] * np.uint8(3))).view(np.int8)  # x ^ 3z: I, X, Y, Z = 0-3
-        flat = np.flatnonzero(letters)
-        check, qubit = np.divmod(flat, n)  # contiguous, unlike np.nonzero's 2-D output
-        letter = letters.ravel()[flat]
+        # the checks' positions serve the Tanner graph; sorted by qubit within
+        # each check, they are check-major with ascending qubits, the edge
+        # order everywhere below
         m = len(ops)
+        check, positions = _letter_entries(ops)
+        order = np.argsort(check * n + positions % n, kind="stable")
+        check, slot = check[order], positions[order]
+        label, qubit = np.divmod(slot, n)
         check_start = np.concatenate(([0], np.cumsum(np.bincount(check, minlength=m))))
-        slot = (letter.astype(np.int64) - 1) * n + qubit
-        anti_words = _anticommutation_table(qubit, check, letter, n, m)
+        anti_words = _anticommutation_table(qubit, check, label + 1, n, m)
         # row c: the checks that check c anticommutes with, the XOR of its
         # edges' table rows.  The relation is symmetric with a zero
         # diagonal, so its first set bit in row-major order is the first
@@ -228,8 +245,9 @@ class StabilizerCode:
             anti[edged] = np.bitwise_xor.reduceat(anti_words[slot], starts[edged], axis=0)
         if anti.any():
             raise NonCommutingChecksError(*np.argwhere(gf2.unpack_rows(anti, m))[0].tolist())
-        # the rows' reduced echelon basis as (pivots, rows), from one elimination
-        kept, pivots, rows, _ = gf2.packed_echelon(words)
+        # the symplectic rows' reduced echelon basis as (pivots, rows), from
+        # one elimination
+        kept, pivots, rows, _ = gf2.packed_echelon(_symplectic_words(check, slot, m, n))
         if len(kept) < m:
             raise DependentChecksError(int(np.setdiff1d(np.arange(m), kept)[0]))
         self.basis = (pivots, rows)
@@ -237,7 +255,7 @@ class StabilizerCode:
         self.n = n
         self.m = m
         self.checks = ops
-        isolated = np.flatnonzero(~letters.any(axis=0))
+        isolated = np.flatnonzero(np.bincount(qubit, minlength=n) == 0)
         if isolated.size:
             warnings.warn(f"qubits {isolated.tolist()} are isolated (degree 0)", stacklevel=2)
         self.edges = EdgeArrays(qubit=qubit, check_start=check_start, slot=slot)
@@ -262,10 +280,6 @@ class StabilizerCode:
     @property
     def k(self) -> int:
         return self.n - self.m
-
-    def _op_from_row(self, row: np.ndarray) -> PauliOperator:
-        v = int.from_bytes(row.tobytes(), "little")
-        return PauliOperator(self.n, v & ((1 << self.n) - 1), v >> self.n)
 
     # -- syndromes -------------------------------------------------------
 
@@ -321,10 +335,7 @@ class StabilizerCode:
 
     def shared_qubits(self, i: int, j: int) -> tuple[int, ...]:
         """Qubits on which both checks i and j act, ascending."""
-        common = self.checks[i].support() & self.checks[j].support()
-        if not common:
-            return ()
-        return tuple(q for q in self.check_qubits[i] if (common >> q) & 1)
+        return tuple(sorted(set(self.check_qubits[i]) & set(self.check_qubits[j])))
 
     @property
     def check_qubits(self) -> tuple[tuple[int, ...], ...]:
@@ -376,7 +387,7 @@ class StabilizerCode:
         # and z halves swapped: the free columns of its elimination give the
         # centralizer of the checks, and the tag columns the combination of
         # checks each basis row is, hence the unit targets
-        checks = _symplectic_words(self.checks, self.n)
+        checks = _symplectic_words(*_letter_entries(self.checks), m, self.n)
         swapped = gf2.unpack_rows(self._swapped(checks), n2)
         _, pivots, reduced, _ = gf2.packed_echelon(gf2.pack_rows(np.hstack([swapped, np.eye(m, dtype=np.uint8)])))
         reduced = gf2.unpack_rows(reduced, n2 + m)
@@ -420,8 +431,7 @@ class StabilizerCode:
         targets ^= gf2.product(self._gram(targets, logicals), np.roll(logicals, k, axis=0))
         targets ^= gf2.product(np.tril(self._gram(targets, targets), -1), checks)
 
-        pure = tuple(self._op_from_row(t) for t in targets)
-        logicals = tuple(self._op_from_row(r) for r in logicals)
+        pure, logicals = _ops_from_words(targets, self.n), _ops_from_words(logicals, self.n)
         self._verify_canonical(pure, logicals)
         return pure, logicals
 
@@ -448,7 +458,7 @@ class StabilizerCode:
         m, k = self.m, self.k
         if len(pure) != m or len(logicals) != 2 * k:
             raise RuntimeError(f"expected {m} pure errors and {2 * k} logicals")
-        gens = _symplectic_words(self.checks + tuple(pure) + tuple(logicals), self.n)
+        gens = _symplectic_words(*_letter_entries(self.checks + tuple(pure) + tuple(logicals)), 2 * (m + k), self.n)
         swapped = self._swapped(gens)
         partner = np.full(len(gens), -1)
         partner[:m] = m + np.arange(m)
@@ -470,17 +480,13 @@ class StabilizerCode:
         """An operator whose syndrome equals s: product of pure errors on the -1 bits."""
         s = checked_syndrome(s, self.m)
         pure, _ = self.canonical_generators()
-        out = PauliOperator.identity(self.n)
-        for c, bit in enumerate(s):
-            if bit < 0:
-                out = out * pure[c]
-        return out
+        return math.prod((pure[c] for c in np.flatnonzero(s < 0)), start=PauliOperator.identity(self.n))
 
     def residual_class(self, op: PauliOperator) -> str:
         """Classify a residual operator: detectable, stabilizer, or logical."""
         if (self.syndrome(op) < 0).any():
             return DETECTABLE
-        if gf2.in_rowspan(_symplectic_words((op,), self.n)[0], self.basis):
+        if gf2.in_rowspan(_symplectic_words(np.zeros(op.weight, np.intp), op.positions(), 1, self.n)[0], self.basis):
             return STABILIZER
         return LOGICAL
 

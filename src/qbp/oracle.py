@@ -8,6 +8,7 @@ to expose the gap between most-likely-error and most-likely-coset decoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +126,15 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
     for check in code.checks:
         group = np.concatenate((group, group ^ check.letters()))
     _, logicals = code.canonical_generators()
-    logical_letters = [op.letters() for op in logicals]
 
     mass = np.zeros(1 << (2 * code.k))
     reps = []
     for ell in range(len(mass)):
-        l_letters = np.zeros(code.n, dtype=np.int8)
-        for b, row in enumerate(logical_letters):
-            if (ell >> b) & 1:
-                l_letters ^= row
+        # class ell's representative: the product of the logicals on its set bits
+        rep = math.prod((op for b, op in enumerate(logicals) if (ell >> b) & 1), start=PauliOperator.identity(code.n))
         # summed in group order, one element at a time
-        mass[ell] = sum(_block_probs(group ^ (t_letters ^ l_letters), prior).tolist())
-        reps.append(PauliOperator.from_letters(l_letters))
+        mass[ell] = sum(_block_probs(group ^ (t_letters ^ rep.letters()), prior).tolist())
+        reps.append(rep)
     table = CosetTable(logicals=tuple(reps), raw_mass=mass)
     best = int(np.argmax(mass))
     return reps[best], table

@@ -3,14 +3,18 @@
 Each trial draws a Pauli error, decodes its syndrome, and classifies the
 residual (error times correction): a nontrivial residual syndrome is a
 detected failure, a residual inside the stabilizer group is a success, and
-anything else is a logical (undetected) failure.  An identity residual, the
-usual case, is a success without a syndrome.  Trials use counter-based RNG
-streams derived from (master seed, epsilon index, trial index), so results
-are bit-identical regardless of how many workers run them.
+anything else is a logical (undetected) failure.  A correction equal to the
+error, the usual case, is a success without forming the residual.  Trials use
+counter-based RNG streams derived from (master seed, epsilon index, trial
+index), so results are bit-identical regardless of how many workers run
+them.
 
-A trial's error is drawn as positions (pauli's one array layout) from a
-letter-major (3, n) sampling table, and its syndrome is read from them; no
-trial builds per-qubit letters.
+A trial's error is drawn as positions (pauli's one array layout, and the
+one form a PauliOperator stores) from a letter-major (3, n) sampling table,
+and its syndrome is read from them; the decoder's correction holds the
+positions of its decision, and the two are compared as positions: only a
+correction other than the error forms their product.  No trial calls
+`letters` or `from_letters`.
 
 A sweep is one ordered stream of chunks of trials, point by point and in
 trial order, however many workers run them.  run_simulation folds it into
@@ -126,12 +130,11 @@ def sample_error(prior: np.ndarray, rng, table: np.ndarray | None = None) -> Pau
 
 
 def classify_residual(code: StabilizerCode, error: PauliOperator, correction: PauliOperator) -> str:
-    """The trial class of the residual error * correction; an identity
-    residual, the usual one, is a success without computing its syndrome."""
-    residual = error * correction
-    if residual.is_identity:
+    """The trial class of the residual error * correction; a correction equal
+    to the error, the usual one, is a success without forming the product."""
+    if error == correction:
         return SUCCESS
-    return _TRIAL_CLASS[code.residual_class(residual)]
+    return _TRIAL_CLASS[code.residual_class(error * correction)]
 
 
 def run_trial(code: StabilizerCode, prior: np.ndarray, config: DecodeConfig, rng,

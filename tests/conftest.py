@@ -58,8 +58,11 @@ def first_dependent(rows):
 
 
 def symplectic_row(op):
-    """An operator's x|z bits as one int, x on the low n bits."""
-    return op.x_bits | (op.z_bits << op.n)
+    """An operator's x|z bits as one int, x on the low n bits, read from its letters."""
+    letters = op.letters().tolist()
+    x = sum(1 << q for q, letter in enumerate(letters) if letter in (1, 2))  # X or Y
+    z = sum(1 << q for q, letter in enumerate(letters) if letter in (2, 3))  # Y or Z
+    return x | (z << op.n)
 
 
 def relabelled(code, rng):

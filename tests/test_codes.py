@@ -639,7 +639,7 @@ def test_residual_class_matches_int_row_reference(bicycle_800):
         if trial % 3 == 1:
             op = op * logicals[int(rng.integers(len(logicals)))]
         elif trial % 3 == 2:
-            op = op * qbp.PauliOperator(code.n, 1 << int(rng.integers(code.n)), 0)
+            op = op * qbp.PauliOperator(code.n, [int(rng.integers(code.n))])  # X on one qubit
         want = _reference_class(code, basis, op)
         assert code.residual_class(op) == want
         seen.add(want)
@@ -652,8 +652,8 @@ def _first_bad_pair(code, pure, logicals):
     names it."""
     m, k, n = code.m, code.k, code.n
     gens = list(code.checks) + list(pure) + list(logicals)
-    x, z = (np.array([[(bits >> q) & 1 for q in range(n)] for bits in column]) for column in
-            ([op.x_bits for op in gens], [op.z_bits for op in gens]))
+    x, z = (np.array([np.isin(op.letters(), letters) for op in gens]).astype(np.int64)
+            for letters in ((1, 2), (2, 3)))  # X or Y, Y or Z
     want = np.zeros((len(gens), len(gens)), dtype=np.int64)
     for i, j in [(c, m + c) for c in range(m)] + [(2 * m + i, 2 * m + k + i) for i in range(k)]:
         want[i, j] = want[j, i] = 1
@@ -673,7 +673,7 @@ def test_verify_canonical_rejects_a_flipped_bit(five, small_bicycle):
         for trial in range(8):
             ops = list(pure if trial % 2 else logicals)
             i, q = int(rng.integers(len(ops))), int(rng.integers(code.n))
-            flip = qbp.PauliOperator(code.n, 1 << q, 0) if rng.random() < 0.5 else qbp.PauliOperator(code.n, 0, 1 << q)
+            flip = qbp.PauliOperator(code.n, [q] if rng.random() < 0.5 else [2 * code.n + q])  # X or Z on q
             ops[i] = ops[i] * flip
             args = (tuple(ops), logicals) if trial % 2 else (pure, tuple(ops))
             with pytest.raises(RuntimeError) as raised:

@@ -66,11 +66,11 @@ def test_generate_bicycle_structure():
     assert all(c.weight == 6 for c in code.checks)
     h = check_matrix(code)
     assert not _gf2_matmul(h, h.T).any()
-    # first half Z-type, second half X-type
+    # first half Z-type, second half X-type: Z positions lie in [2n, 3n), X in [0, n)
     for c in code.checks[:5]:
-        assert c.x_bits == 0
+        assert (c.positions() >= 2 * code.n).all()
     for c in code.checks[5:]:
-        assert c.z_bits == 0
+        assert (c.positions() < code.n).all()
 
 
 def test_check_matrix_rejects_other_codes(five, small_bicycle):

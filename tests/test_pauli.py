@@ -68,8 +68,7 @@ def test_weight(text, want):
 
 def test_parse_bit_layout():
     op = PauliOperator.from_string("XIIY")
-    assert [(op.x_bits >> q) & 1 for q in range(op.n)] == [1, 0, 0, 1]
-    assert [(op.z_bits >> q) & 1 for q in range(op.n)] == [0, 0, 0, 1]
+    assert op.positions().tolist() == [0, 4 + 3]  # X on qubit 0, Y on qubit 3
     assert list(op.letters()) == [1, 0, 0, 2]
 
 
@@ -157,6 +156,22 @@ def test_from_letters_rejects_non_integer_codes():
         with pytest.raises(ValueError, match="integers"):
             PauliOperator.from_letters(bad)
     assert str(PauliOperator.from_letters(np.array([1, 2], dtype=np.uint8))) == "XY"
+
+
+def test_constructor_checks_positions():
+    # any order, stored ascending and read-only; the empty list is the identity
+    op = PauliOperator(4, np.array([7, 0], dtype=np.int32))
+    assert op == PauliOperator.from_string("XIIY") == PauliOperator(4, [0, 7])
+    assert op.positions().dtype == np.intp and not op.positions().flags.writeable
+    assert not pickle.loads(pickle.dumps(op)).positions().flags.writeable
+    assert PauliOperator(3, []) == PauliOperator.identity(3)
+    for bad, match in (([12], r"\[0, 12\)"), ([-1], r"\[0, 12\)"), ([1, 4 + 1], "one letter per qubit"),
+                       ([[0, 1]], "1-D integer"), (np.array([0.0, 5.0]), "1-D integer"),
+                       (np.array([True]), "1-D integer")):
+        with pytest.raises(ValueError, match=match):
+            PauliOperator(4, bad)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        PauliOperator(0, [])
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 800])

@@ -191,8 +191,8 @@ def paired_setup(parent: Path, change: Path, calls: int, spec=None, out=print) -
 
 
 def decoded(result) -> tuple:
-    """A DecodeResult's correction bits, convergence, iteration count and final belief bytes."""
-    return (result.correction.x_bits, result.correction.z_bits, result.converged, result.iterations_used,
+    """A DecodeResult's correction positions, convergence, iteration count and final belief bytes."""
+    return (result.correction.positions().tobytes(), result.converged, result.iterations_used,
             result.final_beliefs.tobytes())
 
 
