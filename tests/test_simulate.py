@@ -129,9 +129,9 @@ def _forbid_letter_paths(monkeypatch):
 def test_trial_path_builds_no_letters(small_bicycle, bicycle_800, monkeypatch):
     # a trial's error is the positions of its draws, and its syndrome is
     # read from them; the decision's positions give the correction.  The
-    # same outcomes, with every letter path raising.  The
-    # headline code fails no trial logically at these eps (criterion 6), so
-    # its logical class is checked on a logical residual.
+    # same outcomes, with every letter path raising.  The headline code
+    # fails no trial logically at these eps (criterion 6), so its logical
+    # class is checked on a logical residual.
     runs = [(small_bicycle, 0.12, qbp.DecodeConfig(max_iterations=40, t_pert=3, heuristic=h),
              [[74, t] for t in range(30)]) for h in HEURISTICS]
     runs += [(bicycle_800, eps, qbp.DecodeConfig(heuristic=h), seeds)
