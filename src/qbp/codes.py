@@ -335,7 +335,7 @@ class StabilizerCode:
 
     def shared_qubits(self, i: int, j: int) -> tuple[int, ...]:
         """Qubits on which both checks i and j act, ascending."""
-        return tuple(sorted(set(self.check_qubits[i]) & set(self.check_qubits[j])))
+        return tuple(sorted(set(self.check_qubits[i]).intersection(self.check_qubits[j])))
 
     @property
     def check_qubits(self) -> tuple[tuple[int, ...], ...]:
