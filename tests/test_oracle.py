@@ -204,36 +204,45 @@ def _oracle_code(name):
         return qbp.builtin(name)
 
 
-# sha256 over every syndrome (bits in itertools.product((1, -1)) order) of
-# (exact_marginals bytes, str(exact_map)) and of (coset_decode raw_mass bytes,
-# its logicals), recorded while the consistency test read the constructor's
-# (qubit, letter) rows and coset_decode summed over symplectic bit rows.  The
-# 4^10-operator enumeration of bicycle (10, 8, 4, 3) takes ~0.4 s a syndrome,
-# so its marginals and MAP cover 16 seeded syndromes of its 256.
+# sha256 digests of three pins per (code, eps), over syndromes in
+# itertools.product((1, -1)) bit order: the bytes of exact_marginals, the
+# strings of exact_map, and coset_decode's raw_mass bytes with its logicals.
+# The MAP and coset pins cover every syndrome.  The marginals pin covers 16
+# seeded syndromes of bicycle (10, 8, 4, 3)'s 256 and every syndrome of the
+# others.  The coset pins were recorded while coset_decode summed over
+# symplectic bit rows.
 ORACLE_DIGESTS = {
     ("five_qubit", 0.05): (
-        "1cddb4282c73fea883b3ce75424a957f4f9614790d03f0335c93c9c82a5f0797",
+        "dcac3f6cdf70b8e94560ead1da320e1461acfa5d548baaf7c600118d8cb55a58",
+        "5de76057a47a44ac38b3f6c8190183ce309db3016ca8fac3d1bb8ce921121044",
         "66f2b0a3390ecaced1d0bce2eda3e053925bd839f6fa39ca90b0a846184236ae"),
     ("five_qubit", 0.2): (
-        "10641ed85aaea85eb57b2884097e2a2bdc157441a993ce3e8b8bacf29a9fddf8",
+        "0b17db8c448ce4c728a7e6a633b8fd0dc2b94c32472a4b5f930001168502c5b5",
+        "5de76057a47a44ac38b3f6c8190183ce309db3016ca8fac3d1bb8ce921121044",
         "c1118abb95bab3653ad82fc3252a27cee2083d1b53a2cdbc686d4e6b9fe2b96f"),
     ("two_qubit_toy", 0.05): (
-        "47b093eb9cac9262c0459f205271b68a6af25af991bd01e8307d2051bd06615d",
+        "24e98aab034f3d788880aa2a35869f6655b9e0cb6636a25533cf693e9e86da60",
+        "f22805998d6a66195f17e968633b760300d9b5baf2d92622b1693ab22e9632af",
         "e4df61cb5f134f6b98b8f79467a08e137f043657d560097ad9a27bf704a298d1"),
     ("two_qubit_toy", 0.2): (
-        "444757f5ef81a469262da48e54571d4d2d0c19f739afa22e5bb98daef13cc43d",
+        "8f0b9115f73b70418426dd98fb007254c4f643e255178b848bb2d8e51bb4651b",
+        "f22805998d6a66195f17e968633b760300d9b5baf2d92622b1693ab22e9632af",
         "84fc11f01440c58a89e1592f43ef348263fe093b9078c587c3c54030434bf992"),
     ("bicycle_10", 0.05): (
-        "82ce381e589b83266812a0569f255a13c28c9b6a70c9d3c07885b205ec7f2614",
+        "349df0dcac5aa1d86cf9bb8da26ec663452a24d48f0742313a2c91db228b5415",
+        "9c8d87da6c010c79487d9856c634aadafecaa8ba6463585f57724c0a8c784baf",
         "a024d266e94084576e87fd9a5eac8c25edb6fdc46bf8fc15a1bf1c1bdc780623"),
     ("bicycle_10", 0.2): (
-        "f7313370471c222f80ad07bca996fa85ce9368c4f7a699748a9d634920aa1a38",
+        "8d9cb3049c58033f9b205576d16851353f4529fcc2ba3f5907e3b51dae41b11e",
+        "b98c87bef7e3f83f70715e54967773eb235ca42b73e391608293d858f056fb04",
         "03bd25c5b63a9e5ed1cd54dbd8e88741f52cd230098db12747c6be5a60169d44"),
     ("xxxxi_zzzzi", 0.05): (
-        "4094fc03741ddded357d3210485c9d0ad5082be5e524d48e78c923d82156de98",
+        "f176d92349543b2c2d84b648dc7f87f7ee741d6df1d6f340536118730b5ef984",
+        "d4db800c07f76296f7a04683c3742022f883772a2e3c5f36463f38f32615a5ed",
         "2a445fe2d9b957618cd60a815258b6f1fdfd40c1cab5111a14af46fc7bfe1ea9"),
     ("xxxxi_zzzzi", 0.2): (
-        "531157317bd27704263f6e4ff23aa7a7a76bb06b8ca70274cc5e10a258bfc542",
+        "69a63bd8ee216a03b2312ac2391e1c2e28b2f9b8f40a1f257ecb013fa6f6fb52",
+        "e67e3c0915b366f4ee38418dfa89839b6bf68075e51074e5c87cdcf5466d6fdb",
         "2b941def2e1abf09420388926bf7e65e42094ed751cdfdaa62ec8106d0c4d3da"),
 }
 
@@ -243,19 +252,19 @@ def test_oracle_outputs_pinned(name, eps):
     code = _oracle_code(name)
     prior = qbp.depolarizing_prior(code.n, eps)
     syndromes = [np.array(bits, dtype=np.int8) for bits in itertools.product((1, -1), repeat=code.m)]
-    enumerated = syndromes
+    marginal_syndromes = syndromes
     if name == "bicycle_10":
         picks = np.random.default_rng(0).choice(len(syndromes), size=16, replace=False)
-        enumerated = [syndromes[i] for i in sorted(picks.tolist())]
-    enum_digest, coset_digest = hashlib.sha256(), hashlib.sha256()
-    for s in enumerated:
-        enum_digest.update(qbp.exact_marginals(code, prior, s).tobytes())
-        enum_digest.update(str(qbp.exact_map(code, prior, s)).encode())
+        marginal_syndromes = [syndromes[i] for i in sorted(picks.tolist())]
+    marginals_digest, map_digest, coset_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for s in marginal_syndromes:
+        marginals_digest.update(qbp.exact_marginals(code, prior, s).tobytes())
     for s in syndromes:
+        map_digest.update(str(qbp.exact_map(code, prior, s)).encode())
         _, table = qbp.coset_decode(code, prior, s)
         coset_digest.update(table.raw_mass.tobytes())
         coset_digest.update(repr([str(op) for op in table.logicals]).encode())
-    got = (enum_digest.hexdigest(), coset_digest.hexdigest())
+    got = (marginals_digest.hexdigest(), map_digest.hexdigest(), coset_digest.hexdigest())
     assert got == ORACLE_DIGESTS[name, eps]
 
 
