@@ -44,7 +44,7 @@ from .heuristics import (
     freeze_step,
     perturb_step,
 )
-from .oracle import CosetTable, coset_decode, exact_map, exact_marginals
+from .oracle import CosetTable, SyndromeTables, coset_decode, exact_map, exact_marginals, syndrome_tables
 from .simulate import (
     PointStats,
     SimStats,

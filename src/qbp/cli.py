@@ -27,7 +27,7 @@ from .codes import (
 )
 from .constructions import BicycleSpec, GenerationError, builtin, check_matrix, generate_bicycle
 from .heuristics import decode_with_heuristics
-from .oracle import exact_marginals
+from .oracle import syndrome_tables
 from .pauli import LETTERS, PauliOperator
 from .simulate import classify_residual, run_simulation, sample_error, stats_to_csv, stats_to_json
 
@@ -222,6 +222,7 @@ def _cmd_oracle_check(parser: _Parser, args) -> int:
     code = _resolve_code(parser, args)
     config = _decode_config(parser, args)
     prior = depolarizing_prior(code.n, args.epsilon)
+    tables = syndrome_tables(code, prior)
     rng = np.random.default_rng(args.seed)
     rows = ["trial,qubit,pauli,bp_belief,exact_marginal,abs_diff"]
     worst = 0.0
@@ -230,7 +231,7 @@ def _cmd_oracle_check(parser: _Parser, args) -> int:
         syndrome = code.syndrome(error)
         result, _ = decode_with_heuristics(code, prior, syndrome, config)
         # one read of the beliefs per trial, as Python floats
-        beliefs, exact = result.final_beliefs.tolist(), exact_marginals(code, prior, syndrome).tolist()
+        beliefs, exact = result.final_beliefs.tolist(), tables.marginals(syndrome).tolist()
         for q in range(code.n):
             for v in range(4):
                 diff = abs(beliefs[q][v] - exact[q][v])

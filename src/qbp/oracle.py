@@ -4,6 +4,14 @@ These enumerate the full Pauli group (or the full stabilizer group), so they
 are exact by construction and guarded by hard size limits rather than
 silently approximating.  They exist to check the message-passing decoder and
 to expose the gap between most-likely-error and most-likely-coset decoding.
+
+`syndrome_tables` enumerates the 4^n operators of a code once per prior and
+files each under its packed syndrome word, so one pass answers every
+syndrome: `exact_marginals` and `exact_map` are lookups into it, and callers
+that loop over syndromes build it once.  `coset_decode` enumerates the
+stabilizer group instead, one syndrome at a time, which reaches codes of any
+n with few checks and logicals.  A syndrome of probability 0 under the prior
+has no conditional distribution, and all three raise on it.
 """
 
 from __future__ import annotations
@@ -25,74 +33,105 @@ _CHUNK = 1 << 16
 
 
 def _letters_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Letter codes for enumeration indices [start, stop); qubit 0 is the most
-    significant base-4 digit, so index order is lexicographic operator order."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, n), dtype=np.int8)
-    for q in range(n):
-        out[:, q] = (idx >> (2 * (n - 1 - q))) & 3
-    return out
+    """Letter codes for enumeration indices [start, stop), one row per qubit;
+    qubit 0 is the most significant base-4 digit, so index order is
+    lexicographic operator order."""
+    shifts = 2 * np.arange(n - 1, -1, -1)[:, None]
+    return (np.arange(start, stop) >> shifts) & 3
 
 
 def _block_probs(letters: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    probs = np.ones(letters.shape[0])
-    for q in range(letters.shape[1]):
-        probs *= prior[q, letters[:, q]]
+    """Prior probabilities of operators given as (n, count) letter codes,
+    multiplied in qubit order."""
+    probs = np.ones(letters.shape[1])
+    for q in range(len(letters)):
+        probs *= prior[q][letters[q]]
     return probs
 
 
-def _consistent_blocks(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
-    """Enumerate every n-qubit operator in chunks, in lexicographic order.
+def _possible(mass: np.ndarray) -> np.ndarray:
+    """mass, the nonnegative probability mass of one syndrome, if any of it is nonzero."""
+    if not mass.any():
+        raise RuntimeError("the syndrome has probability 0 under the prior")
+    return mass
 
-    Yields (letters, probs, consistent): each chunk's letter codes, their
-    prior probabilities and whether their syndrome equals the given one.
+
+@dataclass(frozen=True)
+class SyndromeTables:
+    """Every syndrome's exact marginal mass and MAP operator, one row per
+    packed syndrome word (check c at bit c)."""
+
+    code: StabilizerCode
+    mass: np.ndarray         # (2^m, n, 4) unnormalized: each qubit's row sums to p(s)
+    map_letters: np.ndarray  # (2^m, n) letters of the lexicographically first most likely operator
+
+    def word(self, syndrome: np.ndarray) -> int:
+        """The row of a +1/-1 syndrome."""
+        return int(self.code.pack_checks(checked_syndrome(syndrome, self.code.m) < 0)[0])
+
+    def marginals(self, syndrome: np.ndarray) -> np.ndarray:
+        """Exact conditional marginals p_q(E_q | s), (n, 4)."""
+        mass = _possible(self.mass[self.word(syndrome)])
+        return mass / mass.sum(axis=1, keepdims=True)
+
+    def map(self, syndrome: np.ndarray) -> PauliOperator:
+        """A most likely syndrome-consistent error; ties go to the lexicographically first."""
+        w = self.word(syndrome)
+        _possible(self.mass[w])
+        return PauliOperator.from_letters(self.map_letters[w])
+
+
+def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
+    """One enumeration of every n-qubit operator, in chunks and in
+    lexicographic order, filed by syndrome word.
+
+    Per chunk, one bincount per qubit keyed by (word, letter) adds each
+    operator's probability to its syndrome's marginal mass, and a maximum
+    by word gives each word's first most likely operator in the chunk,
+    which replaces the running one only if it is more likely.
     """
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
     prior = validate_prior(prior, code.n)
-    # independent commuting checks number at most n <= MAX_ENUM_QUBITS < 64,
-    # so a packed syndrome is one word: table[l, q] is the checks that
+    n, size = code.n, 1 << code.m
+    # the checks are independent and commute, so m <= n <= MAX_ENUM_QUBITS
+    # < 64 and a packed syndrome is one word: table[q, l] is the checks that
     # letter l on qubit q anticommutes with, code.anti_words' rows with an
-    # identity row on top
-    table = np.zeros((4, code.n), dtype="<u8")
-    table[1:] = code.anti_words[:, 0].reshape(3, code.n)
-    target = code.pack_checks(checked_syndrome(syndrome, code.m) < 0)[0]
-    total = 1 << (2 * code.n)
+    # identity column in front
+    table = np.zeros((n, 4), dtype=np.intp)
+    table[:, 1:] = code.anti_words[:, 0].reshape(3, n).T
+    mass = np.zeros((size, n, 4))
+    best_p = np.full(size, -1.0)
+    best = np.zeros((size, n), dtype=np.int8)
+    total = 1 << (2 * n)
     for start in range(0, total, _CHUNK):
-        letters = _letters_block(code.n, start, min(start + _CHUNK, total))
-        words = np.zeros(len(letters), dtype="<u8")
-        for q in range(code.n):
-            words ^= table[letters[:, q], q]
-        yield letters, _block_probs(letters, prior), words == target
+        letters = _letters_block(n, start, min(start + _CHUNK, total))
+        probs = _block_probs(letters, prior)
+        words = np.zeros(len(probs), dtype=np.intp)
+        for q in range(n):
+            words ^= table[q][letters[q]]
+        for q in range(n):
+            mass[:, q] += np.bincount(4 * words + letters[q], weights=probs, minlength=4 * size).reshape(size, 4)
+        # each word's first most likely operator in the chunk, kept if it
+        # beats the earlier chunks' one
+        top = np.full(size, -1.0)
+        np.maximum.at(top, words, probs)
+        hits = np.flatnonzero(probs == top[words])
+        first = hits[np.unique(words[hits], return_index=True)[1]]
+        first = first[probs[first] > best_p[words[first]]]
+        best_p[words[first]] = probs[first]
+        best[words[first]] = letters[:, first].T
+    return SyndromeTables(code, mass, best)
 
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
     """Exact conditional marginals p_q(E_q | s) by full enumeration."""
-    mass = np.zeros((code.n, 4))
-    for letters, probs, consistent in _consistent_blocks(code, prior, syndrome):
-        probs[~consistent] = 0.0
-        for q in range(code.n):
-            for v in range(4):
-                mass[q, v] += probs[letters[:, q] == v].sum()
-    norm = mass.sum(axis=1, keepdims=True)
-    if (norm <= 0).any():
-        raise RuntimeError("no operator is consistent with the syndrome")
-    return mass / norm
+    return syndrome_tables(code, prior).marginals(syndrome)
 
 
 def exact_map(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> PauliOperator:
     """A most likely syndrome-consistent error; ties go to the lexicographically first."""
-    best_p = -1.0
-    best_letters = None
-    for letters, probs, consistent in _consistent_blocks(code, prior, syndrome):
-        probs[~consistent] = -1.0
-        i = int(np.argmax(probs))
-        if probs[i] > best_p:
-            best_p = probs[i]
-            best_letters = letters[i].copy()
-    if best_letters is None or best_p < 0:
-        raise RuntimeError("no operator is consistent with the syndrome")
-    return PauliOperator.from_letters(best_letters)
+    return syndrome_tables(code, prior).map(syndrome)
 
 
 @dataclass(frozen=True)
@@ -133,8 +172,8 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
         # class ell's representative: the product of the logicals on its set bits
         rep = math.prod((op for b, op in enumerate(logicals) if (ell >> b) & 1), start=PauliOperator.identity(code.n))
         # summed in group order, one element at a time
-        mass[ell] = sum(_block_probs(group ^ (t_letters ^ rep.letters()), prior).tolist())
+        mass[ell] = sum(_block_probs((group ^ (t_letters ^ rep.letters())).T, prior).tolist())
         reps.append(rep)
-    table = CosetTable(logicals=tuple(reps), raw_mass=mass)
+    table = CosetTable(logicals=tuple(reps), raw_mass=_possible(mass))
     best = int(np.argmax(mass))
     return reps[best], table

@@ -148,6 +148,16 @@ def test_total_probability_over_syndromes(toy, five):
         assert abs(total - 1.0) <= 1e-12
 
 
+def test_zero_probability_syndrome_raises_everywhere(five):
+    # at eps 0 only the identity has nonzero probability, though IIIIZ is
+    # consistent with +-++
+    prior = qbp.depolarizing_prior(5, 0.0)
+    s = qbp.syndrome_from_string("+-++")
+    for oracle in (qbp.exact_marginals, qbp.exact_map, qbp.coset_decode):
+        with pytest.raises(RuntimeError, match="probability 0 under the prior"):
+            oracle(five, prior, s)
+
+
 def test_map_lies_in_max_mass_coset(five):
     # the MAP operator's coset has at least the mass of any single operator
     prior = qbp.depolarizing_prior(5, 0.08)
