@@ -214,20 +214,21 @@ def _oracle_code(name):
         return qbp.builtin(name)
 
 
-# sha256 digests of three pins per (code, eps), over syndromes in
-# itertools.product((1, -1)) bit order: the bytes of exact_marginals, the
-# strings of exact_map, and coset_decode's raw_mass bytes with its logicals.
-# The MAP and coset pins cover every syndrome.  The marginals pin covers 16
-# seeded syndromes of bicycle (10, 8, 4, 3)'s 256 and every syndrome of the
-# others.  The coset pins were recorded while coset_decode summed over
-# symplectic bit rows.
+# sha256 digests of three pins per (code, eps), over every syndrome in
+# itertools.product((1, -1)) bit order: the bytes of the marginals, the
+# strings of the MAP operators, and coset_decode's raw_mass bytes with its
+# logicals.  The marginals pins were recorded from syndrome_tables' bincount
+# sums, which differ from the per-syndrome path they replaced by at most
+# 7.8e-16 on the syndromes it pinned and 1.8e-15 on bicycle's others.
+# The MAP and coset pins are unchanged since that path, and the coset pins
+# since coset_decode summed over symplectic bit rows.
 ORACLE_DIGESTS = {
     ("five_qubit", 0.05): (
-        "dcac3f6cdf70b8e94560ead1da320e1461acfa5d548baaf7c600118d8cb55a58",
+        "4ab1d03993e2d0af0492337e01d7552ba949c50cad2948e5e3dc011678a559e5",
         "5de76057a47a44ac38b3f6c8190183ce309db3016ca8fac3d1bb8ce921121044",
         "66f2b0a3390ecaced1d0bce2eda3e053925bd839f6fa39ca90b0a846184236ae"),
     ("five_qubit", 0.2): (
-        "0b17db8c448ce4c728a7e6a633b8fd0dc2b94c32472a4b5f930001168502c5b5",
+        "71fb1f9cfa3ca5f4fa89dacbde306b7f71e85549ad0306d1c64a50c1698db804",
         "5de76057a47a44ac38b3f6c8190183ce309db3016ca8fac3d1bb8ce921121044",
         "c1118abb95bab3653ad82fc3252a27cee2083d1b53a2cdbc686d4e6b9fe2b96f"),
     ("two_qubit_toy", 0.05): (
@@ -239,19 +240,19 @@ ORACLE_DIGESTS = {
         "f22805998d6a66195f17e968633b760300d9b5baf2d92622b1693ab22e9632af",
         "84fc11f01440c58a89e1592f43ef348263fe093b9078c587c3c54030434bf992"),
     ("bicycle_10", 0.05): (
-        "349df0dcac5aa1d86cf9bb8da26ec663452a24d48f0742313a2c91db228b5415",
+        "41c3d588fdc69b85188cb83aa84b553494e0a7992ba137ea338d0a7a656c51b9",
         "9c8d87da6c010c79487d9856c634aadafecaa8ba6463585f57724c0a8c784baf",
         "a024d266e94084576e87fd9a5eac8c25edb6fdc46bf8fc15a1bf1c1bdc780623"),
     ("bicycle_10", 0.2): (
-        "8d9cb3049c58033f9b205576d16851353f4529fcc2ba3f5907e3b51dae41b11e",
+        "2d8d1537a0a35a18b7f2c2dbc0603012b72b30b0199bf78242b922f4416b00a5",
         "b98c87bef7e3f83f70715e54967773eb235ca42b73e391608293d858f056fb04",
         "03bd25c5b63a9e5ed1cd54dbd8e88741f52cd230098db12747c6be5a60169d44"),
     ("xxxxi_zzzzi", 0.05): (
-        "f176d92349543b2c2d84b648dc7f87f7ee741d6df1d6f340536118730b5ef984",
+        "5cc4e8ea937ecf0cd1ecd981116feb636fac7e580d0aedc63893e9ed98e54262",
         "d4db800c07f76296f7a04683c3742022f883772a2e3c5f36463f38f32615a5ed",
         "2a445fe2d9b957618cd60a815258b6f1fdfd40c1cab5111a14af46fc7bfe1ea9"),
     ("xxxxi_zzzzi", 0.2): (
-        "69a63bd8ee216a03b2312ac2391e1c2e28b2f9b8f40a1f257ecb013fa6f6fb52",
+        "231189460fd68524c0c162949edf6f8de6c29fff3180f4ccc23cd9234ce1bb7d",
         "e67e3c0915b366f4ee38418dfa89839b6bf68075e51074e5c87cdcf5466d6fdb",
         "2b941def2e1abf09420388926bf7e65e42094ed751cdfdaa62ec8106d0c4d3da"),
 }
@@ -261,21 +262,35 @@ ORACLE_DIGESTS = {
 def test_oracle_outputs_pinned(name, eps):
     code = _oracle_code(name)
     prior = qbp.depolarizing_prior(code.n, eps)
-    syndromes = [np.array(bits, dtype=np.int8) for bits in itertools.product((1, -1), repeat=code.m)]
-    marginal_syndromes = syndromes
-    if name == "bicycle_10":
-        picks = np.random.default_rng(0).choice(len(syndromes), size=16, replace=False)
-        marginal_syndromes = [syndromes[i] for i in sorted(picks.tolist())]
+    tables = qbp.syndrome_tables(code, prior)
     marginals_digest, map_digest, coset_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    for s in marginal_syndromes:
-        marginals_digest.update(qbp.exact_marginals(code, prior, s).tobytes())
-    for s in syndromes:
-        map_digest.update(str(qbp.exact_map(code, prior, s)).encode())
+    for bits in itertools.product((1, -1), repeat=code.m):
+        s = np.array(bits, dtype=np.int8)
+        marginals_digest.update(tables.marginals(s).tobytes())
+        map_digest.update(str(tables.map(s)).encode())
         _, table = qbp.coset_decode(code, prior, s)
         coset_digest.update(table.raw_mass.tobytes())
         coset_digest.update(repr([str(op) for op in table.logicals]).encode())
     got = (marginals_digest.hexdigest(), map_digest.hexdigest(), coset_digest.hexdigest())
     assert got == ORACLE_DIGESTS[name, eps]
+
+
+def test_syndrome_tables_cover_every_bicycle_syndrome():
+    # one pass over 4^10 operators against coset_decode's 256 group sums:
+    # two independent enumerations of every syndrome's probability
+    code = _oracle_code("bicycle_10")
+    prior = qbp.depolarizing_prior(code.n, 0.05)
+    tables = qbp.syndrome_tables(code, prior)
+    total = 0.0
+    for bits in itertools.product((1, -1), repeat=code.m):
+        s = np.array(bits, dtype=np.int8)
+        assert np.abs(tables.marginals(s).sum(axis=1) - 1.0).max() <= 1e-14
+        assert (code.syndrome(tables.map(s)) == s).all()
+        p = float(tables.mass[tables.word(s), 0].sum())
+        _, coset = qbp.coset_decode(code, prior, s)
+        assert abs(p - coset.raw_mass.sum()) <= 1e-12 * p
+        total += p
+    assert abs(total - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad, match", [
