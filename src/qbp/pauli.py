@@ -19,6 +19,7 @@ import numpy as np
 
 # Letter codes used throughout the package: I=0, X=1, Y=2, Z=3.
 LETTERS = "IXYZ"
+_LETTER_BYTES = np.frombuffer(LETTERS.encode(), np.uint8)
 
 # Single-qubit commutation signs, SIGN_TABLE[a, b] for letter codes a, b.
 # I commutes with everything; X, Y, Z pairwise anticommute.
@@ -166,7 +167,7 @@ class PauliOperator:
     # -- plumbing --------------------------------------------------------
 
     def __str__(self) -> str:
-        return "".join(LETTERS[c] for c in self.letters())
+        return _LETTER_BYTES[self.letters()].tobytes().decode()
 
     def __repr__(self) -> str:
         return f"PauliOperator({str(self)!r})"
