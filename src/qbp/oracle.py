@@ -32,21 +32,10 @@ MAX_COSET_LOGICALS = 4
 _CHUNK = 1 << 16
 
 
-def _letters_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Letter codes for enumeration indices [start, stop), one row per qubit;
-    qubit 0 is the most significant base-4 digit, so index order is
-    lexicographic operator order."""
-    shifts = 2 * np.arange(n - 1, -1, -1)[:, None]
-    return (np.arange(start, stop) >> shifts) & 3
-
-
-def _block_probs(letters: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """Prior probabilities of operators given as (n, count) letter codes,
-    multiplied in qubit order."""
-    probs = np.ones(letters.shape[1])
-    for q in range(len(letters)):
-        probs *= prior[q][letters[q]]
-    return probs
+def _block_probs(slots: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """Prior probabilities of operators given as (n, count) slots 4q + l,
+    letter l on qubit q, multiplied in qubit order."""
+    return prior.take(slots).prod(axis=0)
 
 
 def _possible(mass: np.ndarray) -> np.ndarray:
@@ -66,7 +55,7 @@ class SyndromeTables:
     map_letters: np.ndarray  # (2^m, n) letters of the lexicographically first most likely operator
 
     def word(self, syndrome: np.ndarray) -> int:
-        """The row of a +1/-1 syndrome."""
+        """The row of a +1/-1 syndrome: its packed violation bits."""
         return int(self.code.pack_checks(checked_syndrome(syndrome, self.code.m) < 0)[0])
 
     def marginals(self, syndrome: np.ndarray) -> np.ndarray:
@@ -85,10 +74,11 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     """One enumeration of every n-qubit operator, in chunks and in
     lexicographic order, filed by syndrome word.
 
-    Per chunk, one bincount per qubit keyed by (word, letter) adds each
-    operator's probability to its syndrome's marginal mass, and a maximum
-    by word gives each word's first most likely operator in the chunk,
-    which replaces the running one only if it is more likely.
+    Per chunk, one bincount per qubit, keyed by (word, qubit, letter), adds
+    each operator's probability to its syndrome's marginal mass in index
+    order, and a maximum by word gives each word's first most likely
+    operator in the chunk, which replaces the running one only if it is
+    more likely.  The tables take 2^m * n * 5 numbers, 1.2 MB at n = m = 12.
     """
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
@@ -98,20 +88,19 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     # < 64 and a packed syndrome is one word: table[q, l] is the checks that
     # letter l on qubit q anticommutes with, code.anti_words' rows with an
     # identity column in front
-    table = np.zeros((n, 4), dtype=np.intp)
-    table[:, 1:] = code.anti_words[:, 0].reshape(3, n).T
-    mass = np.zeros((size, n, 4))
+    table = np.pad(code.anti_words[:, 0].reshape(3, n).T.astype(np.intp), ((0, 0), (1, 0)))
+    # operator i's slot 4q + l on qubit q: its letter l is base-4 digit
+    # n - 1 - q of i, so index order is lexicographic operator order
+    shifts, offsets = 2 * np.arange(n - 1, -1, -1)[:, None], 4 * np.arange(n)[:, None]
+    mass = np.zeros(size * n * 4)
     best_p = np.full(size, -1.0)
     best = np.zeros((size, n), dtype=np.int8)
-    total = 1 << (2 * n)
-    for start in range(0, total, _CHUNK):
-        letters = _letters_block(n, start, min(start + _CHUNK, total))
-        probs = _block_probs(letters, prior)
-        words = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, 4 ** n, _CHUNK):
+        slots = (np.arange(start, min(start + _CHUNK, 4 ** n)) >> shifts) & 3 | offsets
+        probs = _block_probs(slots, prior)
+        words = np.bitwise_xor.reduce(table.take(slots), axis=0)
         for q in range(n):
-            words ^= table[q][letters[q]]
-        for q in range(n):
-            mass[:, q] += np.bincount(4 * words + letters[q], weights=probs, minlength=4 * size).reshape(size, 4)
+            mass += np.bincount(4 * n * words + slots[q], weights=probs, minlength=len(mass))
         # each word's first most likely operator in the chunk, kept if it
         # beats the earlier chunks' one
         top = np.full(size, -1.0)
@@ -120,8 +109,8 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
         first = hits[np.unique(words[hits], return_index=True)[1]]
         first = first[probs[first] > best_p[words[first]]]
         best_p[words[first]] = probs[first]
-        best[words[first]] = letters[:, first].T
-    return SyndromeTables(code, mass, best)
+        best[words[first]] = slots[:, first].T & 3
+    return SyndromeTables(code, mass.reshape(size, n, 4), best)
 
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
@@ -165,6 +154,7 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
     for check in code.checks:
         group = np.concatenate((group, group ^ check.letters()))
     _, logicals = code.canonical_generators()
+    offsets = 4 * np.arange(code.n)
 
     mass = np.zeros(1 << (2 * code.k))
     reps = []
@@ -172,8 +162,6 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
         # class ell's representative: the product of the logicals on its set bits
         rep = math.prod((op for b, op in enumerate(logicals) if (ell >> b) & 1), start=PauliOperator.identity(code.n))
         # summed in group order, one element at a time
-        mass[ell] = sum(_block_probs((group ^ (t_letters ^ rep.letters())).T, prior).tolist())
+        mass[ell] = sum(_block_probs((group ^ (t_letters ^ rep.letters()) | offsets).T, prior).tolist())
         reps.append(rep)
-    table = CosetTable(logicals=tuple(reps), raw_mass=_possible(mass))
-    best = int(np.argmax(mass))
-    return reps[best], table
+    return reps[int(np.argmax(mass))], CosetTable(logicals=tuple(reps), raw_mass=_possible(mass))

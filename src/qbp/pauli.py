@@ -19,7 +19,6 @@ import numpy as np
 
 # Letter codes used throughout the package: I=0, X=1, Y=2, Z=3.
 LETTERS = "IXYZ"
-_LETTER_BYTES = np.frombuffer(LETTERS.encode(), np.uint8)
 
 # Single-qubit commutation signs, SIGN_TABLE[a, b] for letter codes a, b.
 # I commutes with everything; X, Y, Z pairwise anticommute.
@@ -167,7 +166,7 @@ class PauliOperator:
     # -- plumbing --------------------------------------------------------
 
     def __str__(self) -> str:
-        return _LETTER_BYTES[self.letters()].tobytes().decode()
+        return np.frombuffer(b"IXYZ", np.uint8)[self.letters()].tobytes().decode()
 
     def __repr__(self) -> str:
         return f"PauliOperator({str(self)!r})"
