@@ -87,14 +87,14 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     # the checks are independent and commute, so m <= n <= MAX_ENUM_QUBITS
     # < 64 and a packed syndrome is one word: table[q, l] is the checks that
     # letter l on qubit q anticommutes with, code.anti_words' rows with an
-    # identity column in front
-    table = np.pad(code.anti_words[:, 0].reshape(3, n).T.astype(np.intp), ((0, 0), (1, 0)))
+    # identity row on top, taken qubit-major
+    table = np.concatenate((np.zeros(n, "<u8"), code.anti_words[:, 0])).reshape(4, n).T.astype(np.intp)
     # operator i's slot 4q + l on qubit q: its letter l is base-4 digit
     # n - 1 - q of i, so index order is lexicographic operator order
     shifts, offsets = 2 * np.arange(n - 1, -1, -1)[:, None], 4 * np.arange(n)[:, None]
-    mass = np.zeros(size * n * 4)
-    best_p = np.full(size, -1.0)
-    best = np.zeros((size, n), dtype=np.int8)
+    # the running tables: marginal mass by (word, qubit, letter), and each
+    # word's most likely operator so far and its probability
+    mass, best, best_p = np.zeros(size * n * 4), np.zeros((size, n), dtype=np.int8), np.full(size, -1.0)
     for start in range(0, 4 ** n, _CHUNK):
         slots = (np.arange(start, min(start + _CHUNK, 4 ** n)) >> shifts) & 3 | offsets
         probs = _block_probs(slots, prior)
@@ -115,11 +115,13 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
     """Exact conditional marginals p_q(E_q | s) by full enumeration."""
+    checked_syndrome(syndrome, code.m)  # a bad syndrome costs no enumeration
     return syndrome_tables(code, prior).marginals(syndrome)
 
 
 def exact_map(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> PauliOperator:
     """A most likely syndrome-consistent error; ties go to the lexicographically first."""
+    checked_syndrome(syndrome, code.m)
     return syndrome_tables(code, prior).map(syndrome)
 
 
