@@ -14,10 +14,10 @@ import numpy as np
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(r, c) 0/1 rows as (r, ceil(c / 64)) little-endian uint64 words; a
-    width that packs to whole words needs no padding, and gets none."""
+    """(r, c) 0/1 rows as (r, ceil(c / 64)) little-endian uint64 words."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return (np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))) if packed.shape[1] % 8 else packed).view("<u8")
+    pad = -packed.shape[1] % 8  # bytes short of a whole word; np.pad costs ~30 µs even at 0
+    return (np.pad(packed, ((0, 0), (0, pad))) if pad else packed).view("<u8")
 
 
 def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:

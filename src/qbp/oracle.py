@@ -45,7 +45,7 @@ def _possible(mass: np.ndarray) -> np.ndarray:
     return mass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyndromeTables:
     """Every syndrome's exact marginal mass and MAP operator, one row per
     packed syndrome word (check c at bit c)."""
@@ -78,7 +78,8 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     each operator's probability to its syndrome's marginal mass in index
     order, and a maximum by word gives each word's first most likely
     operator in the chunk, which replaces the running one only if it is
-    more likely.  The marginal table holds 2^m * 4n floats, 1.6 MB at n = m = 12.
+    more likely.
+    The marginal table holds 2^m * 4n floats, 1.6 MB at n = m = 12.
     """
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
@@ -92,36 +93,32 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     # operator i's slot 4q + l on qubit q: its letter l is base-4 digit
     # n - 1 - q of i, so index order is lexicographic operator order
     shifts, offsets = 2 * np.arange(n - 1, -1, -1)[:, None], 4 * np.arange(n)[:, None]
-    # the running tables: marginal mass by (word, qubit, letter), and each
-    # word's most likely operator so far and its probability
-    mass, best, best_p = np.zeros(size * n * 4), np.zeros((size, n), dtype=np.int8), np.full(size, -1.0)
+    mass = np.zeros(size * n * 4)
+    best_p = np.full(size, -1.0)
+    best = np.zeros((size, n), dtype=np.int8)
     for start in range(0, 4 ** n, _CHUNK):
         slots = (np.arange(start, min(start + _CHUNK, 4 ** n)) >> shifts) & 3 | offsets
         probs = _block_probs(slots, prior)
         words = np.bitwise_xor.reduce(table.take(slots), axis=0)
         for q in range(n):
             mass += np.bincount(4 * n * words + slots[q], weights=probs, minlength=len(mass))
-        # each word's first most likely operator in the chunk, kept if it
-        # beats the earlier chunks' one
-        top = np.full(size, -1.0)
-        np.maximum.at(top, words, probs)
-        hits = np.flatnonzero(probs == top[words])
+        # a word's first operator in the chunk at a new maximum replaces the
+        # earlier chunks' one; a tie keeps the earlier
+        before = best_p.copy()
+        np.maximum.at(best_p, words, probs)
+        hits = np.flatnonzero((probs == best_p[words]) & (probs > before[words]))
         first = hits[np.unique(words[hits], return_index=True)[1]]
-        first = first[probs[first] > best_p[words[first]]]
-        best_p[words[first]] = probs[first]
         best[words[first]] = slots[:, first].T & 3
     return SyndromeTables(code, mass.reshape(size, n, 4), best)
 
 
 def exact_marginals(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> np.ndarray:
     """Exact conditional marginals p_q(E_q | s) by full enumeration."""
-    checked_syndrome(syndrome, code.m)  # a bad syndrome costs no enumeration
     return syndrome_tables(code, prior).marginals(syndrome)
 
 
 def exact_map(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray) -> PauliOperator:
     """A most likely syndrome-consistent error; ties go to the lexicographically first."""
-    checked_syndrome(syndrome, code.m)
     return syndrome_tables(code, prior).map(syndrome)
 
 
@@ -150,13 +147,13 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
         raise ValueError(f"coset enumeration is limited to {MAX_COSET_LOGICALS} logical qubits, code has {code.k}")
     prior = validate_prior(prior, code.n)
     t_letters = code.pure_error_for_syndrome(syndrome).letters()
-    # the stabilizer group as one (2^m, n) letter block, element i the
-    # product of the checks on the set bits of i
-    group = np.zeros((1, code.n), dtype=np.int8)
+    # the stabilizer group as one (2^m, n) block of slots 4q + l, element i
+    # the product of the checks on the set bits of i: XORing letters keeps
+    # each slot's 4q
+    group = 4 * np.arange(code.n)[None, :]
     for check in code.checks:
         group = np.concatenate((group, group ^ check.letters()))
     _, logicals = code.canonical_generators()
-    offsets = 4 * np.arange(code.n)
 
     mass = np.zeros(1 << (2 * code.k))
     reps = []
@@ -164,6 +161,8 @@ def coset_decode(code: StabilizerCode, prior: np.ndarray, syndrome: np.ndarray):
         # class ell's representative: the product of the logicals on its set bits
         rep = math.prod((op for b, op in enumerate(logicals) if (ell >> b) & 1), start=PauliOperator.identity(code.n))
         # summed in group order, one element at a time
-        mass[ell] = sum(_block_probs((group ^ (t_letters ^ rep.letters()) | offsets).T, prior).tolist())
+        mass[ell] = sum(_block_probs((group ^ (t_letters ^ rep.letters())).T, prior).tolist())
         reps.append(rep)
-    return reps[int(np.argmax(mass))], CosetTable(logicals=tuple(reps), raw_mass=_possible(mass))
+    table = CosetTable(logicals=tuple(reps), raw_mass=_possible(mass))
+    best = int(np.argmax(mass))
+    return reps[best], table
