@@ -78,8 +78,8 @@ def syndrome_tables(code: StabilizerCode, prior: np.ndarray) -> SyndromeTables:
     each operator's probability to its syndrome's marginal mass in index
     order, and a maximum by word gives each word's first most likely
     operator in the chunk, which replaces the running one only if it is
-    more likely.
-    The marginal table holds 2^m * 4n floats, 1.6 MB at n = m = 12.
+    more likely.  The marginal table holds 2^m * 4n floats, 1.6 MB at
+    n = m = 12.
     """
     if code.n > MAX_ENUM_QUBITS:
         raise ValueError(f"exact enumeration is limited to {MAX_ENUM_QUBITS} qubits, code has {code.n}")
