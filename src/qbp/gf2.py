@@ -16,7 +16,7 @@ import numpy as np
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """(r, c) 0/1 rows as (r, ceil(c / 64)) little-endian uint64 words."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    pad = -packed.shape[1] % 8  # bytes short of a whole word; np.pad costs ~30 µs even at 0
+    pad = -packed.shape[1] % 8  # bytes short of a whole word; np.pad is slow even at 0
     return (np.pad(packed, ((0, 0), (0, pad))) if pad else packed).view("<u8")
 
 

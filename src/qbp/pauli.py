@@ -166,7 +166,7 @@ class PauliOperator:
     # -- plumbing --------------------------------------------------------
 
     def __str__(self) -> str:
-        return np.frombuffer(b"IXYZ", np.uint8)[self.letters()].tobytes().decode()
+        return np.frombuffer(LETTERS.encode(), np.uint8)[self.letters()].tobytes().decode()
 
     def __repr__(self) -> str:
         return f"PauliOperator({str(self)!r})"
